@@ -11,6 +11,7 @@ worker pools (default 1).
 
 import argparse
 import json
+import os
 import re
 import sys
 import time
@@ -38,8 +39,14 @@ _MERGE_FLAGS = ("--eigs", "--weights", "--K", "--pairs")
 # ---------------------------------------------------------------- rendering
 
 def format_float(x: float) -> str:
-    """17 significant digits: enough to round-trip a double exactly."""
-    return format(float(x), ".17g")
+    """17 significant digits: enough to round-trip a double exactly.
+
+    Non-finite values have no JSON form, so no output may carry them.
+    """
+    f = float(x)
+    if not np.isfinite(f):
+        raise QspecError(f"result holds a non-finite value ({f!r})")
+    return format(f, ".17g")
 
 
 def _scalar_json(v) -> str:
@@ -50,10 +57,7 @@ def _scalar_json(v) -> str:
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     if isinstance(v, (float, np.floating)):
-        f = float(v)
-        if not np.isfinite(f):
-            raise TypeError(f"non-finite float {f!r} in output payload")
-        return format_float(f)
+        return format_float(v)
     if isinstance(v, str):
         return json.dumps(v)
     raise TypeError(f"cannot serialize {type(v).__name__}")
@@ -629,6 +633,17 @@ def _manifest(ns, label: str) -> dict:
     }
 
 
+def _check_out(path) -> None:
+    """Reject an --out path that cannot be a new file, before any work."""
+    if path is None:
+        return
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(parent):
+        raise QspecError(f"--out directory does not exist: {parent}")
+    if os.path.isdir(path):
+        raise QspecError(f"--out names a directory: {path}")
+
+
 def dispatch(argv=None) -> int:
     """Parse argv and run one subcommand; returns the process exit code."""
     argv = normalize_argv(list(sys.argv[1:] if argv is None else argv))
@@ -646,22 +661,22 @@ def dispatch(argv=None) -> int:
         label = ns.subcommand
         handler = _HANDLERS[ns.subcommand]
 
-    started = time.time()
+    started = time.perf_counter()
     try:
-        result, rows = handler(ns)
-    except QspecError as exc:
+        _check_out(ns.out)
+        # a non-finite result fails in rendering, so numpy's floating-point
+        # warnings would only add lines before the error
+        with np.errstate(all="ignore"):
+            result, rows = handler(ns)
+        manifest = _manifest(ns, label)
+        manifest["duration_s"] = time.perf_counter() - started
+        if ns.format == "json":
+            text = render_json({"manifest": manifest, "result": result}) + "\n"
+        else:
+            text = render_csv(manifest, _CSV_HEADERS[label], rows)
+    except (QspecError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-    manifest = _manifest(ns, label)
-    manifest["duration_s"] = time.time() - started
-    if ns.format == "json":
-        text = render_json({"manifest": manifest, "result": result}) + "\n"
-    else:
-        text = render_csv(manifest, _CSV_HEADERS[label], rows)
 
     if ns.out:
         with open(ns.out, "w", encoding="utf-8") as fh:

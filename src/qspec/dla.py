@@ -6,18 +6,22 @@ eta(G) = |Tr G| / ||G||_F that separates identity-like generators from
 traceless ones.
 """
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (DimMismatch, NotHermitian, QspecError, commutator,
-                     is_hermitian, require_square)
+from .linalg import (DimMismatch, NotHermitian, QspecError, is_hermitian,
+                     require_square)
 
 CLOSURE_TOL = 1e-8
 
 # Frobenius norms at or below this count as the zero matrix
 ZERO_FLOOR = 1e-300
+
+# Largest algebra the dense path takes on, u(16); f then holds 128 MiB
+MAX_DLA_DIM = 256
+
+_CHUNK = 1 << 21   # complex entries per chunk of products in _structure_constants
 
 
 class ZeroMatrix(QspecError):
@@ -50,34 +54,42 @@ class DlaReport:
     eta_per_generator: tuple
 
 
-def _inner(a: np.ndarray, b: np.ndarray) -> float:
-    """Real part of the Frobenius inner product Tr(A^dag B)."""
-    return float(np.real(np.sum(a.conj() * b)))
+def _rows(stack: np.ndarray) -> np.ndarray:
+    """Real (m, 2 N^2) view of a C-contiguous complex (m, N, N) stack, in
+    which Re Tr(A^dag B) is a dot product and projections are matmuls."""
+    return stack.reshape(len(stack), -1).view(np.float64)
 
 
-def _orthonormalize(basis, cand: np.ndarray, tol: float):
-    """Project cand off an orthonormal basis; None when dependent.
+def _elements(rows: np.ndarray, n: int) -> list:
+    """Complex N x N matrices from real rows; inverse of _rows."""
+    return list(np.ascontiguousarray(rows).view(complex).reshape(-1, n, n))
 
-    Modified Gram-Schmidt with one re-orthogonalization pass, so residuals
-    of nearly dependent candidates are not lost to cancellation.
-    """
-    v = cand
-    for _ in range(2):
-        for b in basis:
-            v = v - _inner(b, v) * b
-    nrm = float(np.sqrt(_inner(v, v)))
-    if nrm <= tol:
-        return None
-    return v / nrm
+
+def _extend(basis: np.ndarray, m: int, cands: np.ndarray, tol: float, cap: int) -> int:
+    """Append to orthonormal rows basis[:m] the parts of the rows of cands
+    outside their span, in order; returns the new row count. One block
+    projection drops candidates in the span; survivors are projected
+    twice, so near-dependent residuals survive cancellation."""
+    resid = cands - (cands @ basis[:m].T) @ basis[:m]
+    for v in resid[np.linalg.norm(resid, axis=1) > tol]:
+        for _ in range(2):
+            v = v - (basis[:m] @ v) @ basis[:m]
+        nrm = float(np.linalg.norm(v))
+        if nrm > tol:
+            if m == len(basis):
+                raise DimCap(f"closure dimension exceeds cap {cap}")
+            basis[m] = v / nrm
+            m += 1
+    return m
 
 
 def lie_closure(generators, tol: float = CLOSURE_TOL, max_dim: int | None = None) -> LieBasis:
     """Orthonormal basis of the real Lie algebra generated by {i * H_j}.
 
-    Breadth-first bracket search: each accepted element is queued against
+    Breadth-first bracket search: each accepted element is bracketed with
     everything accepted before it, so the basis is independent of how the
-    span is presented. max_dim defaults to N^2 (the ambient u(N) bound);
-    exceeding it raises DimCap.
+    span is presented. max_dim defaults to min(N^2, MAX_DLA_DIM), N^2
+    being the ambient u(N) bound; exceeding it raises DimCap.
     """
     gens = [require_square(g) for g in generators]
     if not gens:
@@ -88,77 +100,64 @@ def lie_closure(generators, tol: float = CLOSURE_TOL, max_dim: int | None = None
             raise DimMismatch("generators must share one dimension")
         if not is_hermitian(g):
             raise NotHermitian("generators must be Hermitian")
-    cap = n * n if max_dim is None else int(max_dim)
+    cap = min(n * n, MAX_DLA_DIM) if max_dim is None else int(max_dim)
     if cap < 1:
         raise DimCap("max_dim must be at least 1")
 
-    basis: list = []
-    queue: deque = deque()
-
-    def accept(cand: np.ndarray) -> None:
-        v = _orthonormalize(basis, cand, tol)
-        if v is None:
-            return
-        if len(basis) + 1 > cap:
-            raise DimCap(f"closure dimension exceeds cap {cap}")
-        basis.append(v)
-        new = len(basis) - 1
-        for k in range(new):
-            queue.append((k, new))
-
-    for g in gens:
-        accept(1j * g)
-    while queue:
-        i, j = queue.popleft()
-        accept(commutator(basis[i], basis[j]))
-    return LieBasis(dim_matrix=n, elements=tuple(basis))
+    basis = np.empty((min(cap, n * n), 2 * n * n))
+    cube = basis.view(complex).reshape(-1, n, n)
+    m = _extend(basis, 0, _rows(1j * np.array(gens)), tol, cap)
+    j = 1
+    while j < m:
+        m = _extend(basis, m, _rows(cube[:j] @ cube[j] - cube[j] @ cube[:j]), tol, cap)
+        j += 1
+    return LieBasis(dim_matrix=n, elements=tuple(_elements(basis[:m], n)))
 
 
-def _structure_rows(elements) -> np.ndarray:
-    """Adjoint action as a (m^2, m) matrix: rows (j, k), columns i give
-    the coefficient of basis element k in [X_i, X_j]."""
-    m = len(elements)
-    c = np.zeros((m, m, m))
-    for i in range(m):
-        for j in range(i + 1, m):
-            br = commutator(elements[i], elements[j])
-            for k in range(m):
-                v = _inner(elements[k], br)
-                c[i, j, k] = v
-                c[j, i, k] = -v
-    return np.transpose(c, (1, 2, 0)).reshape(m * m, m)
+def _structure_constants(g: LieBasis) -> np.ndarray:
+    """f[i, j, k] = Re Tr(X_k^dag [X_i, X_j]), in chunks of j. For
+    anti-Hermitian X, Re Tr(X_k^dag X_j X_i) = -Re Tr(X_k^dag X_i X_j), so
+    the bracket's coordinates are twice those of the product X_i X_j."""
+    m, n = len(g), g.dim_matrix
+    if m > MAX_DLA_DIM:
+        raise DimCap(f"algebra dimension {m} exceeds {MAX_DLA_DIM}")
+    els = np.array(g.elements, dtype=complex)
+    f = np.empty((m, m, m))
+    step = max(1, _CHUNK // (m * n * n))
+    for j in range(0, m, step):
+        # stacked [X_0; X_1; ...] times X_j: X_i X_j for every i, j-major
+        prods = (els.reshape(m * n, n) @ els[j:j + step]).reshape(-1, n, n)
+        coords = (_rows(prods) @ _rows(els).T).reshape(-1, m, m)
+        f[:, j:j + step] = 2.0 * coords.transpose(1, 0, 2)
+    return f
+
+
+def _split(g: LieBasis, a: np.ndarray, tol: float) -> tuple:
+    """Right singular vectors of a, an (m^2, m) reshape of f, as elements of
+    g: (singular value <= tol, > tol). From the m x m triangular factor of
+    the nonzero rows (zero rows change nothing): no m^2 x m left factor."""
+    keep = np.any(a != 0.0, axis=1)
+    keep[:a.shape[1]] = True   # at least m rows, so m singular values
+    _, svals, vh = np.linalg.svd(np.linalg.qr(a[keep], mode="r"), full_matrices=False)
+    coords = vh @ _rows(np.array(g.elements, dtype=complex))
+    small = svals <= tol
+    return _elements(coords[small], g.dim_matrix), _elements(coords[~small], g.dim_matrix)
 
 
 def center_basis(g: LieBasis, tol: float = CLOSURE_TOL) -> list:
-    """Orthonormal basis of the center {X in g : [X, Y] = 0 for all Y}.
-
-    Computed as the null space (singular values <= tol) of the adjoint
-    action expressed in basis coordinates.
-    """
-    els = list(g.elements)
-    if not els:
+    """Orthonormal basis of the center {X in g : [X, Y] = 0 for all Y}:
+    the null space of the adjoint action, f with rows (j, k), columns i."""
+    if not len(g):
         return []
-    rows = _structure_rows(els)
-    _, svals, vh = np.linalg.svd(rows, full_matrices=True)
-    out = []
-    for idx in range(len(els)):
-        sv = svals[idx] if idx < svals.shape[0] else 0.0
-        if sv <= tol:
-            coeff = vh[idx]
-            out.append(sum(c * e for c, e in zip(coeff, els)))
-    return out
+    return _split(g, _structure_constants(g).reshape(len(g), -1).T, tol)[0]
 
 
 def derived_algebra(g: LieBasis, tol: float = CLOSURE_TOL) -> list:
-    """Orthonormal basis of span{[X, Y] : X, Y in g} inside g."""
-    els = list(g.elements)
-    out: list = []
-    for i in range(len(els)):
-        for j in range(i + 1, len(els)):
-            v = _orthonormalize(out, commutator(els[i], els[j]), tol)
-            if v is not None:
-                out.append(v)
-    return out
+    """Orthonormal basis of span{[X, Y] : X, Y in g} inside g: the row
+    space of f with rows (i, j), columns k."""
+    if not len(g):
+        return []
+    return _split(g, _structure_constants(g).reshape(-1, len(g)), tol)[1]
 
 
 def eta(g) -> float:

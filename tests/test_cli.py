@@ -1,9 +1,11 @@
 import json
 import re
+import time
 
 import numpy as np
 import pytest
 
+from qspec import cli
 from qspec.cli import dispatch, normalize_argv, parse_pauli_expr
 from qspec.qsim import pauli_matrix
 
@@ -146,6 +148,45 @@ def test_dla_bad_label_exits_one(capsys):
     captured = capsys.readouterr()
     assert rc == 1
     assert "error:" in captured.err
+
+
+def error_line(captured):
+    """The whole of stderr, which must be one 'error:' line."""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    return lines[0]
+
+
+def test_dla_beyond_size_cap_exits_one(capsys):
+    # X_q, Y_q and Z_q Z_{q+1} on 5 qubits generate su(32), dimension 1023
+    labels = ["I" * q + p + "I" * (5 - q - len(p))
+              for p in ("X", "Y", "ZZ") for q in range(6 - len(p))]
+    t0 = time.perf_counter()
+    rc = dispatch(["dla", "--paulis", ";".join(labels)])
+    elapsed = time.perf_counter() - t0
+    assert rc == 1
+    assert "cap 256" in error_line(capsys.readouterr())
+    assert elapsed <= 30.0, elapsed
+
+
+def test_out_to_missing_directory_fails_before_work(tmp_path, capsys, monkeypatch):
+    def never(ns):
+        raise AssertionError("handler ran")
+    monkeypatch.setitem(cli._HANDLERS, "dla", never)
+    target = tmp_path / "missing" / "x"
+    rc = dispatch(["dla", "--paulis", "X;Y", "--out", str(target)])
+    assert rc == 1
+    assert "--out directory does not exist" in error_line(capsys.readouterr())
+    assert not target.parent.exists()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_non_finite_output_exits_one(capsys, fmt):
+    rc = dispatch(["spectrum", "--eigs", "1e308,-1e308", "--format", fmt])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "non-finite" in error_line(captured)
+    assert captured.out == ""
 
 
 def test_train_tiny_with_config_and_seed_override(tmp_path, capsys):

@@ -1,8 +1,10 @@
+import time
+
 import numpy as np
 import pytest
 
-from qspec.dla import (DimCap, ZeroMatrix, center_basis, derived_algebra,
-                       dla_report, eta, lie_closure)
+from qspec.dla import (MAX_DLA_DIM, DimCap, LieBasis, ZeroMatrix, center_basis,
+                       derived_algebra, dla_report, eta, lie_closure)
 from qspec.linalg import commutator, complex_gaussians, haar_unitary, rng_stream
 from qspec.qsim import pauli_matrix
 
@@ -133,3 +135,105 @@ def test_dla_report_weighted_generator():
     assert rep.center_dim == 1
     assert rep.derived_dim == 0
     assert rep.eta_per_generator[0] == pytest.approx(2.0 / np.sqrt(1.25), abs=1e-13)
+
+
+# ------------------------------------------------- Pauli-string oracle
+
+def pauli_bits(label):
+    """Symplectic (x, z) bit masks of a Pauli string: X -> x, Z -> z, Y -> both."""
+    x = z = 0
+    for q, ch in enumerate(label):
+        x |= (ch in "XY") << q
+        z |= (ch in "YZ") << q
+    return x, z
+
+
+def anticommute(a, b):
+    return bin((a[0] & b[1]) ^ (a[1] & b[0])).count("1") % 2 == 1
+
+
+def pauli_closure_dims(labels):
+    """(dim, center, derived) of the algebra spanned by i * strings, on bits.
+
+    The bracket of two strings is zero when they commute and a multiple
+    of their product otherwise, so the closure is spanned by strings. The
+    center is the strings that commute with all others; the derived
+    algebra is spanned by the products of anticommuting pairs.
+    """
+    strings = list(dict.fromkeys(pauli_bits(s) for s in labels))
+    seen = set(strings)
+    j = 0
+    while j < len(strings):
+        for t in strings[:j]:
+            if anticommute(strings[j], t):
+                p = (strings[j][0] ^ t[0], strings[j][1] ^ t[1])
+                if p not in seen:
+                    seen.add(p)
+                    strings.append(p)
+        j += 1
+    center = [s for s in strings if not any(anticommute(s, t) for t in strings)]
+    derived = {(a[0] ^ b[0], a[1] ^ b[1]) for a in strings for b in strings
+               if anticommute(a, b)}
+    return len(strings), len(center), len(derived)
+
+
+def dense_dims(labels):
+    rep = dla_report([pauli_matrix(s) for s in labels])
+    return rep.dim, rep.center_dim, rep.derived_dim
+
+
+@pytest.mark.parametrize("labels, dims", [
+    ("XII;YII;IXI;IYI;IIX;IIY;ZZI;IZZ", (63, 0, 63)),   # su(8)
+    ("XII;IXI;IIX;ZZI;IZZ;ZIZ", (30, 0, 30)),           # ring Ising
+    ("XI;YI;IX;IY;ZZ;II", (16, 1, 15)),                 # u(4)
+    ("I;X;Y;Z", (4, 1, 3)),                             # u(2)
+    ("ZI;IZ", (2, 2, 0)),                               # commuting strings
+])
+def test_dense_dims_match_pauli_oracle(labels, dims):
+    labels = labels.split(";")
+    assert pauli_closure_dims(labels) == dims
+    assert dense_dims(labels) == dims
+
+
+@pytest.mark.parametrize("blocks, dims", [
+    ((4,), (16, 1, 15)), ((2, 2), (8, 2, 6)), ((3, 1), (10, 2, 8))])
+def test_random_block_diagonal_generators(blocks, dims):
+    # two generic Hermitian generators on each block generate u(b1) + u(b2):
+    # one center direction per block, derived algebra su(b1) + su(b2)
+    gens = []
+    for seed in (41, 42):
+        g = np.zeros((sum(blocks), sum(blocks)), dtype=complex)
+        at = 0
+        for k, b in enumerate(blocks):
+            g[at:at + b, at:at + b] = random_hermitian(b, seed=100 * seed + k)
+            at += b
+        gens.append(g)
+    rep = dla_report(gens)
+    assert (rep.dim, rep.center_dim, rep.derived_dim) == dims
+    basis = lie_closure(gens)
+    for c in center_basis(basis):
+        for el in basis.elements:
+            assert np.max(np.abs(commutator(c, el))) <= 1e-10
+    for d in derived_algebra(basis):
+        edges = np.cumsum((0,) + blocks)
+        for lo, hi in zip(edges, edges[1:]):
+            assert abs(np.trace(d[lo:hi, lo:hi])) <= 1e-10
+
+
+def test_su16_matches_oracle_within_budget():
+    # X_q and Y_q on every qubit plus Z_q Z_{q+1} generate su(16)
+    labels = ["I" * q + p + "I" * (4 - q - len(p))
+              for p in ("X", "Y", "ZZ") for q in range(5 - len(p))]
+    t0 = time.perf_counter()
+    dims = dense_dims(labels)
+    elapsed = time.perf_counter() - t0
+    assert dims == pauli_closure_dims(labels) == (255, 0, 255)
+    assert elapsed <= 10.0, elapsed
+
+
+def test_center_and_derived_refuse_oversized_algebra():
+    big = LieBasis(dim_matrix=2, elements=(np.zeros((2, 2)),) * (MAX_DLA_DIM + 1))
+    with pytest.raises(DimCap):
+        center_basis(big)
+    with pytest.raises(DimCap):
+        derived_algebra(big)
