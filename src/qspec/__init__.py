@@ -19,12 +19,12 @@ from .dla import (DimCap, DlaReport, LieBasis, ZeroMatrix, center_basis,
                   derived_algebra, dla_report, eta, lie_closure)
 from .qsim import (CircuitSpec, circuit_forward, circuit_forward_batch,
                    circuit_forward_encoded, default_entangler, encode_inputs,
-                   grad_analytic_1p, grad_analytic_1p_batch, grad_fd,
-                   make_generator, pauli_matrix, trig_poly_coeffs)
+                   grad_analytic_1p_batch, grad_fd, make_generator,
+                   pauli_matrix, trig_poly_coeffs)
 from .experiments import (AllZeroDifferences, TrainConfig, TrainReport,
                           VarianceSweepReport, analytic_variance_oracle,
                           adam_train, build_circuit, fast_profile, gen_dataset,
                           load_train_config, spectrum_matching_experiment,
-                          variance_sweep, wilcoxon_exact, worker_count)
+                          variance_sweep, wilcoxon_exact)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

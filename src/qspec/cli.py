@@ -5,8 +5,7 @@ selftest. Output is JSON (default) or CSV on stdout or --out, always with
 a run manifest (subcommand, package version, resolved options, seed,
 duration). Exit codes: 0 success, 1 computation error, 2 usage error.
 Floats are printed with 17 significant digits, so equal numbers render as
-equal bytes; the QSPEC_THREADS environment variable caps experiment
-worker pools (default 1).
+equal bytes.
 """
 
 import argparse
@@ -23,7 +22,7 @@ from . import __version__
 from .bounds import (SobolevParams, jackson_upper, limit_probe,
                      minimax_lower_curve, random_unit_ball_series,
                      truncation_error)
-from .dla import dla_report
+from .dla import MAX_DLA_SIDE, dla_report
 from .experiments import (TrainConfig, analytic_variance_oracle, fast_profile,
                           load_train_config, spectrum_matching_experiment,
                           variance_sweep, wilcoxon_exact)
@@ -162,7 +161,11 @@ def _rd_pairs(text: str) -> list:
 
 
 def parse_pauli_expr(expr: str) -> np.ndarray:
-    """Weighted Pauli-string sum, e.g. "0.5*IY + II" or "Z"."""
+    """Weighted Pauli-string sum, e.g. "0.5*IY + II" or "Z".
+
+    A string whose matrix side would exceed MAX_DLA_SIDE is rejected
+    before its matrix is built.
+    """
     s = expr.replace(" ", "")
     if not s:
         raise ValueError("empty generator expression")
@@ -181,6 +184,9 @@ def parse_pauli_expr(expr: str) -> np.ndarray:
             coeff = float(coeff_s)
         else:
             coeff, label = 1.0, term
+        if 1 << len(label) > MAX_DLA_SIDE:
+            raise ValueError(f"term {label!r} acts on {len(label)} qubits; dla takes at most "
+                             f"{MAX_DLA_SIDE.bit_length() - 1}")
         mat = sign * coeff * pauli_matrix(label)
         if total is not None and total.shape != mat.shape:
             raise ValueError(f"term {label!r} acts on a different qubit count")
@@ -299,7 +305,7 @@ def _cmd_train(ns) -> tuple[dict, object]:
         cfg = fast_profile(cfg)
     if ns.seeds is not None:
         cfg = replace(cfg, seeds=tuple(ns.seeds))
-    report = spectrum_matching_experiment(cfg, workers=ns.workers)
+    report = spectrum_matching_experiment(cfg)
     result = report.to_dict()
     rows = []
     for b in report.b_models:
@@ -313,7 +319,7 @@ def _cmd_train(ns) -> tuple[dict, object]:
 
 
 def _cmd_variance(ns) -> tuple[dict, object]:
-    report = variance_sweep(ns.weights, ns.samples, ns.seed, workers=ns.workers)
+    report = variance_sweep(ns.weights, ns.samples, ns.seed)
     result = report.to_dict()
     result["analytic_variances"] = [analytic_variance_oracle(w) for w in report.weights]
     rows = list(zip(report.weights, report.variances, report.etas))
@@ -444,9 +450,9 @@ def _selftest_variance(seed: int) -> list:
     ]
 
 
-def _selftest_train(full: bool, workers) -> list:
+def _selftest_train(full: bool) -> list:
     cfg = TrainConfig() if full else TrainConfig.fast()
-    report = spectrum_matching_experiment(cfg, workers=workers)
+    report = spectrum_matching_experiment(cfg)
     m = report.means
     ordered = m[10.0] < m[1.0] < m[0.1]
     checks = [_check("train_rmse_ordering", ordered,
@@ -501,7 +507,7 @@ def _cmd_selftest(ns) -> tuple[dict, object]:
     checks.extend(_selftest_variance(ns.seed))
     checks.extend(_selftest_stats())
     checks.extend(_selftest_dla())
-    checks.extend(_selftest_train(ns.full, ns.workers))
+    checks.extend(_selftest_train(ns.full))
     for c in checks:
         status = "pass" if c["passed"] else "FAIL"
         print(f"[{status}] {c['name']}", file=sys.stderr)
@@ -567,21 +573,17 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="reduced profile: 200 samples, 100 epochs, 6 seeds")
     p.add_argument("--seeds", type=_int_list, default=None,
                    help="override experiment seeds, comma-separated")
-    p.add_argument("--workers", type=int, default=None,
-                   help="seed-level parallelism, capped by QSPEC_THREADS")
     common(p)
 
     p = sub.add_parser("variance", help="gradient variance vs identity weight")
     p.add_argument("--weights", type=_float_list,
                    default=[0.0, 0.25, 0.5, 0.75, 1.0])
     p.add_argument("--samples", type=int, default=50)
-    p.add_argument("--workers", type=int, default=None)
     common(p)
 
     p = sub.add_parser("selftest", help="run the acceptance battery")
     p.add_argument("--full", action="store_true",
                    help="train at full scale (several minutes)")
-    p.add_argument("--workers", type=int, default=None)
     common(p)
 
     return parser

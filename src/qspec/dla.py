@@ -21,6 +21,10 @@ ZERO_FLOOR = 1e-300
 # Largest algebra the dense path takes on, u(16); f then holds 128 MiB
 MAX_DLA_DIM = 256
 
+# Largest matrix side N the dense path takes on, 6 qubits: each qubit more
+# multiplies the work about tenfold below the dimension cap
+MAX_DLA_SIDE = 64
+
 _CHUNK = 1 << 21   # complex entries per chunk of products in _structure_constants
 
 
@@ -65,6 +69,11 @@ def _elements(rows: np.ndarray, n: int) -> list:
     return list(np.ascontiguousarray(rows).view(complex).reshape(-1, n, n))
 
 
+def _check_tol(tol: float) -> None:
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+
+
 def _extend(basis: np.ndarray, m: int, cands: np.ndarray, tol: float, cap: int) -> int:
     """Append to orthonormal rows basis[:m] the parts of the rows of cands
     outside their span, in order; returns the new row count. One block
@@ -89,12 +98,16 @@ def lie_closure(generators, tol: float = CLOSURE_TOL, max_dim: int | None = None
     Breadth-first bracket search: each accepted element is bracketed with
     everything accepted before it, so the basis is independent of how the
     span is presented. max_dim defaults to min(N^2, MAX_DLA_DIM), N^2
-    being the ambient u(N) bound; exceeding it raises DimCap.
+    being the ambient u(N) bound; exceeding it raises DimCap, as does a
+    side N above MAX_DLA_SIDE.
     """
+    _check_tol(tol)
     gens = [require_square(g) for g in generators]
     if not gens:
         raise DimMismatch("need at least one generator")
     n = gens[0].shape[0]
+    if n > MAX_DLA_SIDE:
+        raise DimCap(f"matrix side {n} exceeds {MAX_DLA_SIDE}")
     for g in gens:
         if g.shape[0] != n:
             raise DimMismatch("generators must share one dimension")
@@ -144,20 +157,26 @@ def _split(g: LieBasis, a: np.ndarray, tol: float) -> tuple:
     return _elements(coords[small], g.dim_matrix), _elements(coords[~small], g.dim_matrix)
 
 
+def _center(g: LieBasis, f: np.ndarray, tol: float) -> list:
+    """The null space of the adjoint action, f with rows (j, k), columns i."""
+    return _split(g, f.reshape(len(g), -1).T, tol)[0]
+
+
+def _derived(g: LieBasis, f: np.ndarray, tol: float) -> list:
+    """The row space of f with rows (i, j), columns k."""
+    return _split(g, f.reshape(-1, len(g)), tol)[1]
+
+
 def center_basis(g: LieBasis, tol: float = CLOSURE_TOL) -> list:
-    """Orthonormal basis of the center {X in g : [X, Y] = 0 for all Y}:
-    the null space of the adjoint action, f with rows (j, k), columns i."""
-    if not len(g):
-        return []
-    return _split(g, _structure_constants(g).reshape(len(g), -1).T, tol)[0]
+    """Orthonormal basis of the center {X in g : [X, Y] = 0 for all Y}."""
+    _check_tol(tol)
+    return _center(g, _structure_constants(g), tol) if len(g) else []
 
 
 def derived_algebra(g: LieBasis, tol: float = CLOSURE_TOL) -> list:
-    """Orthonormal basis of span{[X, Y] : X, Y in g} inside g: the row
-    space of f with rows (i, j), columns k."""
-    if not len(g):
-        return []
-    return _split(g, _structure_constants(g).reshape(-1, len(g)), tol)[1]
+    """Orthonormal basis of span{[X, Y] : X, Y in g} inside g."""
+    _check_tol(tol)
+    return _derived(g, _structure_constants(g), tol) if len(g) else []
 
 
 def eta(g) -> float:
@@ -183,11 +202,16 @@ def eta(g) -> float:
 
 
 def dla_report(generators, tol: float = CLOSURE_TOL, max_dim: int | None = None) -> DlaReport:
-    """Closure, center, derived dimensions plus eta per generator."""
+    """Closure, center, derived dimensions plus eta per generator; the
+    structure constants are built once for both center and derived."""
     basis = lie_closure(generators, tol=tol, max_dim=max_dim)
+    center = derived = []
+    if len(basis):
+        f = _structure_constants(basis)
+        center, derived = _center(basis, f, tol), _derived(basis, f, tol)
     return DlaReport(
         dim=len(basis.elements),
-        center_dim=len(center_basis(basis, tol=tol)),
-        derived_dim=len(derived_algebra(basis, tol=tol)),
+        center_dim=len(center),
+        derived_dim=len(derived),
         eta_per_generator=tuple(eta(g) for g in generators),
     )

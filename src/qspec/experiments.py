@@ -15,15 +15,13 @@ Two numerical studies with analytic oracles:
 """
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .dla import eta
 from .linalg import QspecError, derive_seed, rng_stream
-from .qsim import (CircuitSpec, circuit_forward_encoded, encode_inputs,
+from .qsim import (CircuitSpec, _fd_forward, circuit_forward_encoded, encode_inputs,
                    grad_analytic_1p_batch, make_generator, pauli_matrix)
 
 class AllZeroDifferences(QspecError):
@@ -34,8 +32,6 @@ class AllZeroDifferences(QspecError):
 _TARGET, _DATA, _MODEL, _INIT = 0, 1, 2, 3
 
 _FAST_OVERRIDES = dict(dataset_size=200, epochs=100, seeds=tuple(range(6)))
-
-MAX_WILCOXON_N = 20
 
 
 @dataclass(frozen=True)
@@ -203,7 +199,6 @@ def adam_train(model: CircuitSpec, data, cfg: TrainConfig, seed: int,
     enc = encode_inputs(model, xs)
 
     shuffler = rng_stream(seed, 1)
-    eye = np.eye(depth)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     m = np.zeros(depth)
     v = np.zeros(depth)
@@ -215,14 +210,8 @@ def adam_train(model: CircuitSpec, data, cfg: TrainConfig, seed: int,
         order = shuffler.permutation(n_samples)
         for start in range(0, n_samples, batch):
             idx = order[start:start + batch]
-            enc_b = enc[idx]
-            ys_b = ys[idx]
-            stacked = np.vstack([theta[None, :],
-                                 theta[None, :] + cfg.fd_step * eye,
-                                 theta[None, :] - cfg.fd_step * eye])
-            vals = circuit_forward_encoded(model, stacked, enc_b)   # (2L+1, B)
-            resid = vals[0] - ys_b
-            dfs = (vals[1:depth + 1] - vals[depth + 1:]) / (2.0 * cfg.fd_step)
+            vals, dfs = _fd_forward(model, theta, enc[idx], cfg.fd_step)
+            resid = vals - ys[idx]
             grad = np.mean(2.0 * resid[None, :] * dfs, axis=1)
 
             step_count += 1
@@ -250,31 +239,15 @@ def _run_one_seed(cfg: TrainConfig, seed: int) -> dict:
     return out
 
 
-def worker_count(requested: int | None = None) -> int:
-    """Worker pool size: the request capped by the QSPEC_THREADS env var."""
-    env = os.environ.get("QSPEC_THREADS", "").strip()
-    cap = max(1, int(env)) if env else 1
-    if requested is None:
-        return cap
-    return max(1, min(int(requested), cap))
-
-
-def spectrum_matching_experiment(cfg: TrainConfig | None = None,
-                                 workers: int | None = None) -> TrainReport:
+def spectrum_matching_experiment(cfg: TrainConfig | None = None) -> TrainReport:
     """Train every model bound on every seed and pair-test the outcome.
 
-    Per-seed work is independent; with workers > 1 seeds run in a thread
-    pool. The report is assembled in sorted-seed order either way, so the
-    worker count never changes the result.
+    Seeds run one after another in sorted order, and the report lists them
+    in that order.
     """
     cfg = cfg or TrainConfig()
-    nworkers = worker_count(workers)
     seeds = sorted(cfg.seeds)
-    if nworkers > 1:
-        with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            by_seed = dict(zip(seeds, pool.map(lambda s: _run_one_seed(cfg, s), seeds)))
-    else:
-        by_seed = {s: _run_one_seed(cfg, s) for s in seeds}
+    by_seed = {s: _run_one_seed(cfg, s) for s in seeds}
 
     rmse = {b: tuple(by_seed[s][b][0] for s in seeds) for b in cfg.b_models}
     inits = {b: tuple(by_seed[s][b][1] for s in seeds) for b in cfg.b_models}
@@ -329,8 +302,7 @@ def analytic_variance_oracle(w: float) -> float:
     return 4.0 * w * w * (0.5 - np.sin(8.0 * np.pi * w) / (16.0 * np.pi * w))
 
 
-def variance_sweep(weights, samples: int, seed: int,
-                   workers: int | None = None) -> VarianceSweepReport:
+def variance_sweep(weights, samples: int, seed: int) -> VarianceSweepReport:
     """Monte-Carlo gradient variance and eta over a weight grid.
 
     For each weight w (sorted ascending), draws `samples` values of theta
@@ -348,77 +320,61 @@ def variance_sweep(weights, samples: int, seed: int,
     if samples < 1:
         raise ValueError("need at least one sample")
 
-    def one(idx_w: tuple) -> tuple[float, float]:
-        idx, w = idx_w
+    variances, etas = [], []
+    for idx, w in enumerate(ws):
         h, obs, state = _variance_operators(w)
         thetas = rng_stream(seed, idx).uniform(-2.0 * np.pi, 2.0 * np.pi, samples)
         grads = grad_analytic_1p_batch(h, thetas, obs, state)
-        var = float(np.var(grads, ddof=1)) if samples > 1 else 0.0
-        return var, float(eta(h))
-
-    nworkers = worker_count(workers)
-    items = list(enumerate(ws))
-    if nworkers > 1:
-        with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            results = list(pool.map(one, items))
-    else:
-        results = [one(it) for it in items]
-    return VarianceSweepReport(weights=tuple(ws),
-                               variances=tuple(r[0] for r in results),
-                               etas=tuple(r[1] for r in results),
-                               samples=samples)
+        variances.append(float(np.var(grads, ddof=1)) if samples > 1 else 0.0)
+        etas.append(float(eta(h)))
+    return VarianceSweepReport(weights=tuple(ws), variances=tuple(variances),
+                               etas=tuple(etas), samples=samples)
 
 
-def _average_ranks(vals: np.ndarray) -> np.ndarray:
-    """Ranks 1..n with ties sharing their average rank."""
+def _doubled_ranks(vals: np.ndarray) -> np.ndarray:
+    """Twice the ranks 1..n, ties sharing their average rank. Average ranks
+    are multiples of 1/2, so the doubled ranks are integers."""
     order = np.argsort(vals, kind="stable")
-    ranks = np.empty(vals.shape[0])
+    ranks2 = np.empty(vals.shape[0], dtype=np.int64)
     sv = vals[order]
     i = 0
     while i < sv.shape[0]:
         j = i
         while j + 1 < sv.shape[0] and sv[j + 1] == sv[i]:
             j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
+        ranks2[order[i:j + 1]] = i + j + 2
         i = j + 1
-    return ranks
+    return ranks2
 
 
 def wilcoxon_exact(pairs) -> float:
-    """Exact two-sided signed-rank p-value by full sign enumeration.
+    """Exact two-sided signed-rank p-value over all 2^n sign assignments.
 
     Differences a - b per pair; zero differences are dropped (error if
     none remain); tied |differences| share average ranks. The statistic is
     the sum of ranks of the positive differences, and the two-sided p
-    doubles the smaller exact tail (capped at 1). Enumeration covers all
-    2^n sign assignments, realized as a meet-in-the-middle subset-sum
-    table; n is capped at 20 pairs.
+    doubles the smaller exact tail (capped at 1). The null distribution of
+    twice the statistic comes from a dynamic program over the doubled
+    ranks r: starting from prob[0] = 1, each r sets
+    prob <- (prob + prob shifted by r) / 2. Every entry is a count over
+    2^n, so for n <= 52 the tails are exact; the work is O(n^3).
     """
     arr = np.asarray(pairs, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 1:
         raise ValueError("pairs must be a nonempty list of (a, b) pairs")
-    if arr.shape[0] > MAX_WILCOXON_N:
-        raise ValueError(f"exact enumeration capped at {MAX_WILCOXON_N} pairs")
     d = arr[:, 0] - arr[:, 1]
     d = d[d != 0.0]
     if d.size == 0:
         raise AllZeroDifferences("every difference is zero")
 
-    ranks = _average_ranks(np.abs(d))
-    w_plus = float(np.sum(ranks[d > 0]))
-
-    def subset_sums(vals: np.ndarray) -> np.ndarray:
-        sums = np.zeros(1)
-        for v in vals:
-            sums = np.concatenate([sums, sums + v])
-        return sums
-
-    half = d.size // 2
-    left = subset_sums(ranks[:half])
-    right = subset_sums(ranks[half:])
-    all_sums = (left[:, None] + right[None, :]).ravel()
-    total = all_sums.shape[0]
-    # ranks are multiples of 1/2, so these comparisons are exact in floats
-    p_le = float(np.count_nonzero(all_sums <= w_plus)) / total
-    p_ge = float(np.count_nonzero(all_sums >= w_plus)) / total
+    ranks2 = _doubled_ranks(np.abs(d))
+    w2 = int(np.sum(ranks2[d > 0]))
+    prob = np.zeros(int(np.sum(ranks2)) + 1)
+    prob[0] = 1.0
+    for r in ranks2:
+        shifted = np.zeros_like(prob)
+        shifted[r:] = prob[:-r]
+        prob = 0.5 * (prob + shifted)
+    p_le = float(np.sum(prob[:w2 + 1]))
+    p_ge = float(np.sum(prob[w2:]))
     return min(1.0, 2.0 * min(p_le, p_ge))

@@ -17,8 +17,8 @@ import numpy as np
 
 from .linalg import (DimMismatch, HermitianEigen, eig_hermitian, haar_unitary,
                      require_square)
+from .spectrum import DEDUP_TOL, _run_starts
 
-DEDUP_TOL = 1e-9
 FD_STEP = 1e-4
 
 MAX_QUBITS = 12
@@ -177,6 +177,20 @@ def circuit_forward(spec: CircuitSpec, theta, x: float) -> float:
     return float(circuit_forward_batch(spec, theta, [float(x)])[0])
 
 
+def _fd_forward(spec: CircuitSpec, theta: np.ndarray, encoded: np.ndarray,
+                step: float) -> tuple[np.ndarray, np.ndarray]:
+    """Centre values, shape (B,), and central differences, shape (L, B),
+    from one forward pass over the stacked parameter variants
+    [theta; theta + step I; theta - step I]."""
+    depth = spec.depth
+    eye = np.eye(depth)
+    stacked = np.vstack([theta[None, :],
+                         theta[None, :] + step * eye,
+                         theta[None, :] - step * eye])
+    vals = circuit_forward_encoded(spec, stacked, encoded)   # (2L+1, B)
+    return vals[0], (vals[1:depth + 1] - vals[depth + 1:]) / (2.0 * step)
+
+
 def grad_fd(spec: CircuitSpec, theta, x: float, step: float = FD_STEP) -> np.ndarray:
     """Central-difference gradient of the expectation in theta.
 
@@ -187,10 +201,8 @@ def grad_fd(spec: CircuitSpec, theta, x: float, step: float = FD_STEP) -> np.nda
         raise DimMismatch(f"theta has length {theta.shape[0]}, expected {spec.depth}")
     if not np.isfinite(step) or step <= 0:
         raise ValueError("step must be positive")
-    eye = np.eye(spec.depth)
-    stacked = np.vstack([theta[None, :] + step * eye, theta[None, :] - step * eye])
-    vals = circuit_forward_encoded(spec, stacked, encode_inputs(spec, [float(x)]))[:, 0]
-    return (vals[:spec.depth] - vals[spec.depth:]) / (2.0 * step)
+    _, diffs = _fd_forward(spec, theta, encode_inputs(spec, [float(x)]), step)
+    return diffs[:, 0]
 
 
 def trig_poly_coeffs(h, phi, obs, tol: float = DEDUP_TOL) -> dict:
@@ -220,7 +232,7 @@ def trig_poly_coeffs(h, phi, obs, tol: float = DEDUP_TOL) -> dict:
     order = np.argsort(gaps, kind="stable")
     gaps = gaps[order]
     vals = vals[order]
-    splits = np.where(np.diff(gaps) > tol)[0] + 1
+    splits = _run_starts(gaps, tol)
     coeffs = {}
     for run_g, run_v in zip(np.split(gaps, splits), np.split(vals, splits)):
         coeffs[float(run_g.mean())] = complex(run_v.sum())
@@ -245,23 +257,12 @@ def make_generator(n_dim: int, b_max: float, seed: int) -> np.ndarray:
     return (h + h.conj().T) / 2.0
 
 
-def grad_analytic_1p(h, theta: float, obs, state) -> float:
-    """Exact derivative d/dt <s| e^{itH} O e^{-itH} |s> at t = theta.
-
-    Equals 2 Im(<psi| O H |psi>) with |psi> = e^{-i theta H}|s>.
-    """
-    lam, vecs = eig_hermitian(h)
-    state = np.asarray(state, dtype=complex).ravel()
-    obs = require_square(obs)
-    if state.shape[0] != lam.shape[0] or obs.shape[0] != lam.shape[0]:
-        raise DimMismatch("state/observable dimension mismatch")
-    amps = vecs.conj().T @ state
-    psi = vecs @ (np.exp(-1j * float(theta) * lam) * amps)
-    return float(2.0 * np.imag(psi.conj() @ (obs @ (h @ psi))))
-
-
 def grad_analytic_1p_batch(h, thetas, obs, state) -> np.ndarray:
-    """grad_analytic_1p over a batch of theta values (one eigensolve)."""
+    """Exact derivatives d/dt <s| e^{itH} O e^{-itH} |s> at each t in thetas.
+
+    Each equals 2 Im(<psi| O H |psi>) with |psi> = e^{-i t H}|s>; one
+    eigensolve serves the whole batch.
+    """
     lam, vecs = eig_hermitian(h)
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     state = np.asarray(state, dtype=complex).ravel()

@@ -56,12 +56,17 @@ class FrequencyEnvelope:
     k_cov: float
 
 
+def _run_starts(sorted_vals: np.ndarray, tol: float) -> np.ndarray:
+    """Start indices (after the first) of the runs of sorted values: a new
+    run begins wherever the step from the previous value exceeds tol."""
+    return np.where(np.diff(sorted_vals) > tol)[0] + 1
+
+
 def _cluster_means(sorted_vals: np.ndarray, tol: float) -> np.ndarray:
     """Means of runs of sorted values separated by gaps larger than tol."""
     if sorted_vals.size == 0:
         return sorted_vals
-    splits = np.where(np.diff(sorted_vals) > tol)[0] + 1
-    return np.array([run.mean() for run in np.split(sorted_vals, splits)])
+    return np.array([run.mean() for run in np.split(sorted_vals, _run_starts(sorted_vals, tol))])
 
 
 def gap_set(values, tol: float = DEDUP_TOL) -> GapSet:

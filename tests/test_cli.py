@@ -169,6 +169,36 @@ def test_dla_beyond_size_cap_exits_one(capsys):
     assert elapsed <= 30.0, elapsed
 
 
+def free_fermion_chain(q):
+    """Z_q and X_q X_{q+1} on a q-qubit chain: so(2q), dimension q(2q - 1)."""
+    return ([("I" * k + "Z").ljust(q, "I") for k in range(q)]
+            + [("I" * k + "XX").ljust(q, "I") for k in range(q - 1)])
+
+
+def test_dla_six_qubit_chain_within_side_cap(capsys):
+    res = run_json(capsys, ["dla", "--paulis", ";".join(free_fermion_chain(6))])["result"]
+    assert (res["dim"], res["center_dim"], res["derived_dim"]) == (66, 0, 66)
+
+
+@pytest.mark.parametrize("paulis", [";".join(free_fermion_chain(7)), "X" * 20])
+def test_dla_beyond_side_cap_exits_one_before_work(capsys, paulis):
+    t0 = time.perf_counter()
+    rc = dispatch(["dla", "--paulis", paulis])
+    elapsed = time.perf_counter() - t0
+    assert rc == 1
+    assert "at most 6" in error_line(capsys.readouterr())
+    assert elapsed <= 1.0, elapsed
+
+
+@pytest.mark.parametrize("tol", ["-1", "0", "nan"])
+def test_dla_rejects_bad_tolerance(capsys, tol):
+    rc = dispatch(["dla", "--paulis", "X;Y", "--tol", tol])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "tol must be finite and positive" in error_line(captured)
+    assert captured.out == ""
+
+
 def test_out_to_missing_directory_fails_before_work(tmp_path, capsys, monkeypatch):
     def never(ns):
         raise AssertionError("handler ran")

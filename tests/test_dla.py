@@ -3,7 +3,7 @@ import time
 import numpy as np
 import pytest
 
-from qspec.dla import (MAX_DLA_DIM, DimCap, LieBasis, ZeroMatrix, center_basis,
+from qspec.dla import (MAX_DLA_DIM, MAX_DLA_SIDE, DimCap, LieBasis, ZeroMatrix, center_basis,
                        derived_algebra, dla_report, eta, lie_closure)
 from qspec.linalg import commutator, complex_gaussians, haar_unitary, rng_stream
 from qspec.qsim import pauli_matrix
@@ -237,3 +237,22 @@ def test_center_and_derived_refuse_oversized_algebra():
         center_basis(big)
     with pytest.raises(DimCap):
         derived_algebra(big)
+
+
+def test_closure_refuses_matrix_side_above_cap():
+    assert len(lie_closure([np.eye(MAX_DLA_SIDE)])) == 1
+    t0 = time.perf_counter()
+    with pytest.raises(DimCap):
+        lie_closure([np.eye(2 * MAX_DLA_SIDE)])
+    assert time.perf_counter() - t0 <= 1.0
+
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, float("nan"), float("inf")])
+def test_non_positive_or_non_finite_tolerance_rejected(tol):
+    basis = lie_closure([pauli_matrix("X"), pauli_matrix("Y")])
+    for fn in (lie_closure, dla_report):
+        with pytest.raises(ValueError):
+            fn([pauli_matrix("X")], tol=tol)
+    for fn in (center_basis, derived_algebra):
+        with pytest.raises(ValueError):
+            fn(basis, tol=tol)

@@ -3,7 +3,7 @@ import pytest
 
 from qspec.linalg import DimMismatch, complex_gaussians, rng_stream
 from qspec.qsim import (CircuitSpec, circuit_forward, circuit_forward_batch,
-                        default_entangler, encode_inputs, grad_analytic_1p,
+                        default_entangler, encode_inputs,
                         grad_analytic_1p_batch, grad_fd, make_generator,
                         pauli_matrix, trig_poly_coeffs)
 from qspec.spectrum import gap_set
@@ -240,20 +240,23 @@ def test_grad_analytic_closed_form():
     h = w * pauli_matrix("IY") + pauli_matrix("II")
     obs = pauli_matrix("IZ")
     state = np.array([1, 0, 0, 0], dtype=complex)
-    for t in (-1.2, 0.0, 0.4, 2.8):
-        want = -2.0 * w * np.sin(2.0 * w * t)
-        assert grad_analytic_1p(h, t, obs, state) == pytest.approx(want, abs=1e-12)
+    ts = np.array([-1.2, 0.0, 0.4, 2.8])
+    want = -2.0 * w * np.sin(2.0 * w * ts)
+    np.testing.assert_allclose(grad_analytic_1p_batch(h, ts, obs, state), want, rtol=0, atol=1e-12)
 
 
-def test_grad_analytic_batch_matches_scalar():
+def test_grad_analytic_batch_matches_series_derivative():
+    # f(t) = sum_w a_w e^{-i t w}, so f'(t) = Re sum_w (-i w) a_w e^{-i t w}
     h = random_hermitian(8, seed=310)
     obs = random_hermitian(8, seed=311)
     state = random_state(8, seed=312)
     thetas = rng_stream(313).uniform(-3, 3, 25)
     batch = grad_analytic_1p_batch(h, thetas, obs, state)
     assert batch.shape == (25,)
+    coeffs = trig_poly_coeffs(h, state, obs)
     for t, g in zip(thetas, batch):
-        assert grad_analytic_1p(h, float(t), obs, state) == pytest.approx(float(g), abs=1e-11)
+        want = float(np.real(sum(-1j * w * a * np.exp(-1j * t * w) for w, a in coeffs.items())))
+        assert float(g) == pytest.approx(want, abs=1e-11)
 
 
 def test_grad_fd_matches_analytic_single_layer():
@@ -264,7 +267,7 @@ def test_grad_fd_matches_analytic_single_layer():
     x = 0.7
     psi0 = encode_inputs(spec, [x])[0]
     theta = np.array([0.9])
-    want = grad_analytic_1p(h, 0.9, spec.observable, psi0)
+    want = grad_analytic_1p_batch(h, [0.9], spec.observable, psi0)[0]
     got = grad_fd(spec, theta, x)
     assert got.shape == (1,)
     assert got[0] == pytest.approx(want, abs=1e-7)
@@ -274,7 +277,7 @@ def test_grad_fd_second_order_convergence():
     h = random_hermitian(4, seed=330)
     spec = CircuitSpec(2, [h])
     psi0 = encode_inputs(spec, [0.3])[0]
-    exact = grad_analytic_1p(h, 1.1, spec.observable, psi0)
+    exact = grad_analytic_1p_batch(h, [1.1], spec.observable, psi0)[0]
     e1 = abs(grad_fd(spec, [1.1], 0.3, step=2e-3)[0] - exact)
     e2 = abs(grad_fd(spec, [1.1], 0.3, step=1e-3)[0] - exact)
     assert e1 > 0 and e2 > 0
