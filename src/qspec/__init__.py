@@ -11,10 +11,9 @@ from .spectrum import (CommutingReport, FrequencyEnvelope, GapSet,
                        NonCommensurate, NormalizedGapSet, commuting_report,
                        coverage_radius, coverage_radius_box, envelope, gap_set,
                        normalize_gaps)
-from .bounds import (DomainError, EmptyAnnulus, FourierSeries, SobolevParams,
-                     annulus_points, annulus_witness, jackson_upper, limit_probe,
-                     minimax_lower_curve, random_unit_ball_series, sobolev_norm,
-                     truncation_error)
+from .bounds import (DomainError, FourierSeries, SobolevParams, annulus_points,
+                     annulus_witness, jackson_upper, limit_probe, minimax_lower_curve,
+                     random_unit_ball_series, sobolev_norm, truncation_error)
 from .dla import (DimCap, DlaReport, LieBasis, ZeroMatrix, center_basis,
                   derived_algebra, dla_report, eta, lie_closure)
 from .qsim import (CircuitSpec, circuit_forward, circuit_forward_batch,

@@ -6,7 +6,6 @@ the minimax lower bound, log-log rate fitting, the Jackson-type upper
 bound, and the large-d limit probe.
 """
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,9 +15,9 @@ from .linalg import QspecError, complex_gaussians, rng_stream
 # coefficients below this magnitude are dropped at construction
 PRUNE_FLOOR = 1e-300
 
-
-class EmptyAnnulus(QspecError):
-    """Requested annulus contains no integer points."""
+# Most integer points an annulus scan may visit: the box [-m, m]^d holding
+# the annulus K < |s| <= 2K, m = floor(2K), has (2m + 1)^d of them
+MAX_ANNULUS_SCAN = 2 ** 25
 
 
 class DomainError(QspecError):
@@ -42,77 +41,77 @@ class SobolevParams:
 class FourierSeries:
     """Finite Fourier series sum_s b_s e^{i s.x} on the d-torus.
 
-    coeffs maps integer tuples s of length d to complex b_s; entries with
-    |b_s| < PRUNE_FLOOR are dropped at construction.
+    freqs is an int64 (M, d) array of frequency vectors s in strictly
+    increasing lexicographic order, so each appears once; coeffs is the
+    complex (M,) array of their b_s. norm_sq holds |s|^2 per row in
+    float64, which does not wrap as int64 would past |s| ~ 3e9. Entries
+    with |b_s| < PRUNE_FLOOR are dropped at construction.
     """
 
-    __slots__ = ("d", "coeffs")
+    __slots__ = ("d", "freqs", "coeffs", "norm_sq")
 
-    def __init__(self, d: int, coeffs: dict):
+    def __init__(self, d: int, freqs, coeffs):
         self.d = int(d)
         if self.d < 1:
             raise DomainError("dimension d must be at least 1")
-        clean = {}
-        for s, b in coeffs.items():
-            key = tuple(int(v) for v in (s if isinstance(s, tuple) else (s,)))
-            if len(key) != self.d:
-                raise DomainError(f"frequency {key} has length {len(key)}, expected {self.d}")
-            b = complex(b)
-            if abs(b) >= PRUNE_FLOOR:
-                clean[key] = b
-        self.coeffs = clean
-
-    def __len__(self):
-        return len(self.coeffs)
+        freqs = np.asarray(freqs, dtype=np.int64)
+        coeffs = np.asarray(coeffs, dtype=complex)
+        if freqs.ndim != 2 or freqs.shape[1] != self.d or coeffs.shape != freqs.shape[:1]:
+            raise DomainError(f"need (M, {self.d}) frequencies and (M,) coefficients, "
+                              f"got {freqs.shape} and {coeffs.shape}")
+        # each row must exceed the one before it at their first differing entry
+        up, down = freqs[1:] > freqs[:-1], freqs[1:] < freqs[:-1]
+        if not np.all(np.take_along_axis(up, (up | down).argmax(axis=1)[:, None], axis=1)):
+            raise DomainError("frequencies must be distinct and in increasing lexicographic order")
+        keep = np.abs(coeffs) >= PRUNE_FLOOR
+        self.freqs = freqs[keep]
+        self.coeffs = coeffs[keep]
+        self.norm_sq = np.einsum("ij,ij->i", self.freqs, self.freqs, dtype=float)
 
     def evaluate(self, x) -> complex:
         """Pointwise value sum_s b_s e^{i s.x} at a point x in R^d."""
         x = np.asarray(x, dtype=float).ravel()
         if x.shape[0] != self.d:
             raise DomainError(f"point has length {x.shape[0]}, expected {self.d}")
-        total = 0j
-        for s, b in self.coeffs.items():
-            total += b * np.exp(1j * float(np.dot(s, x)))
-        return total
-
-
-def _norm_sq(s: tuple) -> int:
-    return sum(v * v for v in s)
+        return complex(np.sum(self.coeffs * np.exp(1j * (self.freqs @ x))))
 
 
 def sobolev_norm(h: FourierSeries, r: float) -> float:
     """Weighted l2 norm sqrt(sum (1 + |s|^2)^r |b_s|^2)."""
     if not np.isfinite(r) or r < 0:
         raise DomainError("smoothness r must be finite and nonnegative")
-    total = 0.0
-    for s, b in h.coeffs.items():
-        total += (1.0 + _norm_sq(s)) ** r * (b.real * b.real + b.imag * b.imag)
-    return float(np.sqrt(total))
+    return float(np.sqrt(np.sum((1.0 + h.norm_sq) ** r * np.abs(h.coeffs) ** 2)))
 
 
 def truncation_error(h: FourierSeries, k: float) -> float:
     """l2 mass of the coefficients strictly outside the ball |s| <= k."""
     if not np.isfinite(k) or k < 0:
         raise DomainError("truncation radius must be finite and nonnegative")
-    ksq = float(k) ** 2
-    total = 0.0
-    for s, b in h.coeffs.items():
-        if _norm_sq(s) > ksq:
-            total += b.real * b.real + b.imag * b.imag
-    return float(np.sqrt(total))
+    k = float(k)   # k * k is inf past about 1.3e154, where k ** 2 raises OverflowError
+    return float(np.sqrt(np.sum(np.abs(h.coeffs[h.norm_sq > k * k]) ** 2)))
 
 
-def annulus_points(d: int, k: float) -> list:
-    """Integer points s with k < |s| <= 2k, as a sorted list of tuples."""
-    if int(d) < 1:
+def annulus_points(d: int, k: float) -> np.ndarray:
+    """Integer points s with k < |s| <= 2k, an int64 (A, d) array in
+    lexicographic order.
+
+    The scan covers the box [-m, m]^d, m = floor(2k); DomainError if the
+    box has more than MAX_ANNULUS_SCAN points, before anything is allocated.
+    """
+    d, k = int(d), float(k)
+    if d < 1:
         raise DomainError("dimension d must be at least 1")
-    lo = float(k) ** 2
-    hi = 4.0 * float(k) ** 2
-    m = int(np.floor(2.0 * float(k)))
-    pts = [s for s in itertools.product(range(-m, m + 1), repeat=int(d))
-           if lo < _norm_sq(s) <= hi]
-    pts.sort()
-    return pts
+    m = np.floor(2.0 * k)
+    if m < 1:   # the box holds at most the origin, which lies in no annulus
+        return np.empty((0, d), dtype=np.int64)
+    # the side 2m + 1 is odd, so side^d never equals the power-of-two cap and
+    # comparing logarithms decides exactly; nan and inf fail the test
+    if not d * np.log2(2.0 * m + 1.0) < np.log2(MAX_ANNULUS_SCAN):
+        raise DomainError(f"the annulus scan for d = {d}, K = {k:g} would visit more "
+                          f"than {MAX_ANNULUS_SCAN} box points")
+    m = int(m)
+    q = sum(np.ix_(*[np.arange(-m, m + 1) ** 2] * d))
+    return np.argwhere((q > k * k) & (q <= 4.0 * k * k)) - m
 
 
 def annulus_witness(p: SobolevParams, k: float) -> FourierSeries:
@@ -124,12 +123,9 @@ def annulus_witness(p: SobolevParams, k: float) -> FourierSeries:
     """
     if not np.isfinite(k) or k < 1:
         raise DomainError("annulus radius k must be at least 1")
-    pts = annulus_points(p.d, k)
-    if not pts:
-        raise EmptyAnnulus(f"no integer points in the annulus ({k}, {2 * k}] for d = {p.d}")
+    pts = annulus_points(p.d, k)   # never empty: it holds (floor(2k), 0, ..., 0)
     c0 = 1.0 / np.sqrt(len(pts))
-    coeffs = {s: c0 * (1.0 + _norm_sq(s)) ** (-p.r / 2) for s in pts}
-    return FourierSeries(p.d, coeffs)
+    return FourierSeries(p.d, pts, c0 * (1.0 + np.einsum("ij,ij->i", pts, pts)) ** (-p.r / 2))
 
 
 def minimax_lower_curve(p: SobolevParams, k_list) -> tuple[np.ndarray, float, float]:
@@ -143,9 +139,11 @@ def minimax_lower_curve(p: SobolevParams, k_list) -> tuple[np.ndarray, float, fl
     ks = [float(k) for k in k_list]
     if len(ks) < 3:
         raise DomainError("need at least 3 truncation radii")
-    if any(b <= a for a, b in zip(ks, ks[1:])) or ks[0] < 1:
+    # stated positively so that a nan radius fails it
+    if not (ks[0] >= 1 and all(a < b for a, b in zip(ks, ks[1:]))):
         raise DomainError("radii must be strictly increasing and at least 1")
-    errors = np.array([truncation_error(annulus_witness(p, k), k) for k in ks])
+    # largest radius first, so an oversized scan fails before any witness is built
+    errors = np.array([truncation_error(annulus_witness(p, k), k) for k in ks[::-1]])[::-1]
     slope = float(np.polyfit(np.log(ks), np.log(errors), 1)[0])
     return errors, slope, p.d / 2 - p.r
 
@@ -162,9 +160,9 @@ def jackson_upper(h: FourierSeries, p: SobolevParams, k: float) -> tuple[float, 
         raise DomainError(f"series dimension {h.d} != parameter dimension {p.d}")
     if not np.isfinite(k) or k < 1:
         raise DomainError("truncation radius k must be at least 1")
-    w = sobolev_norm(h, p.r)
-    rigorous = (1.0 + float(k) ** 2) ** (-p.r / 2) * w
-    reference = float(k) ** (p.d / 2 - p.r) * w
+    k, w = float(k), sobolev_norm(h, p.r)   # k * k, not k ** 2: see truncation_error
+    rigorous = (1.0 + k * k) ** (-p.r / 2) * w
+    reference = k ** (p.d / 2 - p.r) * w
     return rigorous, reference
 
 
@@ -198,14 +196,13 @@ def random_unit_ball_series(p: SobolevParams, max_freq: int, modes: int, seed: i
     if max_freq < 0 or modes < 1:
         raise DomainError("need max_freq >= 0 and modes >= 1")
     gen = rng_stream(seed)
-    freqs = gen.integers(-max_freq, max_freq + 1, size=(modes, p.d))
+    draws = gen.integers(-max_freq, max_freq + 1, size=(modes, p.d))
     amps = complex_gaussians(gen, modes)
-    coeffs = {}
-    for row, a in zip(freqs, amps):
-        s = tuple(int(v) for v in row)
-        coeffs[s] = coeffs.get(s, 0j) + complex(a)
-    h = FourierSeries(p.d, coeffs)
+    freqs, slot = np.unique(draws, axis=0, return_inverse=True)
+    coeffs = np.zeros(len(freqs), dtype=complex)
+    np.add.at(coeffs, slot.ravel(), amps)   # repeats sum in draw order
+    h = FourierSeries(p.d, freqs, coeffs)
     scale = sobolev_norm(h, p.r)
     if scale < PRUNE_FLOOR:
         raise DomainError("degenerate draw: zero Sobolev norm")
-    return FourierSeries(p.d, {s: b / scale for s, b in h.coeffs.items()})
+    return FourierSeries(p.d, h.freqs, h.coeffs / scale)

@@ -2,7 +2,7 @@
 
 Subcommands: spectrum, bounds {lower, upper, limit}, dla, train, variance,
 selftest. Output is JSON (default) or CSV on stdout or --out, always with
-a run manifest (subcommand, package version, resolved options, seed,
+a run manifest (subcommand, package version, resolved options,
 duration). Exit codes: 0 success, 1 computation error, 2 usage error.
 Floats are printed with 17 significant digits, so equal numbers render as
 equal bytes.
@@ -22,13 +22,13 @@ from . import __version__
 from .bounds import (SobolevParams, jackson_upper, limit_probe,
                      minimax_lower_curve, random_unit_ball_series,
                      truncation_error)
-from .dla import MAX_DLA_SIDE, dla_report
+from .dla import CLOSURE_TOL, MAX_DLA_SIDE, dla_report
 from .experiments import (TrainConfig, analytic_variance_oracle, fast_profile,
                           load_train_config, spectrum_matching_experiment,
                           variance_sweep, wilcoxon_exact)
 from .linalg import QspecError, complex_gaussians, rng_stream, unitary_from_generator
 from .qsim import make_generator, pauli_matrix, trig_poly_coeffs
-from .spectrum import (NonCommensurate, coverage_radius, coverage_radius_box,
+from .spectrum import (DEDUP_TOL, NonCommensurate, coverage_radius, coverage_radius_box,
                        envelope, gap_set, normalize_gaps)
 
 # flags whose values may start with a minus sign; argparse needs them glued
@@ -251,22 +251,24 @@ def _cmd_bounds_lower(ns) -> tuple[dict, object]:
 
 
 def _cmd_bounds_upper(ns) -> tuple[dict, object]:
+    if ns.count < 1 or not ns.K:
+        raise QspecError("bounds upper needs --count >= 1 and at least one K")
     params = SobolevParams(d=ns.d, r=ns.r)
     worst_ratio = 0.0
     empirical_c = 0.0
-    per_k_max_err = {float(k): 0.0 for k in ns.K}
+    max_err = [0.0] * len(ns.K)
     for i in range(ns.count):
         series = random_unit_ball_series(params, ns.max_freq, ns.modes, ns.seed + i)
-        for k in ns.K:
+        for j, k in enumerate(ns.K):
             err = truncation_error(series, k)
             rig, ref = jackson_upper(series, params, k)
             worst_ratio = max(worst_ratio, err / rig if rig > 0 else 0.0)
             empirical_c = max(empirical_c, err / ref if ref > 0 else 0.0)
-            per_k_max_err[float(k)] = max(per_k_max_err[float(k)], err)
+            max_err[j] = max(max_err[j], err)
     result = {"d": ns.d, "r": ns.r, "K": list(ns.K),
               "series_count": ns.count,
-              "max_truncation_error": [per_k_max_err[float(k)] for k in ns.K],
-              "rigorous_bound": [(1.0 + float(k) ** 2) ** (-ns.r / 2) for k in ns.K],
+              "max_truncation_error": max_err,
+              "rigorous_bound": [(1.0 + k * k) ** (-ns.r / 2) for k in ns.K],
               "worst_ratio": worst_ratio,
               "bound_holds": bool(worst_ratio <= 1.0 + 1e-12),
               "empirical_reference_constant": empirical_c}
@@ -526,15 +528,16 @@ def _build_parser() -> argparse.ArgumentParser:
                     "diagnostics for parameterized quantum circuits")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, seed_default=0):
+    def common(p, seed=False):
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", default=None, help="write the report to a file")
-        p.add_argument("--seed", type=int, default=seed_default)
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("spectrum", help="gap sets and frequency envelope")
     p.add_argument("--eigs", type=_float_list, action="append", required=True,
                    help="comma-separated eigenvalues; repeat per parameter")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=DEDUP_TOL)
     common(p)
 
     pb = sub.add_parser("bounds", help="approximation error bounds")
@@ -553,7 +556,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=20)
     p.add_argument("--max-freq", type=int, default=8)
     p.add_argument("--modes", type=int, default=12)
-    common(p)
+    common(p, seed=True)
 
     p = bsub.add_parser("limit", help="reference exponent in the large-d limit")
     p.add_argument("--pairs", type=_rd_pairs, required=True,
@@ -564,7 +567,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--paulis", required=True,
                    help="semicolon-separated generators, each a weighted "
                         "Pauli-string sum like '0.5*IY+II; IZ'")
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=float, default=CLOSURE_TOL)
     common(p)
 
     p = sub.add_parser("train", help="spectrum-matching training study")
@@ -579,12 +582,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", type=_float_list,
                    default=[0.0, 0.25, 0.5, 0.75, 1.0])
     p.add_argument("--samples", type=int, default=50)
-    common(p)
+    common(p, seed=True)
 
     p = sub.add_parser("selftest", help="run the acceptance battery")
     p.add_argument("--full", action="store_true",
                    help="train at full scale (several minutes)")
-    common(p)
+    common(p, seed=True)
 
     return parser
 

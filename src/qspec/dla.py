@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (DimMismatch, NotHermitian, QspecError, is_hermitian,
+from .linalg import (DimMismatch, NotHermitian, QspecError, _check_tol, is_hermitian,
                      require_square)
 
 CLOSURE_TOL = 1e-8
@@ -67,11 +67,6 @@ def _rows(stack: np.ndarray) -> np.ndarray:
 def _elements(rows: np.ndarray, n: int) -> list:
     """Complex N x N matrices from real rows; inverse of _rows."""
     return list(np.ascontiguousarray(rows).view(complex).reshape(-1, n, n))
-
-
-def _check_tol(tol: float) -> None:
-    if not (np.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and positive, got {tol!r}")
 
 
 def _extend(basis: np.ndarray, m: int, cands: np.ndarray, tol: float, cap: int) -> int:

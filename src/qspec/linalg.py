@@ -33,6 +33,12 @@ class DimMismatch(QspecError):
     """Operands have missing or incompatible dimensions."""
 
 
+def _check_tol(tol: float) -> None:
+    """Reject a tolerance that is not finite and positive (nan included)."""
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+
+
 def rng_stream(seed: int, *stream: int) -> np.random.Generator:
     """Philox generator for a 64-bit seed and an optional stream path.
 

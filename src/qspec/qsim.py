@@ -15,8 +15,7 @@ passes cost one small matmul chain per layer.
 
 import numpy as np
 
-from .linalg import (DimMismatch, HermitianEigen, eig_hermitian, haar_unitary,
-                     require_square)
+from .linalg import DimMismatch, _check_tol, eig_hermitian, haar_unitary, require_square
 from .spectrum import DEDUP_TOL, _run_starts
 
 FD_STEP = 1e-4
@@ -115,9 +114,6 @@ class CircuitSpec:
     def depth(self) -> int:
         return len(self.generators)
 
-    def layer_eigs(self, layer: int) -> HermitianEigen:
-        return self._eigs[layer]
-
 
 def encode_inputs(spec: CircuitSpec, xs) -> np.ndarray:
     """Post-encoding states for a batch of scalar inputs, shape (B, 2^n).
@@ -215,6 +211,7 @@ def trig_poly_coeffs(h, phi, obs, tol: float = DEDUP_TOL) -> dict:
     coefficient; conjugate symmetry a_{-w} = conj(a_w) holds for
     Hermitian O and the coefficients reconstruct direct simulation.
     """
+    _check_tol(tol)
     lam, vecs = eig_hermitian(h)
     phi = np.asarray(phi, dtype=complex).ravel()
     if phi.shape[0] != lam.shape[0]:

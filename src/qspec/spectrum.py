@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DimMismatch, NotHermitian, QspecError, commutator, is_hermitian, require_square
+from .linalg import (DimMismatch, NotHermitian, QspecError, _check_tol, commutator,
+                     is_hermitian, require_square)
 
 DEDUP_TOL = 1e-9
 
@@ -78,8 +79,7 @@ def gap_set(values, tol: float = DEDUP_TOL) -> GapSet:
     vals = np.asarray(values, dtype=float).ravel()
     if vals.size == 0 or not np.all(np.isfinite(vals)):
         raise DimMismatch("need a nonempty finite list of eigenvalues")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     diffs = (vals[None, :] - vals[:, None]).ravel()
     pos = _cluster_means(np.sort(diffs[diffs > tol]), tol)
     gaps = np.concatenate([-pos[::-1], [0.0], pos])
@@ -103,6 +103,7 @@ def normalize_gaps(g: GapSet, tol: float = DEDUP_TOL) -> NormalizedGapSet:
     irrational ratio produces). The degenerate single-point spectrum
     normalizes to gamma = 1 with integer gaps {0}.
     """
+    _check_tol(tol)
     pos = g.gaps[g.gaps > 0]
     if pos.size == 0:
         return NormalizedGapSet(gamma=1.0, int_gaps=np.array([0]))

@@ -1,14 +1,22 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from qspec.bounds import (DomainError, FourierSeries, SobolevParams,
-                          annulus_points, annulus_witness, jackson_upper,
-                          limit_probe, minimax_lower_curve,
-                          random_unit_ball_series, sobolev_norm,
-                          truncation_error)
-from qspec.linalg import rng_stream
+from qspec.bounds import (MAX_ANNULUS_SCAN, PRUNE_FLOOR, DomainError,
+                          FourierSeries, SobolevParams, annulus_points,
+                          annulus_witness, jackson_upper, limit_probe,
+                          minimax_lower_curve, random_unit_ball_series,
+                          sobolev_norm, truncation_error)
+from qspec.linalg import complex_gaussians, rng_stream
+
+
+def series_from_dict(d, coeffs):
+    """FourierSeries from a dict of integer tuples, rows in sorted order."""
+    keys = sorted(coeffs)
+    return FourierSeries(d, np.array(keys, dtype=np.int64).reshape(-1, d),
+                         [coeffs[s] for s in keys])
 
 
 def random_series(d, max_freq, modes, seed):
@@ -17,7 +25,15 @@ def random_series(d, max_freq, modes, seed):
     for _ in range(modes):
         s = tuple(int(v) for v in gen.integers(-max_freq, max_freq + 1, d))
         coeffs[s] = complex(gen.normal(), gen.normal())
-    return FourierSeries(d, coeffs)
+    return series_from_dict(d, coeffs)
+
+
+def scan_annulus(d, k):
+    """Oracle: the integer points with k < |s| <= 2k, by a plain scan of the
+    box [-floor(2k), floor(2k)]^d in lexicographic order."""
+    m = int(np.floor(2.0 * k))
+    return [s for s in itertools.product(range(-m, m + 1), repeat=d)
+            if k * k < sum(v * v for v in s) <= 4.0 * k * k]
 
 
 def grid_l2_norm(series, points_per_dim):
@@ -34,7 +50,7 @@ def grid_l2_norm(series, points_per_dim):
 
 
 def test_sobolev_norm_single_mode_example():
-    h = FourierSeries(3, {(1, 1, 1): 1.0})  # |s|^2 = 3, r = 1
+    h = FourierSeries(3, [[1, 1, 1]], [1.0])  # |s|^2 = 3, r = 1
     assert sobolev_norm(h, 1.0) == pytest.approx(2.0, abs=1e-15)
 
 
@@ -65,7 +81,7 @@ def test_truncation_is_least_squares_error():
 
 
 def test_truncation_strict_boundary():
-    h = FourierSeries(1, {(2,): 1.0, (3,): 1.0})
+    h = FourierSeries(1, [[2], [3]], [1.0, 1.0])
     # |s| = 2 is NOT outside the ball of radius 2
     assert truncation_error(h, 2.0) == pytest.approx(1.0, abs=1e-15)
     assert truncation_error(h, 1.9) == pytest.approx(np.sqrt(2.0), abs=1e-15)
@@ -73,7 +89,50 @@ def test_truncation_strict_boundary():
 
 
 def test_annulus_points_d1_unit():
-    assert annulus_points(1, 1.0) == [(-2,), (2,)]
+    assert annulus_points(1, 1.0).tolist() == [[-2], [2]]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_annulus_points_match_scan(d):
+    # integer radii, non-integer radii, and radii whose 2k is an integer
+    # norm |s| = 2k (the closed outer boundary): 2.5 -> |(5, 0)| = |(3, 4)|
+    for k in (1.0, 1.3, 1.5, 2.0, 2.5, 2.75, 3.0):
+        if (2 * int(np.floor(2 * k)) + 1) ** d > 20000:
+            continue
+        pts = annulus_points(d, k)
+        assert pts.dtype == np.int64 and pts.shape[1] == d
+        assert pts.tolist() == [list(s) for s in scan_annulus(d, k)]
+    assert annulus_points(d, 0.4).shape == (0, d)
+
+
+def test_annulus_scan_cap_checked_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match="box points"):
+            annulus_points(10, 4.0)   # 17^10 box points
+        for k in (300000.0, 1e308, float("inf"), float("nan")):
+            with pytest.raises(DomainError):
+                annulus_points(3, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+    # the first box past the cap at d = 1 has 2^25 + 1 points
+    with pytest.raises(DomainError):
+        annulus_points(1, 2.0 ** 23)
+    # the CLI default K = 4..64 fits at d = 3
+    assert (2 * 128 + 1) ** 3 <= MAX_ANNULUS_SCAN
+
+
+def test_lower_curve_checks_largest_scan_first(monkeypatch):
+    import qspec.bounds as bounds
+
+    def never(*args):
+        raise AssertionError("a witness was built")
+    monkeypatch.setattr(bounds, "truncation_error", never)
+    for ks in ([1.0, 2.0, 300000.0], [4.0, 8.0, 1e308], [4.0, 8.0, float("inf")]):
+        with pytest.raises(DomainError):
+            minimax_lower_curve(SobolevParams(3, 2.0), ks)
 
 
 def test_annulus_counts_scale_with_volume():
@@ -96,16 +155,16 @@ def test_witness_has_unit_sobolev_norm():
         w = annulus_witness(SobolevParams(d, r), k)
         assert sobolev_norm(w, r) == pytest.approx(1.0, abs=1e-12)
         # support lies strictly inside the annulus
-        for s in w.coeffs:
-            q = sum(v * v for v in s)
-            assert k * k < q <= 4 * k * k
+        q = np.sum(w.freqs ** 2, axis=1)
+        assert np.array_equal(q, w.norm_sq)
+        assert np.all((k * k < q) & (q <= 4 * k * k))
 
 
 def test_witness_d1_unit_radius_amplitude():
     w = annulus_witness(SobolevParams(1, 2.0), 1.0)
-    assert set(w.coeffs) == {(-2,), (2,)}
+    assert w.freqs.tolist() == [[-2], [2]]
     expected = (1.0 / np.sqrt(2.0)) * (1.0 + 4.0) ** -1.0
-    assert w.coeffs[(2,)] == pytest.approx(expected, abs=1e-15)
+    assert w.coeffs[1] == pytest.approx(expected, abs=1e-15)
 
 
 def test_witness_rejects_small_radius():
@@ -134,6 +193,8 @@ def test_lower_curve_validates_radii():
         minimax_lower_curve(p, [4.0, 8.0, 8.0])
     with pytest.raises(DomainError):
         minimax_lower_curve(p, [0.5, 1.0, 2.0])
+    with pytest.raises(DomainError):
+        minimax_lower_curve(p, [4.0, float("nan"), 16.0])
 
 
 def test_jackson_unit_ball_example():
@@ -179,12 +240,57 @@ def test_random_unit_ball_series_deterministic():
     a = random_unit_ball_series(p, 8, 12, seed=5)
     b = random_unit_ball_series(p, 8, 12, seed=5)
     c = random_unit_ball_series(p, 8, 12, seed=6)
-    assert a.coeffs == b.coeffs
-    assert a.coeffs != c.coeffs
+    assert np.array_equal(a.freqs, b.freqs) and np.array_equal(a.coeffs, b.coeffs)
+    assert not (np.array_equal(a.freqs, c.freqs) and np.array_equal(a.coeffs, c.coeffs))
+
+
+def test_random_unit_ball_series_merges_repeats():
+    # 9 frequencies for 200 draws: every frequency repeats many times
+    for d, max_freq, modes, r in ((2, 1, 200, 2.0), (1, 2, 50, 1.0), (3, 1, 40, 2.0)):
+        p = SobolevParams(d, r)
+        gen = rng_stream(7)
+        draws = gen.integers(-max_freq, max_freq + 1, size=(modes, d))
+        amps = complex_gaussians(gen, modes)
+        merged = {}
+        for row, a in zip(draws, amps):
+            s = tuple(int(v) for v in row)
+            merged[s] = merged.get(s, 0j) + complex(a)
+        scale = np.sqrt(sum((1.0 + sum(v * v for v in s)) ** r * abs(b) ** 2
+                            for s, b in merged.items()))
+        h = random_unit_ball_series(p, max_freq, modes, seed=7)
+        keys = sorted(s for s, b in merged.items() if abs(b) >= PRUNE_FLOOR)
+        assert h.freqs.tolist() == [list(s) for s in keys]
+        want = np.array([merged[s] / scale for s in keys])
+        assert np.allclose(h.coeffs, want, rtol=1e-13, atol=0)
+        assert sobolev_norm(h, r) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_series_prunes_negligible_coefficients():
-    h = FourierSeries(1, {(0,): 1.0, (1,): 0.0, (2,): 1e-301})
-    assert set(h.coeffs) == {(0,)}
-    with pytest.raises(DomainError):
-        FourierSeries(2, {(0,): 1.0})
+    h = FourierSeries(1, [[0], [1], [2]], [1.0, 0.0, 1e-301])
+    assert h.freqs.tolist() == [[0]] and h.coeffs.tolist() == [1.0]
+    assert h.norm_sq.tolist() == [0]
+
+
+def test_series_norm_of_large_frequencies():
+    # |s|^2 = 2^64 + 2^62 would wrap in int64
+    h = FourierSeries(2, [[2 ** 31, 2 ** 32]], [1.0])
+    assert h.norm_sq.tolist() == [2.0 ** 64 + 2.0 ** 62]
+    assert truncation_error(h, 2.0 ** 32) == 1.0
+    assert truncation_error(h, 2.0 ** 33) == 0.0
+
+
+def test_series_rejects_bad_shape_and_order():
+    FourierSeries(2, [[-1, 5], [0, -3], [0, 2]], [1.0, 1.0, 1.0])
+    FourierSeries(2, np.empty((0, 2)), [])
+    bad = [
+        ([[0]], [1.0]),                      # frequency of length 1 at d = 2
+        ([0, 1], [1.0, 1.0]),                # not an (M, d) array
+        ([[0, 1], [0, 2]], [1.0]),           # coefficient count differs
+        ([[0, 2], [0, 1]], [1.0, 1.0]),      # decreasing
+        ([[1, -5], [0, 5]], [1.0, 1.0]),     # decreasing in the first entry
+        ([[0, 1], [0, 1]], [1.0, 1.0]),      # repeated
+        ([[0, 1], [1, 0], [1, 0]], [1.0, 1.0, 1.0]),
+    ]
+    for freqs, coeffs in bad:
+        with pytest.raises(DomainError):
+            FourierSeries(2, freqs, coeffs)

@@ -199,6 +199,58 @@ def test_dla_rejects_bad_tolerance(capsys, tol):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("ks", ["1,2,300000", "4,8,1e308"])
+def test_bounds_lower_beyond_scan_cap_exits_one_before_work(capsys, ks):
+    t0 = time.perf_counter()
+    rc = dispatch(["bounds", "lower", "--d", "3", "--r", "2", "--K", ks])
+    elapsed = time.perf_counter() - t0
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "box points" in error_line(captured)
+    assert captured.out == ""
+    assert elapsed <= 1.0, elapsed
+
+
+@pytest.mark.parametrize("argv", [["--count", "0"], ["--count", "-1"], ["--K", ","]])
+def test_bounds_upper_rejects_vacuous_runs(capsys, argv):
+    rc = dispatch(["bounds", "upper"] + argv)
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "--count >= 1 and at least one K" in error_line(captured)
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [["spectrum", "--eigs", "-1,1"],
+                                  ["bounds", "lower", "--d", "1", "--r", "2", "--K", "1,2,3"],
+                                  ["bounds", "limit", "--pairs", "2:2"],
+                                  ["dla", "--paulis", "X"]])
+def test_seed_only_where_it_is_used(capsys, argv):
+    assert dispatch(argv + ["--seed", "5"]) == 2
+    capsys.readouterr()
+    assert "seed" not in run_json(capsys, argv)["manifest"]["options"]
+
+
+def test_train_seed_is_the_seeds_prefix():
+    # train has no --seed of its own, so argparse reads it as --seeds
+    ns = cli._build_parser().parse_args(["train", "--seed", "5"])
+    assert ns.seeds == [5] and not hasattr(ns, "seed")
+
+
+def test_seed_accepted_where_it_is_used(capsys):
+    for argv in (["bounds", "upper", "--count", "1", "--K", "2"],
+                 ["variance", "--weights", "0.5", "--samples", "5"]):
+        assert run_json(capsys, argv + ["--seed", "5"])["manifest"]["options"]["seed"] == 5
+
+
+@pytest.mark.parametrize("tol", ["-1", "0", "nan"])
+def test_spectrum_rejects_bad_tolerance(capsys, tol):
+    rc = dispatch(["spectrum", "--eigs", "-1,0,1", "--tol", tol])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "tol must be finite and positive" in error_line(captured)
+    assert captured.out == ""
+
+
 def test_out_to_missing_directory_fails_before_work(tmp_path, capsys, monkeypatch):
     def never(ns):
         raise AssertionError("handler ran")

@@ -1,0 +1,59 @@
+"""Property test: `qspec bounds` ends with exit 0, 1 or 2 and never a traceback."""
+
+import contextlib
+import io
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import example, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from qspec.cli import dispatch  # noqa: E402
+
+SPECIAL = ["1e308", "-1e308", "inf", "-inf", "nan", "0", "-1", "-3"]
+number = st.one_of(st.integers(-3, 9).map(str), st.sampled_from(SPECIAL))
+numbers = st.lists(number, min_size=0, max_size=4).map(",".join)
+
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = dispatch(argv)
+    assert rc in (0, 1, 2), (argv, rc)
+    assert "Traceback" not in err.getvalue(), argv
+    if rc == 1:
+        assert err.getvalue().startswith("error: "), (argv, err.getvalue())
+    return rc
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(d=number, r=number, ks=numbers)
+@example(d="3", r="2", ks="1,2,300000")
+@example(d="3", r="2", ks="4,8,1e308")
+@example(d="1", r="2", ks="1,2,inf")
+@example(d="2", r="nan", ks="1,2,3")
+@example(d="0", r="2", ks="1,2,3")
+@example(d="-1", r="-1", ks="-3,0,1e308")
+def test_bounds_lower_fuzz(d, r, ks):
+    run(["bounds", "lower", "--d", d, "--r", r, "--K", ks])
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(d=number, r=number, ks=numbers, count=number, max_freq=number, modes=number)
+@example(d="2", r="2", ks="1,2", count="0", max_freq="8", modes="12")
+@example(d="2", r="2", ks="1e308", count="1", max_freq="8", modes="12")
+@example(d="2", r="inf", ks="nan", count="-1", max_freq="-1", modes="0")
+@example(d="2", r="2", ks="", count="2", max_freq="0", modes="1")
+def test_bounds_upper_fuzz(d, r, ks, count, max_freq, modes):
+    run(["bounds", "upper", "--d", d, "--r", r, "--K", ks, "--count", count,
+         "--max-freq", max_freq, "--modes", modes])
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(pairs=st.lists(st.tuples(number, number), min_size=0, max_size=3))
+@example(pairs=[("1e308", "1")])
+@example(pairs=[("inf", "2"), ("nan", "1")])
+@example(pairs=[("2", "0"), ("-1", "-3")])
+def test_bounds_limit_fuzz(pairs):
+    run(["bounds", "limit", "--pairs", ",".join(f"{r}:{d}" for r, d in pairs)])

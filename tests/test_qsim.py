@@ -162,6 +162,13 @@ def test_trig_poly_coeffs_single_qubit_example():
     assert abs(coeffs[0.0]) <= 1e-12
 
 
+@pytest.mark.parametrize("tol", [float("nan"), 0.0, -1.0])
+def test_trig_poly_coeffs_rejects_bad_tolerance(tol):
+    ident = np.eye(2, dtype=complex)
+    with pytest.raises(ValueError, match="finite and positive"):
+        trig_poly_coeffs(pauli_matrix("X"), [1.0, 0.0], ident + pauli_matrix("Z"), tol=tol)
+
+
 def test_trig_poly_coeffs_reconstruction():
     gen = rng_stream(110)
     for trial in range(20):

@@ -51,6 +51,14 @@ def test_gap_set_rejects_empty():
         gap_set([])
 
 
+@pytest.mark.parametrize("tol", [float("nan"), 0.0, -1.0])
+def test_bad_tolerance_rejected(tol):
+    with pytest.raises(ValueError, match="finite and positive"):
+        gap_set([-1.0, 0.0, 1.0], tol=tol)
+    with pytest.raises(ValueError, match="finite and positive"):
+        normalize_gaps(gap_set([-1.0, 0.0, 1.0]), tol=tol)
+
+
 def test_normalize_integer_multiples():
     gs = GapSet(gaps=np.array([-2.0, 0.0, 2.0]), omega_max=2.0)
     ngap = normalize_gaps(gs)
