@@ -148,22 +148,22 @@ def minimax_lower_curve(p: SobolevParams, k_list) -> tuple[np.ndarray, float, fl
     return errors, slope, p.d / 2 - p.r
 
 
-def jackson_upper(h: FourierSeries, p: SobolevParams, k: float) -> tuple[float, float]:
-    """Upper bound on the truncation error of a Sobolev-smooth series.
+def jackson_upper(h: FourierSeries, p: SobolevParams, ks) -> list[tuple[float, float]]:
+    """Upper bounds on the truncation error of a Sobolev-smooth series.
 
-    Returns (rigorous, reference): the rigorous bound
-    (1 + k^2)^{-r/2} * sobolev_norm(h, r), valid for every k >= 1, and the
-    looser reference form k^{d/2 - r} * sobolev_norm(h, r) reported for
-    comparison.
+    Returns one (rigorous, reference) pair per radius k in ks: the
+    rigorous bound (1 + k^2)^{-r/2} * sobolev_norm(h, r), valid for every
+    k >= 1, and the looser reference form k^{d/2 - r} * sobolev_norm(h, r)
+    reported for comparison. The norm is computed once for all radii.
     """
     if h.d != p.d:
         raise DomainError(f"series dimension {h.d} != parameter dimension {p.d}")
-    if not np.isfinite(k) or k < 1:
+    ks = [float(k) for k in ks]
+    if not all(np.isfinite(k) and k >= 1 for k in ks):
         raise DomainError("truncation radius k must be at least 1")
-    k, w = float(k), sobolev_norm(h, p.r)   # k * k, not k ** 2: see truncation_error
-    rigorous = (1.0 + k * k) ** (-p.r / 2) * w
-    reference = k ** (p.d / 2 - p.r) * w
-    return rigorous, reference
+    w = sobolev_norm(h, p.r)
+    # k * k, not k ** 2: see truncation_error
+    return [((1.0 + k * k) ** (-p.r / 2) * w, k ** (p.d / 2 - p.r) * w) for k in ks]
 
 
 def limit_probe(pairs) -> np.ndarray:

@@ -259,9 +259,9 @@ def _cmd_bounds_upper(ns) -> tuple[dict, object]:
     max_err = [0.0] * len(ns.K)
     for i in range(ns.count):
         series = random_unit_ball_series(params, ns.max_freq, ns.modes, ns.seed + i)
-        for j, k in enumerate(ns.K):
+        bounds = jackson_upper(series, params, ns.K)
+        for j, (k, (rig, ref)) in enumerate(zip(ns.K, bounds)):
             err = truncation_error(series, k)
-            rig, ref = jackson_upper(series, params, k)
             worst_ratio = max(worst_ratio, err / rig if rig > 0 else 0.0)
             empirical_c = max(empirical_c, err / ref if ref > 0 else 0.0)
             max_err[j] = max(max_err[j], err)
@@ -385,10 +385,10 @@ def _selftest_bounds(seed: int) -> list:
     ]
     params = SobolevParams(d=2, r=2.0)
     worst = 0.0
+    ks = range(1, 9)
     for i in range(20):
         series = random_unit_ball_series(params, 8, 12, seed + 1000 + i)
-        for k in range(1, 9):
-            rig, _ = jackson_upper(series, params, k)
+        for k, (rig, _) in zip(ks, jackson_upper(series, params, ks)):
             err = truncation_error(series, k)
             worst = max(worst, err - rig)
     checks.append(_check("upper_bound_holds", worst <= 1e-12,
@@ -523,7 +523,7 @@ def _cmd_selftest(ns) -> tuple[dict, object]:
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="qspec",
+        prog="qspec", allow_abbrev=False,
         description="Fourier-spectrum, approximation-bound, and Lie-algebra "
                     "diagnostics for parameterized quantum circuits")
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -534,22 +534,23 @@ def _build_parser() -> argparse.ArgumentParser:
         if seed:
             p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("spectrum", help="gap sets and frequency envelope")
+    p = sub.add_parser("spectrum", allow_abbrev=False, help="gap sets and frequency envelope")
     p.add_argument("--eigs", type=_float_list, action="append", required=True,
                    help="comma-separated eigenvalues; repeat per parameter")
     p.add_argument("--tol", type=float, default=DEDUP_TOL)
     common(p)
 
-    pb = sub.add_parser("bounds", help="approximation error bounds")
+    pb = sub.add_parser("bounds", allow_abbrev=False, help="approximation error bounds")
     bsub = pb.add_subparsers(dest="bounds_mode", required=True)
 
-    p = bsub.add_parser("lower", help="annulus-witness truncation errors and slope")
+    p = bsub.add_parser("lower", allow_abbrev=False,
+                        help="annulus-witness truncation errors and slope")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--K", type=_float_list, default=[4.0, 8.0, 16.0, 32.0, 64.0])
     common(p)
 
-    p = bsub.add_parser("upper", help="tail bound on random unit-ball series")
+    p = bsub.add_parser("upper", allow_abbrev=False, help="tail bound on random unit-ball series")
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--r", type=float, default=2.0)
     p.add_argument("--K", type=_float_list, default=[float(k) for k in range(1, 9)])
@@ -558,19 +559,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--modes", type=int, default=12)
     common(p, seed=True)
 
-    p = bsub.add_parser("limit", help="reference exponent in the large-d limit")
+    p = bsub.add_parser("limit", allow_abbrev=False, help="reference exponent in the large-d limit")
     p.add_argument("--pairs", type=_rd_pairs, required=True,
                    help="comma-separated r:d pairs, e.g. 2.5:1,3:4")
     common(p)
 
-    p = sub.add_parser("dla", help="Lie closure, center, derived algebra, eta")
+    p = sub.add_parser("dla", allow_abbrev=False, help="Lie closure, center, derived algebra, eta")
     p.add_argument("--paulis", required=True,
                    help="semicolon-separated generators, each a weighted "
                         "Pauli-string sum like '0.5*IY+II; IZ'")
     p.add_argument("--tol", type=float, default=CLOSURE_TOL)
     common(p)
 
-    p = sub.add_parser("train", help="spectrum-matching training study")
+    p = sub.add_parser("train", allow_abbrev=False, help="spectrum-matching training study")
     p.add_argument("--config", default=None, help="key=value or JSON config file")
     p.add_argument("--fast", action="store_true",
                    help="reduced profile: 200 samples, 100 epochs, 6 seeds")
@@ -578,15 +579,15 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="override experiment seeds, comma-separated")
     common(p)
 
-    p = sub.add_parser("variance", help="gradient variance vs identity weight")
+    p = sub.add_parser("variance", allow_abbrev=False, help="gradient variance vs identity weight")
     p.add_argument("--weights", type=_float_list,
                    default=[0.0, 0.25, 0.5, 0.75, 1.0])
     p.add_argument("--samples", type=int, default=50)
     common(p, seed=True)
 
-    p = sub.add_parser("selftest", help="run the acceptance battery")
+    p = sub.add_parser("selftest", allow_abbrev=False, help="run the acceptance battery")
     p.add_argument("--full", action="store_true",
-                   help="train at full scale (several minutes)")
+                   help="train at full scale (about 1.5 min)")
     common(p, seed=True)
 
     return parser

@@ -183,7 +183,8 @@ def adam_train(model: CircuitSpec, data, cfg: TrainConfig, seed: int,
 
     Minibatch finite-difference gradients: each epoch shuffles the data
     (stream (seed, 1)) and walks batches of cfg.batch_size; a batch step
-    evaluates the 2L + 1 stacked parameter variants in one pass. theta0
+    gets the centre values and all L central differences (step
+    cfg.fd_step) from one forward pass of the batch at theta. theta0
     defaults to a uniform draw from [-pi, pi) on stream (seed,).
     Adam moments use bias correction with beta1 = 0.9, beta2 = 0.999,
     eps = 1e-8.

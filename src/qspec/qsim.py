@@ -9,8 +9,10 @@ bit of a basis index):
 with RY(x) = exp(-i (x/2) Y) encoding the scalar input on every qubit and
 U_ent a CNOT ring 0->1, 1->2, ..., n-1->0 (a single CNOT for n = 2,
 nothing for n = 1). The default observable is Z on qubit 0. Generator
-eigensystems are cached on the circuit description, so repeated forward
-passes cost one small matmul chain per layer.
+eigensystems are stacked on the circuit description, so a forward pass
+costs two small matmuls per layer and no eigensolve. A training step's
+finite differences share one forward pass of the states and one
+backward pass of the observable (_fd_forward).
 """
 
 import numpy as np
@@ -70,7 +72,7 @@ class CircuitSpec:
     """
 
     __slots__ = ("n", "dim", "generators", "entangler", "observable",
-                 "_eigs", "_perm", "_obs_diag")
+                 "_lam", "_vecs", "_vecs_h", "_perm", "_obs_diag")
 
     def __init__(self, n: int, generators, entangler=None, observable=None):
         self.n = int(n)
@@ -85,7 +87,10 @@ class CircuitSpec:
             if g.shape[0] != self.dim:
                 raise DimMismatch(f"generator shape {g.shape} != ({self.dim}, {self.dim})")
         self.generators = gens
-        self._eigs = tuple(eig_hermitian(g) for g in gens)
+        eigs = [eig_hermitian(g) for g in gens]
+        self._lam = np.stack([e.values for e in eigs])            # (L, N)
+        self._vecs = np.stack([e.vectors for e in eigs])          # (L, N, N)
+        self._vecs_h = self._vecs.conj().transpose(0, 2, 1).copy()
 
         if entangler is None:
             entangler = default_entangler(self.n)
@@ -149,7 +154,7 @@ def circuit_forward_encoded(spec: CircuitSpec, thetas, encoded) -> np.ndarray:
     states = np.broadcast_to(encoded[None, :, :],
                              (thetas.shape[0],) + encoded.shape).copy()
     for layer in range(spec.depth):
-        lam, vecs = spec._eigs[layer]
+        lam, vecs = spec._lam[layer], spec._vecs[layer]
         phases = np.exp(-1j * np.outer(thetas[:, layer], lam))   # (V, N)
         # state rows: psi' = V diag(phases) V^dag psi
         states = (states @ vecs.conj()) * phases[:, None, :] @ vecs.T
@@ -175,16 +180,33 @@ def circuit_forward(spec: CircuitSpec, theta, x: float) -> float:
 
 def _fd_forward(spec: CircuitSpec, theta: np.ndarray, encoded: np.ndarray,
                 step: float) -> tuple[np.ndarray, np.ndarray]:
-    """Centre values, shape (B,), and central differences, shape (L, B),
-    from one forward pass over the stacked parameter variants
-    [theta; theta + step I; theta - step I]."""
+    """Centre values, shape (B,), and central differences, shape (L, B).
+
+    Variant (l, +-step) changes layer l only, so every variant reads the
+    state before layer l from one forward pass at theta and the
+    observable seen after it, O_{>l} = U_{l+1}^dag ... U_L^dag O U_L ... U_{l+1},
+    from one backward pass; one batched contraction then gives all 3L
+    expectations at layer angles theta_l + {0, +step, -step}.
+    """
     depth = spec.depth
-    eye = np.eye(depth)
-    stacked = np.vstack([theta[None, :],
-                         theta[None, :] + step * eye,
-                         theta[None, :] - step * eye])
-    vals = circuit_forward_encoded(spec, stacked, encoded)   # (2L+1, B)
-    return vals[0], (vals[1:depth + 1] - vals[depth + 1:]) / (2.0 * step)
+    angles = theta[:, None] + np.array([0.0, step, -step])              # (L, 3)
+    phases = np.exp(-1j * angles[:, :, None] * spec._lam[:, None, :])   # (L, 3, N)
+    units = (spec._vecs[:, None] * phases[:, :, None, :]) @ spec._vecs_h[:, None]
+    # state rows: psi'^T = psi^T U^T
+    units_t = units.swapaxes(-1, -2)
+    states = np.empty((depth,) + encoded.shape, dtype=complex)
+    states[0] = encoded
+    for layer in range(depth - 1):
+        states[layer + 1] = states[layer] @ units_t[layer, 0]
+    # obs_t[l] = O_{>l}^T, from O_{>l-1}^T = U_l^T O_{>l}^T conj(U_l)
+    obs_t = np.empty((depth,) + spec.observable.shape, dtype=complex)
+    obs_t[-1] = spec.observable.T
+    for layer in range(depth - 1, 0, -1):
+        u = units[layer, 0]
+        obs_t[layer - 1] = u.T @ obs_t[layer] @ u.conj()
+    psi = states[:, None] @ units_t                                     # (L, 3, B, N)
+    vals = np.einsum("lsbn,lsbn->lsb", psi.conj(), psi @ obs_t[:, None]).real
+    return vals[-1, 0], (vals[:, 1] - vals[:, 2]) / (2.0 * step)
 
 
 def grad_fd(spec: CircuitSpec, theta, x: float, step: float = FD_STEP) -> np.ndarray:

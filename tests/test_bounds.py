@@ -199,7 +199,7 @@ def test_lower_curve_validates_radii():
 
 def test_jackson_unit_ball_example():
     w = annulus_witness(SobolevParams(1, 2.0), 4.0)
-    rigorous, reference = jackson_upper(w, SobolevParams(1, 2.0), 4.0)
+    [(rigorous, reference)] = jackson_upper(w, SobolevParams(1, 2.0), [4.0])
     assert rigorous == pytest.approx(1.0 / 17.0, abs=1e-12)
     assert reference == pytest.approx(4.0 ** -1.5, abs=1e-12)
 
@@ -210,13 +210,28 @@ def test_jackson_dominates_truncation():
         h = random_unit_ball_series(params, max_freq=8, modes=12, seed=400 + seed)
         assert sobolev_norm(h, 2.0) == pytest.approx(1.0, abs=1e-12)
         last = None
-        for k in range(1, 9):
-            err = truncation_error(h, float(k))
-            rigorous, _ = jackson_upper(h, params, float(k))
+        ks = [float(k) for k in range(1, 9)]
+        for k, (rigorous, _) in zip(ks, jackson_upper(h, params, ks)):
+            err = truncation_error(h, k)
             assert err <= rigorous + 1e-12
             if last is not None:
                 assert err <= last + 1e-15
             last = err
+
+
+def test_jackson_upper_per_radius_values_and_domain():
+    params = SobolevParams(2, 2.0)
+    h = random_series(2, 6, 10, seed=77)
+    w = sobolev_norm(h, 2.0)
+    ks = [1.0, 2.5, 8.0, 1e200]
+    want = [((1.0 + k * k) ** -1.0 * w, k ** -1.0 * w) for k in ks]
+    assert jackson_upper(h, params, ks) == want   # exact: same expressions, one norm
+    assert jackson_upper(h, params, []) == []
+    for bad in ([2.0, 0.5], [float("nan")], [float("inf")]):
+        with pytest.raises(DomainError):
+            jackson_upper(h, params, bad)
+    with pytest.raises(DomainError):
+        jackson_upper(h, SobolevParams(1, 2.0), [2.0])
 
 
 def test_sobolev_params_domain():

@@ -230,10 +230,15 @@ def test_seed_only_where_it_is_used(capsys, argv):
     assert "seed" not in run_json(capsys, argv)["manifest"]["options"]
 
 
-def test_train_seed_is_the_seeds_prefix():
-    # train has no --seed of its own, so argparse reads it as --seeds
-    ns = cli._build_parser().parse_args(["train", "--seed", "5"])
-    assert ns.seeds == [5] and not hasattr(ns, "seed")
+def test_flag_abbreviations_exit_two(capsys):
+    # a unique prefix of a flag is a usage error, not the full flag
+    for argv in (["train", "--seed", "5"],
+                 ["bounds", "upper", "--max", "3"],
+                 ["variance", "--sample", "5"],
+                 ["selftest", "--fu"],
+                 ["--form", "csv", "spectrum", "--eigs", "-1,1"]):
+        assert dispatch(argv) == 2, argv
+        assert "usage:" in capsys.readouterr().err
 
 
 def test_seed_accepted_where_it_is_used(capsys):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from qspec.linalg import DimMismatch, complex_gaussians, rng_stream
-from qspec.qsim import (CircuitSpec, circuit_forward, circuit_forward_batch,
+from qspec.qsim import (FD_STEP, CircuitSpec, _fd_forward, circuit_forward,
+                        circuit_forward_batch, circuit_forward_encoded,
                         default_entangler, encode_inputs,
                         grad_analytic_1p_batch, grad_fd, make_generator,
                         pauli_matrix, trig_poly_coeffs)
@@ -117,6 +118,23 @@ def test_forward_offdiag_observable_path():
     gens = list(spec.generators)
     want = dense_forward(2, gens, default_entangler(2), pauli_matrix("XI"), [0.4], 1.1)
     assert circuit_forward(spec, [0.4], 1.1) == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_forward_x_spectrum_within_encoding_degree(n):
+    # n RY(x) encodings make f a trigonometric polynomial of degree n in x
+    # (Schuld, Sweke & Meyer, arXiv 2008.08605), whatever follows them
+    dim = 1 << n
+    entangler = ((n - 1, 0),) if n > 1 else ()
+    spec = CircuitSpec(n, [random_hermitian(dim, seed=950 + 10 * n + l) for l in range(3)],
+                       entangler=entangler, observable=random_hermitian(dim, seed=960 + n))
+    theta = rng_stream(970 + n).uniform(-np.pi, np.pi, 3)
+    grid = 64
+    vals = circuit_forward_batch(spec, theta, 2.0 * np.pi * np.arange(grid) / grid)
+    coeffs = np.fft.fft(vals) / grid
+    degree = np.abs(np.fft.fftfreq(grid, 1.0 / grid))
+    assert np.max(np.abs(coeffs[degree > n])) <= 1e-10
+    assert np.max(np.abs(coeffs[degree == n])) > 1e-3
 
 
 def test_encode_inputs_product_structure():
@@ -298,6 +316,43 @@ def test_grad_fd_multilayer_shape():
     g = grad_fd(spec, [0.1, -0.2, 0.3], 0.5)
     assert g.shape == (3,)
     assert np.all(np.isfinite(g))
+
+
+# ---- finite-difference kernel ---------------------------------------------
+
+def stacked_fd_forward(spec, theta, encoded, step):
+    """Oracle: every variant [theta; theta + step I; theta - step I] through
+    all layers in one circuit_forward_encoded call."""
+    depth = spec.depth
+    eye = np.eye(depth)
+    stacked = np.vstack([theta[None, :],
+                         theta[None, :] + step * eye,
+                         theta[None, :] - step * eye])
+    vals = circuit_forward_encoded(spec, stacked, encoded)
+    return vals[0], (vals[1:depth + 1] - vals[depth + 1:]) / (2.0 * step)
+
+
+@pytest.mark.parametrize("depth", [1, 2, 5])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_fd_forward_matches_stacked_variants(n, depth):
+    dim = 1 << n
+    gen = rng_stream(800 + 10 * n + depth)
+    gens = [random_hermitian(dim, seed=810 + 10 * n + l) for l in range(depth)]
+    # None: the default CNOT ring and the diagonal Z on qubit 0; the other
+    # entangler is the reversed chain n-1 -> n-2, ..., 1 -> 0
+    entanglers = [None] + ([tuple((q, q - 1) for q in range(n - 1, 0, -1))] if n > 1 else [])
+    observables = [None, random_hermitian(dim, seed=890 + n)]
+    for entangler in entanglers:
+        for obs in observables:
+            spec = CircuitSpec(n, gens, entangler=entangler, observable=obs)
+            for batch in (1, 7, 32):
+                theta = gen.uniform(-np.pi, np.pi, depth)
+                enc = encode_inputs(spec, gen.uniform(-np.pi, np.pi, batch))
+                want_vals, want_diffs = stacked_fd_forward(spec, theta, enc, FD_STEP)
+                vals, diffs = _fd_forward(spec, theta, enc, FD_STEP)
+                assert vals.shape == (batch,) and diffs.shape == (depth, batch)
+                np.testing.assert_allclose(vals, want_vals, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(diffs, want_diffs, rtol=0, atol=1e-9)
 
 
 # ---- Pauli helper ---------------------------------------------------------
