@@ -23,8 +23,8 @@ from .bounds import (SobolevParams, jackson_upper, limit_probe,
                      minimax_lower_curve, random_unit_ball_series,
                      truncation_error)
 from .dla import CLOSURE_TOL, MAX_DLA_SIDE, dla_report
-from .experiments import (TrainConfig, analytic_variance_oracle, fast_profile,
-                          load_train_config, spectrum_matching_experiment,
+from .experiments import (MAX_VARIANCE_SAMPLES, TrainConfig, analytic_variance_oracle,
+                          fast_profile, load_train_config, spectrum_matching_experiment,
                           variance_sweep, wilcoxon_exact)
 from .linalg import QspecError, complex_gaussians, rng_stream, unitary_from_generator
 from .qsim import make_generator, pauli_matrix, trig_poly_coeffs
@@ -582,7 +582,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("variance", allow_abbrev=False, help="gradient variance vs identity weight")
     p.add_argument("--weights", type=_float_list,
                    default=[0.0, 0.25, 0.5, 0.75, 1.0])
-    p.add_argument("--samples", type=int, default=50)
+    p.add_argument("--samples", type=int, default=50,
+                   help=f"gradient samples per weight, at most {MAX_VARIANCE_SAMPLES}")
     common(p, seed=True)
 
     p = sub.add_parser("selftest", allow_abbrev=False, help="run the acceptance battery")

@@ -31,6 +31,9 @@ class AllZeroDifferences(QspecError):
 # stream roles hung off the experiment seed
 _TARGET, _DATA, _MODEL, _INIT = 0, 1, 2, 3
 
+# Most gradient samples a variance sweep draws per weight
+MAX_VARIANCE_SAMPLES = 10 ** 6
+
 _FAST_OVERRIDES = dict(dataset_size=200, epochs=100, seeds=tuple(range(6)))
 
 
@@ -311,6 +314,7 @@ def variance_sweep(weights, samples: int, seed: int) -> VarianceSweepReport:
     exact one-parameter gradient of <00| U^dag (Z on qubit 1) U |00> for
     the generator H(w) = w (Y on qubit 1) + identity. Sample variance
     (ddof = 1) except for a single sample, where the variance is 0.
+    ValueError for more than MAX_VARIANCE_SAMPLES samples, before any draw.
     """
     ws = sorted(float(w) for w in weights)
     if not ws:
@@ -320,6 +324,8 @@ def variance_sweep(weights, samples: int, seed: int) -> VarianceSweepReport:
     samples = int(samples)
     if samples < 1:
         raise ValueError("need at least one sample")
+    if samples > MAX_VARIANCE_SAMPLES:
+        raise ValueError(f"samples must be at most {MAX_VARIANCE_SAMPLES}, got {samples}")
 
     variances, etas = [], []
     for idx, w in enumerate(ws):

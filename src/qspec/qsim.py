@@ -9,10 +9,12 @@ bit of a basis index):
 with RY(x) = exp(-i (x/2) Y) encoding the scalar input on every qubit and
 U_ent a CNOT ring 0->1, 1->2, ..., n-1->0 (a single CNOT for n = 2,
 nothing for n = 1). The default observable is Z on qubit 0. Generator
-eigensystems are stacked on the circuit description, so a forward pass
-costs two small matmuls per layer and no eigensolve. A training step's
-finite differences share one forward pass of the states and one
-backward pass of the observable (_fd_forward).
+eigensystems and the basis changes between neighbouring layers are
+stacked on the circuit description, so a forward pass builds each
+parameter vector's whole-circuit unitary with one phase scaling and one
+small matmul per layer, applies it to the encoded rows once, and needs no
+eigensolve. A training step's finite differences share one forward pass
+of the states and one backward pass of the observable (_fd_forward).
 """
 
 import numpy as np
@@ -72,7 +74,7 @@ class CircuitSpec:
     """
 
     __slots__ = ("n", "dim", "generators", "entangler", "observable",
-                 "_lam", "_vecs", "_vecs_h", "_perm", "_obs_diag")
+                 "_lam", "_vecs", "_vecs_h", "_hops_t", "_unperm", "_obs_diag")
 
     def __init__(self, n: int, generators, entangler=None, observable=None):
         self.n = int(n)
@@ -91,6 +93,8 @@ class CircuitSpec:
         self._lam = np.stack([e.values for e in eigs])            # (L, N)
         self._vecs = np.stack([e.vectors for e in eigs])          # (L, N, N)
         self._vecs_h = self._vecs.conj().transpose(0, 2, 1).copy()
+        # transposed basis changes C_l^T = (V_l^dag V_{l-1})^T between layers
+        self._hops_t = (self._vecs_h[1:] @ self._vecs[:-1]).transpose(0, 2, 1).copy()
 
         if entangler is None:
             entangler = default_entangler(self.n)
@@ -99,7 +103,8 @@ class CircuitSpec:
             if not (0 <= c < self.n and 0 <= t < self.n) or c == t:
                 raise DimMismatch(f"invalid CNOT pair ({c}, {t}) for n = {self.n}")
         self.entangler = pairs
-        self._perm = _entangler_perm(self.n, pairs)
+        # the entangler sends basis index b to perm[b]; states gather through the inverse
+        self._unperm = np.argsort(_entangler_perm(self.n, pairs))
 
         if observable is None:
             # Z on qubit 0: +1 when the most significant bit is 0
@@ -130,34 +135,35 @@ def encode_inputs(spec: CircuitSpec, xs) -> np.ndarray:
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     if xs.ndim != 1:
         raise DimMismatch("inputs must be scalars or a 1-D batch")
-    c, s = np.cos(xs / 2.0), np.sin(xs / 2.0)
-    qubit = np.stack([c, s], axis=1)                        # (B, 2)
-    states = np.ones((xs.shape[0], 1), dtype=complex)
+    qubit = np.stack([np.cos(xs / 2.0), np.sin(xs / 2.0)])     # (2, B)
+    amps = np.ones((1, xs.shape[0]))
     for _ in range(spec.n):
         # append the next qubit as the least significant index bit
-        states = (states[:, :, None] * qubit[:, None, :]).reshape(xs.shape[0], -1)
-    out = np.empty_like(states)
-    out[:, spec._perm] = states
-    return out
+        amps = (amps[:, None, :] * qubit[None, :, :]).reshape(-1, xs.shape[0])
+    return amps[spec._unperm].T.astype(complex, order="C")
 
 
 def circuit_forward_encoded(spec: CircuitSpec, thetas, encoded) -> np.ndarray:
     """Expectation values for V parameter vectors x B encoded states.
 
     thetas has shape (V, depth); encoded is the output of encode_inputs,
-    shape (B, 2^n). Returns a real (V, B) array. This is the batched
-    engine behind forward passes and finite differences.
+    shape (B, 2^n). Returns a real (V, B) array. Each parameter vector's
+    circuit unitary W = V_L P_L C_L ... C_2 P_1 V_1^dag (P_l the layer's
+    eigenphases, C_l the stacked basis changes) is built first, so the
+    rows are multiplied once, whatever the depth.
     """
     thetas = np.asarray(thetas, dtype=float)
     if thetas.ndim != 2 or thetas.shape[1] != spec.depth:
         raise DimMismatch(f"thetas shape {thetas.shape} != (V, {spec.depth})")
-    states = np.broadcast_to(encoded[None, :, :],
-                             (thetas.shape[0],) + encoded.shape).copy()
-    for layer in range(spec.depth):
-        lam, vecs = spec._lam[layer], spec._vecs[layer]
-        phases = np.exp(-1j * np.outer(thetas[:, layer], lam))   # (V, N)
-        # state rows: psi' = V diag(phases) V^dag psi
-        states = (states @ vecs.conj()) * phases[:, None, :] @ vecs.T
+    encoded = np.asarray(encoded)
+    if encoded.ndim != 2 or encoded.shape[1] != spec.dim:
+        raise DimMismatch(f"encoded shape {encoded.shape} != (B, {spec.dim})")
+    phases = np.exp(-1j * (thetas[:, :, None] * spec._lam))       # (V, L, N)
+    # state rows: psi'^T = psi^T W^T, W^T = conj(V_1) P_1 C_2^T P_2 ... C_L^T P_L V_L^T
+    w_t = spec._vecs[0].conj() * phases[:, 0, None, :]
+    for layer in range(1, spec.depth):
+        w_t = (w_t @ spec._hops_t[layer - 1]) * phases[:, layer, None, :]
+    states = encoded @ (w_t @ spec._vecs[-1].T)                  # (V, B, N)
     if spec._obs_diag is not None:
         dens = states.real * states.real + states.imag * states.imag
         return dens @ spec._obs_diag
@@ -279,17 +285,32 @@ def make_generator(n_dim: int, b_max: float, seed: int) -> np.ndarray:
 def grad_analytic_1p_batch(h, thetas, obs, state) -> np.ndarray:
     """Exact derivatives d/dt <s| e^{itH} O e^{-itH} |s> at each t in thetas.
 
-    Each equals 2 Im(<psi| O H |psi>) with |psi> = e^{-i t H}|s>; one
-    eigensolve serves the whole batch.
+    In the eigenbasis of H, with a = V^dag |s> and z_p = e^{-i t lam_p},
+    f(t) = z^dag G z for the Hermitian G = diag(conj(a)) V^dag O V diag(a),
+    and f'(t) = 2 Im(z^dag G diag(lam) z) = Im(z^dag A z) with
+    A_pq = G_pq (lam_q - lam_p). Rows and columns of G at exactly equal
+    eigenvalues are summed first, so each sample costs one phase per
+    distinct eigenvalue, and a generator with a single distinct eigenvalue
+    gives exact zeros. One eigensolve serves the whole batch; thetas is a
+    scalar or a 1-D array of finite angles.
     """
-    lam, vecs = eig_hermitian(h)
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
+    if thetas.ndim != 1:
+        raise DimMismatch(f"thetas must be a scalar or a 1-D array, got shape {thetas.shape}")
+    if not np.all(np.isfinite(thetas)):
+        raise ValueError("thetas must be finite")
+    lam, vecs = eig_hermitian(h)
     state = np.asarray(state, dtype=complex).ravel()
     obs = require_square(obs)
     if state.shape[0] != lam.shape[0] or obs.shape[0] != lam.shape[0]:
         raise DimMismatch("state/observable dimension mismatch")
     amps = vecs.conj().T @ state
-    phases = np.exp(-1j * np.outer(thetas, lam))            # (B, N)
-    psis = (phases * amps[None, :]) @ vecs.T                # rows are psi^T
-    m = obs @ np.asarray(h, dtype=complex)
-    return 2.0 * np.imag(np.einsum("bi,ij,bj->b", psis.conj(), m, psis))
+    gram = amps.conj()[:, None] * (vecs.conj().T @ obs @ vecs) * amps[None, :]
+    mu, group = np.unique(lam, return_inverse=True)
+    fold = (group == np.arange(mu.shape[0])[:, None]).astype(float)   # (K, N)
+    amat = (fold @ gram @ fold.T) * (mu[None, :] - mu[:, None])
+    arg = np.outer(thetas, mu)
+    zc = np.empty(arg.shape, dtype=complex)                 # conj(z), (B, K)
+    np.cos(arg, out=zc.real)
+    np.sin(arg, out=zc.imag)
+    return np.einsum("bi,bi->b", zc, zc.conj() @ amat.T).imag

@@ -1,6 +1,7 @@
 import json
 import re
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -94,6 +95,20 @@ def test_variance_json_includes_oracle(capsys):
     assert res["weights"] == [0, 1]
     assert res["analytic_variances"][0] == 0.0
     assert res["analytic_variances"][1] == pytest.approx(2.0, abs=1e-12)
+
+
+def test_variance_samples_cap_checked_before_allocating(capsys):
+    tracemalloc.start()
+    try:
+        rc = dispatch(["variance", "--weights", "0.5", "--samples", str(10 ** 12)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "at most 1000000" in lines[0]
+    assert peak < 1 << 20, peak
 
 
 def test_bounds_lower_frozen_slope(capsys):

@@ -1,15 +1,20 @@
 import json
+import os
 
 import numpy as np
 import pytest
 import scipy.stats
 
-from qspec.experiments import (AllZeroDifferences, TrainConfig, adam_train,
-                               analytic_variance_oracle, build_circuit,
+from qspec.experiments import (MAX_VARIANCE_SAMPLES, AllZeroDifferences, TrainConfig,
+                               adam_train, analytic_variance_oracle, build_circuit,
                                fast_profile, gen_dataset, load_train_config,
                                spectrum_matching_experiment, variance_sweep,
                                wilcoxon_exact)
 from qspec.qsim import circuit_forward
+
+with open(os.path.join(os.path.dirname(__file__), "data", "kernel_reference.json"),
+          encoding="utf-8") as _fh:
+    REFERENCE = json.load(_fh)
 
 
 # ---- config ---------------------------------------------------------------
@@ -94,6 +99,16 @@ def test_gen_dataset_bounds_and_determinism():
     assert not np.array_equal(xs, xs3)
     with pytest.raises(ValueError):
         gen_dataset(target, 0, seed=1)
+
+
+def test_gen_dataset_matches_reference_labels():
+    ref = REFERENCE["gen_dataset"]
+    target = build_circuit(ref["n"], ref["depth"], ref["b_max"], ref["seed"],
+                           tuple(ref["stream"]))
+    xs, ys = gen_dataset(target, ref["count"], ref["data_seed"])
+    assert xs.tolist() == ref["xs"]
+    # labels are Z expectations, so the scale for "relative" is 1
+    assert np.max(np.abs(ys - np.array(ref["ys"]))) <= 1e-12
 
 
 def test_gen_dataset_labels_match_forward():
@@ -215,7 +230,16 @@ def test_variance_sweep_validation():
         variance_sweep([1.5], samples=10, seed=0)
     with pytest.raises(ValueError):
         variance_sweep([0.5], samples=0, seed=0)
+    with pytest.raises(ValueError, match="at most"):
+        variance_sweep([0.5], samples=MAX_VARIANCE_SAMPLES + 1, seed=0)
     assert variance_sweep([0.5], samples=1, seed=0).variances == (0.0,)
+
+
+def test_variance_sweep_matches_reference():
+    ref = REFERENCE["variance_sweep"]
+    rep = variance_sweep(ref["weights"], ref["samples"], ref["seed"])
+    np.testing.assert_allclose(rep.variances, ref["variances"], rtol=1e-12, atol=0)
+    assert variance_sweep([0.0], ref["samples"], ref["seed"]).variances == (0.0,)
 
 
 # ---- exact signed-rank test -----------------------------------------------

@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from qspec.linalg import DimMismatch, complex_gaussians, rng_stream
+from qspec.linalg import (DimMismatch, complex_gaussians, eig_hermitian, rng_stream,
+                          unitary_from_generator)
 from qspec.qsim import (FD_STEP, CircuitSpec, _fd_forward, circuit_forward,
                         circuit_forward_batch, circuit_forward_encoded,
                         default_entangler, encode_inputs,
@@ -31,13 +34,23 @@ def expm_herm(h, t):
     return (vecs * np.exp(-1j * t * lam)) @ vecs.conj().T
 
 
+def dense_encoded(n, entangler, xs):
+    """Oracle rows: RY(x) on every qubit as a Kronecker product, then the
+    CNOT matrices one after another."""
+    rows = []
+    for x in xs:
+        enc = ry_dense(x)
+        for _ in range(n - 1):
+            enc = np.kron(enc, ry_dense(x))
+        psi = enc[:, 0]
+        for c, t in entangler:
+            psi = cnot_dense(n, c, t) @ psi
+        rows.append(psi)
+    return np.array(rows)
+
+
 def dense_forward(n, gens, entangler, obs, theta, x):
-    enc = ry_dense(x)
-    for _ in range(n - 1):
-        enc = np.kron(enc, ry_dense(x))
-    psi = enc[:, 0]
-    for c, t in entangler:
-        psi = cnot_dense(n, c, t) @ psi
+    psi = dense_encoded(n, entangler, [x])[0]
     for h, th in zip(gens, theta):
         psi = expm_herm(h, th) @ psi
     return float(np.real(psi.conj() @ obs @ psi))
@@ -145,6 +158,55 @@ def test_encode_inputs_product_structure():
     want = raw[[0, 1, 3, 2]]
     got = encode_inputs(CircuitSpec(2, [np.zeros((4, 4))]), [x])[0]
     assert np.max(np.abs(got - want)) <= 1e-14
+
+
+def reversed_chain(n):
+    return tuple((q, q - 1) for q in range(n - 1, 0, -1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_encode_inputs_matches_dense_kron(n):
+    xs = rng_stream(140 + n).uniform(-np.pi, np.pi, 9)
+    for entangler in (default_entangler(n), reversed_chain(n)):
+        spec = CircuitSpec(n, [np.zeros((1 << n, 1 << n))], entangler=entangler)
+        got = encode_inputs(spec, xs)
+        assert got.shape == (9, 1 << n) and got.dtype == complex
+        assert got.flags["C_CONTIGUOUS"]
+        np.testing.assert_array_equal(got, dense_encoded(n, entangler, xs))
+
+
+@pytest.mark.parametrize("depth", [1, 2, 5])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_forward_encoded_matches_dense_layer_product(n, depth):
+    # oracle: psi = U_L ... U_1 psi0, one exp(-i theta_l H_l) per layer and
+    # per parameter vector, each from its own eigensolve
+    dim = 1 << n
+    gen = rng_stream(150 + 10 * n + depth)
+    gens = [random_hermitian(dim, seed=1500 + 10 * n + l) for l in range(depth)]
+    for entangler in (None, reversed_chain(n)):
+        for obs in (None, random_hermitian(dim, seed=1590 + n)):
+            spec = CircuitSpec(n, gens, entangler=entangler, observable=obs)
+            for v, b in ((1, 1), (1, 1000), (256, 8), (7, 3)):
+                thetas = gen.uniform(-np.pi, np.pi, (v, depth))
+                enc = encode_inputs(spec, gen.uniform(-np.pi, np.pi, b))
+                want = np.empty((v, b))
+                for i, theta in enumerate(thetas):
+                    w = np.eye(dim, dtype=complex)
+                    for h, t in zip(gens, theta):
+                        w = unitary_from_generator(h, t) @ w
+                    psi = enc @ w.T
+                    want[i] = np.einsum("bn,nm,bm->b", psi.conj(), spec.observable, psi).real
+                got = circuit_forward_encoded(spec, thetas, enc)
+                assert got.shape == (v, b)
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_forward_encoded_rejects_bad_encoded_shape():
+    spec = CircuitSpec(2, [random_hermitian(4, seed=97)])
+    enc = encode_inputs(spec, [0.1, 0.2])
+    for bad in (enc[0], enc[:, :3], np.ones((2, 8)), enc[None]):
+        with pytest.raises(DimMismatch, match="encoded shape"):
+            circuit_forward_encoded(spec, [[0.5]], bad)
 
 
 def test_circuit_spec_validation():
@@ -284,6 +346,60 @@ def test_grad_analytic_batch_matches_series_derivative():
         assert float(g) == pytest.approx(want, abs=1e-11)
 
 
+def direct_expectation(h, obs, state, t):
+    psi = expm_herm(h, t) @ state
+    return float(np.real(psi.conj() @ obs @ psi))
+
+
+def test_grad_analytic_batch_repeated_and_generic_eigenvalues():
+    z = complex_gaussians(rng_stream(350), (2, 2))
+    h2 = (z + z.conj().T) / 2
+    repeated = np.kron(np.eye(2), h2 / np.linalg.norm(h2, 2))
+    generic = random_hermitian(8, seed=351)
+    generic = generic / np.linalg.norm(generic, 2)
+    thetas = rng_stream(352).uniform(-3, 3, 12)
+    # the repeated case folds 4 eigenvalues into 2 distinct ones
+    assert np.unique(eig_hermitian(repeated).values).shape == (2,)
+    assert np.unique(eig_hermitian(generic).values).shape == (8,)
+    step = 1e-5
+    for h, seed in ((repeated, 353), (generic, 356)):
+        dim = h.shape[0]
+        obs = random_hermitian(dim, seed=seed)
+        state = random_state(dim, seed=seed + 1)
+        got = grad_analytic_1p_batch(h, thetas, obs, state)
+        coeffs = trig_poly_coeffs(h, state, obs)
+        for t, g in zip(thetas, got):
+            central = (direct_expectation(h, obs, state, t + step)
+                       - direct_expectation(h, obs, state, t - step)) / (2.0 * step)
+            assert abs(g - central) <= 1e-8
+            series = np.real(sum(-1j * w * a * np.exp(-1j * t * w) for w, a in coeffs.items()))
+            assert abs(g - series) <= 1e-11
+
+
+def test_grad_analytic_batch_scalar_generator_is_exactly_zero():
+    for n in (1, 2, 3):
+        dim = 1 << n
+        state = np.zeros(dim, dtype=complex)
+        state[0] = 1.0
+        thetas = rng_stream(360 + n).uniform(-2 * np.pi, 2 * np.pi, 1000)
+        for c in (0.0, 1.0, -2.5):
+            got = grad_analytic_1p_batch(c * np.eye(dim), thetas, random_hermitian(dim, 361), state)
+            assert np.all(got == 0.0)
+
+
+def test_grad_analytic_batch_rejects_bad_thetas():
+    h, obs = pauli_matrix("Y"), pauli_matrix("Z")
+    state = np.array([1.0, 0.0])
+    assert grad_analytic_1p_batch(h, 0.3, obs, state).shape == (1,)
+    with pytest.raises(DimMismatch, match="1-D"):
+        grad_analytic_1p_batch(h, np.zeros((2, 3)), obs, state)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                grad_analytic_1p_batch(h, [0.1, bad], obs, state)
+
+
 def test_grad_fd_matches_analytic_single_layer():
     # depth-1 circuit: FD gradient of the forward pass vs exact derivative
     n = 2
@@ -340,7 +456,7 @@ def test_fd_forward_matches_stacked_variants(n, depth):
     gens = [random_hermitian(dim, seed=810 + 10 * n + l) for l in range(depth)]
     # None: the default CNOT ring and the diagonal Z on qubit 0; the other
     # entangler is the reversed chain n-1 -> n-2, ..., 1 -> 0
-    entanglers = [None] + ([tuple((q, q - 1) for q in range(n - 1, 0, -1))] if n > 1 else [])
+    entanglers = [None] + ([reversed_chain(n)] if n > 1 else [])
     observables = [None, random_hermitian(dim, seed=890 + n)]
     for entangler in entanglers:
         for obs in observables:
