@@ -174,14 +174,9 @@ def limit_probe(pairs) -> np.ndarray:
     """
     out = []
     for r, d in pairs:
-        r = float(r)
-        d = int(d)
-        if d < 1:
-            raise DomainError("dimension d must be at least 1")
-        if not np.isfinite(r) or r <= d / 2:
-            raise DomainError(f"need r > d/2 = {d / 2}, got r = {r}")
+        p = SobolevParams(d=int(d), r=float(r))
         # log-space form stays finite for large d; log(1) = 0 gives 1 at d = 1
-        out.append(float(np.exp(-(r - d / 2) * np.log(d))))
+        out.append(float(np.exp(-(p.r - p.d / 2) * np.log(p.d))))
     return np.array(out, dtype=float)
 
 

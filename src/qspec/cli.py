@@ -127,34 +127,32 @@ def _generic_rows(result: dict):
 
 # ------------------------------------------------------------------ parsing
 
-def _float_list(text: str) -> list:
-    try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from exc
+def _list_of(kind, noun: str):
+    """argparse type: comma-separated values of kind, empty items skipped."""
+    def parse(text: str) -> list:
+        try:
+            return [kind(tok) for tok in text.split(",") if tok.strip() != ""]
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {noun}, got {text!r}") from exc
+    return parse
 
 
-def _int_list(text: str) -> list:
-    try:
-        return [int(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
+def _rd_pair(tok: str) -> tuple:
+    r, sep, d = tok.partition(":")
+    if not sep:
+        raise ValueError(f"expected r:d, got {tok!r}")
+    return float(r), int(d)
+
+
+_float_list = _list_of(float, "numbers")
+_int_list = _list_of(int, "integers")
+_rd_list = _list_of(_rd_pair, "r:d pairs")
 
 
 def _rd_pairs(text: str) -> list:
-    """Pairs "r:d,r:d" for the limit probe."""
-    pairs = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        r, sep, d = tok.partition(":")
-        if not sep:
-            raise argparse.ArgumentTypeError(f"expected r:d, got {tok!r}")
-        try:
-            pairs.append((float(r), int(d)))
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(f"bad pair {tok!r}") from exc
+    """Pairs "r:d,r:d" for the limit probe, at least one."""
+    pairs = _rd_list(text)
     if not pairs:
         raise argparse.ArgumentTypeError("need at least one r:d pair")
     return pairs
@@ -164,7 +162,8 @@ def parse_pauli_expr(expr: str) -> np.ndarray:
     """Weighted Pauli-string sum, e.g. "0.5*IY + II" or "Z".
 
     A string whose matrix side would exceed MAX_DLA_SIDE is rejected
-    before its matrix is built.
+    before its matrix is built. Every character must belong to a term: an
+    empty term or a stray sign ("X-", "X--Y", "-") is a ValueError.
     """
     s = expr.replace(" ", "")
     if not s:
@@ -172,6 +171,9 @@ def parse_pauli_expr(expr: str) -> np.ndarray:
     # protect exponent signs (1e-3, 2E+5) before splitting on +/-
     s = re.sub(r"([0-9.])[eE]-", r"\1#m", s)
     s = re.sub(r"([0-9.])[eE]\+", r"\1#p", s)
+    # nonempty terms joined by single signs
+    if not re.fullmatch(r"[+-]?[^+-]+(?:[+-][^+-]+)*", s):
+        raise ValueError(f"empty term or stray sign in generator expression {expr!r}")
     total = None
     for term in re.findall(r"[+-]?[^+-]+", s):
         sign = 1.0
@@ -283,10 +285,7 @@ def _cmd_bounds_limit(ns) -> tuple[dict, object]:
 
 
 def _cmd_dla(ns) -> tuple[dict, object]:
-    try:
-        generators = [parse_pauli_expr(expr) for expr in ns.paulis.split(";") if expr.strip()]
-    except ValueError as exc:
-        raise QspecError(str(exc)) from exc
+    generators = [parse_pauli_expr(expr) for expr in ns.paulis.split(";") if expr.strip()]
     if not generators:
         raise QspecError("no generator expressions given")
     report = dla_report(generators, tol=ns.tol)

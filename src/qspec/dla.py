@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (DimMismatch, NotHermitian, QspecError, _check_tol, is_hermitian,
+from .linalg import (QspecError, _check_tol, _peak_scaled, require_hermitian_set,
                      require_square)
 
 CLOSURE_TOL = 1e-8
@@ -92,29 +92,24 @@ def lie_closure(generators, tol: float = CLOSURE_TOL, max_dim: int | None = None
 
     Breadth-first bracket search: each accepted element is bracketed with
     everything accepted before it, so the basis is independent of how the
-    span is presented. max_dim defaults to min(N^2, MAX_DLA_DIM), N^2
+    span is presented. The span does not depend on the generators' scale,
+    so each is peak-rescaled first: brackets cannot overflow, and tol is
+    relative to each generator. max_dim defaults to min(N^2, MAX_DLA_DIM), N^2
     being the ambient u(N) bound; exceeding it raises DimCap, as does a
     side N above MAX_DLA_SIDE.
     """
     _check_tol(tol)
-    gens = [require_square(g) for g in generators]
-    if not gens:
-        raise DimMismatch("need at least one generator")
+    gens = require_hermitian_set(generators)
     n = gens[0].shape[0]
     if n > MAX_DLA_SIDE:
         raise DimCap(f"matrix side {n} exceeds {MAX_DLA_SIDE}")
-    for g in gens:
-        if g.shape[0] != n:
-            raise DimMismatch("generators must share one dimension")
-        if not is_hermitian(g):
-            raise NotHermitian("generators must be Hermitian")
     cap = min(n * n, MAX_DLA_DIM) if max_dim is None else int(max_dim)
     if cap < 1:
         raise DimCap("max_dim must be at least 1")
 
     basis = np.empty((min(cap, n * n), 2 * n * n))
     cube = basis.view(complex).reshape(-1, n, n)
-    m = _extend(basis, 0, _rows(1j * np.array(gens)), tol, cap)
+    m = _extend(basis, 0, _rows(1j * _peak_scaled(np.array(gens))[0]), tol, cap)
     j = 1
     while j < m:
         m = _extend(basis, m, _rows(cube[:j] @ cube[j] - cube[j] @ cube[:j]), tol, cap)
@@ -182,13 +177,12 @@ def eta(g) -> float:
     squared ratio keeps integer cases (identity, Pauli strings) exact and
     the rescale keeps tiny norms away from underflow.
     """
-    g = require_square(g)
-    peak = float(np.max(np.abs(g)))
+    scaled, peaks = _peak_scaled(require_square(g)[None])
+    gs, peak = scaled[0], float(peaks[0])
     if not np.isfinite(peak):
         raise ZeroMatrix("eta is undefined for non-finite matrices")
     if peak == 0.0:
         raise ZeroMatrix("eta is undefined for the zero matrix")
-    gs = g / peak
     fro_sq = float(np.real(np.vdot(gs, gs)))   # >= 1 by construction
     if peak * float(np.sqrt(fro_sq)) <= ZERO_FLOOR:
         raise ZeroMatrix("eta is undefined for the zero matrix")
@@ -198,7 +192,10 @@ def eta(g) -> float:
 
 def dla_report(generators, tol: float = CLOSURE_TOL, max_dim: int | None = None) -> DlaReport:
     """Closure, center, derived dimensions plus eta per generator; the
-    structure constants are built once for both center and derived."""
+    structure constants are built once for both center and derived. eta
+    comes first, so a zero generator fails before the closure runs."""
+    generators = list(generators)
+    etas = tuple(eta(g) for g in generators)
     basis = lie_closure(generators, tol=tol, max_dim=max_dim)
     center = derived = []
     if len(basis):
@@ -208,5 +205,5 @@ def dla_report(generators, tol: float = CLOSURE_TOL, max_dim: int | None = None)
         dim=len(basis.elements),
         center_dim=len(center),
         derived_dim=len(derived),
-        eta_per_generator=tuple(eta(g) for g in generators),
+        eta_per_generator=etas,
     )

@@ -31,8 +31,10 @@ class AllZeroDifferences(QspecError):
 # stream roles hung off the experiment seed
 _TARGET, _DATA, _MODEL, _INIT = 0, 1, 2, 3
 
-# Most gradient samples a variance sweep draws per weight
+# Most gradient samples a variance sweep draws per weight (bounds memory)
 MAX_VARIANCE_SAMPLES = 10 ** 6
+# Most gradient samples a variance sweep draws over all weights (bounds time)
+MAX_VARIANCE_DRAWS = 10 ** 7
 
 _FAST_OVERRIDES = dict(dataset_size=200, epochs=100, seeds=tuple(range(6)))
 
@@ -187,7 +189,8 @@ def adam_train(model: CircuitSpec, data, cfg: TrainConfig, seed: int,
     Minibatch finite-difference gradients: each epoch shuffles the data
     (stream (seed, 1)) and walks batches of cfg.batch_size; a batch step
     gets the centre values and all L central differences (step
-    cfg.fd_step) from one forward pass of the batch at theta. theta0
+    cfg.fd_step) from one circuit_forward_encoded call on the 2L + 1
+    parameter vectors theta and theta +- cfg.fd_step along each axis. theta0
     defaults to a uniform draw from [-pi, pi) on stream (seed,).
     Adam moments use bias correction with beta1 = 0.9, beta2 = 0.999,
     eps = 1e-8.
@@ -314,7 +317,8 @@ def variance_sweep(weights, samples: int, seed: int) -> VarianceSweepReport:
     exact one-parameter gradient of <00| U^dag (Z on qubit 1) U |00> for
     the generator H(w) = w (Y on qubit 1) + identity. Sample variance
     (ddof = 1) except for a single sample, where the variance is 0.
-    ValueError for more than MAX_VARIANCE_SAMPLES samples, before any draw.
+    ValueError, before any draw, for more than MAX_VARIANCE_SAMPLES samples
+    per weight or more than MAX_VARIANCE_DRAWS over all weights.
     """
     ws = sorted(float(w) for w in weights)
     if not ws:
@@ -326,6 +330,9 @@ def variance_sweep(weights, samples: int, seed: int) -> VarianceSweepReport:
         raise ValueError("need at least one sample")
     if samples > MAX_VARIANCE_SAMPLES:
         raise ValueError(f"samples must be at most {MAX_VARIANCE_SAMPLES}, got {samples}")
+    if len(ws) * samples > MAX_VARIANCE_DRAWS:
+        raise ValueError(f"weights x samples must be at most {MAX_VARIANCE_DRAWS}, "
+                         f"got {len(ws)} x {samples}")
 
     variances, etas = [], []
     for idx, w in enumerate(ws):

@@ -74,10 +74,36 @@ def require_square(m) -> np.ndarray:
     return m
 
 
+def _peak_scaled(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each matrix of a complex (m, N, N) stack over its largest real or imaginary
+    part, and those peaks; zero matrices stay zero. The parts are divided as
+    reals: complex division overflows at a subnormal peak."""
+    parts = np.ascontiguousarray(stack, dtype=complex).view(np.float64)
+    peaks = np.max(np.abs(parts), axis=(1, 2))
+    scale = np.where(peaks > 0.0, peaks, 1.0)[:, None, None]
+    return (parts / scale).view(complex), peaks
+
+
 def is_hermitian(m, tol: float = HERMITIAN_TOL) -> bool:
     m = require_square(m)
-    bound = tol * (1.0 + float(np.linalg.norm(m)))
+    # ||M||_F as peak * ||M / peak||_F: no overflow below the float limit
+    scaled, peaks = _peak_scaled(m[None])
+    bound = tol * (1.0 + float(peaks[0]) * float(np.linalg.norm(scaled)))
     return float(np.max(np.abs(m - m.conj().T))) <= bound
+
+
+def require_hermitian_set(generators) -> list:
+    """At least one square Hermitian matrix, all of one side; DimMismatch
+    or NotHermitian otherwise."""
+    gens = [require_square(g) for g in generators]
+    if not gens:
+        raise DimMismatch("need at least one generator")
+    for g in gens:
+        if g.shape != gens[0].shape:
+            raise DimMismatch("generators must share one dimension")
+        if not is_hermitian(g):
+            raise NotHermitian("generators must be Hermitian")
+    return gens
 
 
 class HermitianEigen(NamedTuple):

@@ -13,13 +13,15 @@ eigensystems and the basis changes between neighbouring layers are
 stacked on the circuit description, so a forward pass builds each
 parameter vector's whole-circuit unitary with one phase scaling and one
 small matmul per layer, applies it to the encoded rows once, and needs no
-eigensolve. A training step's finite differences share one forward pass
-of the states and one backward pass of the observable (_fd_forward).
+eigensolve. circuit_forward_encoded is the only forward kernel: a
+training step's finite differences stack their 2L + 1 parameter vectors
+into one call of it (_fd_forward), as do theta-scans and x-grids.
 """
 
 import numpy as np
 
-from .linalg import DimMismatch, _check_tol, eig_hermitian, haar_unitary, require_square
+from .linalg import (DimMismatch, _check_tol, eig_hermitian, haar_unitary,
+                     require_hermitian_set, require_square)
 from .spectrum import DEDUP_TOL, _run_starts
 
 FD_STEP = 1e-4
@@ -74,7 +76,7 @@ class CircuitSpec:
     """
 
     __slots__ = ("n", "dim", "generators", "entangler", "observable",
-                 "_lam", "_vecs", "_vecs_h", "_hops_t", "_unperm", "_obs_diag")
+                 "_lam", "_vecs", "_hops_t", "_unperm", "_obs_diag")
 
     def __init__(self, n: int, generators, entangler=None, observable=None):
         self.n = int(n)
@@ -82,19 +84,16 @@ class CircuitSpec:
             raise DimMismatch(f"qubit count must be in 1..{MAX_QUBITS}")
         self.dim = 1 << self.n
 
-        gens = tuple(require_square(g) for g in generators)
-        if not gens:
-            raise DimMismatch("need at least one layer generator")
-        for g in gens:
-            if g.shape[0] != self.dim:
-                raise DimMismatch(f"generator shape {g.shape} != ({self.dim}, {self.dim})")
+        gens = tuple(require_hermitian_set(generators))
+        if gens[0].shape[0] != self.dim:
+            raise DimMismatch(f"generator shape {gens[0].shape} != ({self.dim}, {self.dim})")
         self.generators = gens
         eigs = [eig_hermitian(g) for g in gens]
         self._lam = np.stack([e.values for e in eigs])            # (L, N)
         self._vecs = np.stack([e.vectors for e in eigs])          # (L, N, N)
-        self._vecs_h = self._vecs.conj().transpose(0, 2, 1).copy()
         # transposed basis changes C_l^T = (V_l^dag V_{l-1})^T between layers
-        self._hops_t = (self._vecs_h[1:] @ self._vecs[:-1]).transpose(0, 2, 1).copy()
+        vecs_h = self._vecs.conj().transpose(0, 2, 1)
+        self._hops_t = (vecs_h[1:] @ self._vecs[:-1]).transpose(0, 2, 1).copy()
 
         if entangler is None:
             entangler = default_entangler(self.n)
@@ -175,7 +174,6 @@ def circuit_forward_batch(spec: CircuitSpec, theta, xs) -> np.ndarray:
     theta = np.asarray(theta, dtype=float).ravel()
     if theta.shape[0] != spec.depth:
         raise DimMismatch(f"theta has length {theta.shape[0]}, expected {spec.depth}")
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
     return circuit_forward_encoded(spec, theta[None, :], encode_inputs(spec, xs))[0]
 
 
@@ -188,31 +186,14 @@ def _fd_forward(spec: CircuitSpec, theta: np.ndarray, encoded: np.ndarray,
                 step: float) -> tuple[np.ndarray, np.ndarray]:
     """Centre values, shape (B,), and central differences, shape (L, B).
 
-    Variant (l, +-step) changes layer l only, so every variant reads the
-    state before layer l from one forward pass at theta and the
-    observable seen after it, O_{>l} = U_{l+1}^dag ... U_L^dag O U_L ... U_{l+1},
-    from one backward pass; one batched contraction then gives all 3L
-    expectations at layer angles theta_l + {0, +step, -step}.
+    The 2L + 1 parameter vectors [theta; theta + step I; theta - step I]
+    go through one circuit_forward_encoded call.
     """
     depth = spec.depth
-    angles = theta[:, None] + np.array([0.0, step, -step])              # (L, 3)
-    phases = np.exp(-1j * angles[:, :, None] * spec._lam[:, None, :])   # (L, 3, N)
-    units = (spec._vecs[:, None] * phases[:, :, None, :]) @ spec._vecs_h[:, None]
-    # state rows: psi'^T = psi^T U^T
-    units_t = units.swapaxes(-1, -2)
-    states = np.empty((depth,) + encoded.shape, dtype=complex)
-    states[0] = encoded
-    for layer in range(depth - 1):
-        states[layer + 1] = states[layer] @ units_t[layer, 0]
-    # obs_t[l] = O_{>l}^T, from O_{>l-1}^T = U_l^T O_{>l}^T conj(U_l)
-    obs_t = np.empty((depth,) + spec.observable.shape, dtype=complex)
-    obs_t[-1] = spec.observable.T
-    for layer in range(depth - 1, 0, -1):
-        u = units[layer, 0]
-        obs_t[layer - 1] = u.T @ obs_t[layer] @ u.conj()
-    psi = states[:, None] @ units_t                                     # (L, 3, B, N)
-    vals = np.einsum("lsbn,lsbn->lsb", psi.conj(), psi @ obs_t[:, None]).real
-    return vals[-1, 0], (vals[:, 1] - vals[:, 2]) / (2.0 * step)
+    shifts = step * np.eye(depth)
+    vals = circuit_forward_encoded(spec, np.vstack([theta, theta + shifts, theta - shifts]),
+                                   encoded)
+    return vals[0], (vals[1:depth + 1] - vals[depth + 1:]) / (2.0 * step)
 
 
 def grad_fd(spec: CircuitSpec, theta, x: float, step: float = FD_STEP) -> np.ndarray:
@@ -229,6 +210,19 @@ def grad_fd(spec: CircuitSpec, theta, x: float, step: float = FD_STEP) -> np.nda
     return diffs[:, 0]
 
 
+def _eigen_gram(h, state, obs) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues lam of H and G = diag(conj(a)) V^dag O V diag(a), a = V^dag |state>:
+    <state| e^{itH} O e^{-itH} |state> = z^dag G z with z_p = e^{-i t lam_p}."""
+    lam, vecs = eig_hermitian(h)
+    state = np.asarray(state, dtype=complex).ravel()
+    obs = require_square(obs)
+    if state.shape[0] != lam.shape[0] or obs.shape[0] != lam.shape[0]:
+        raise DimMismatch(f"state length {state.shape[0]} and observable shape {obs.shape} "
+                          f"must match the generator dimension {lam.shape[0]}")
+    amps = vecs.conj().T @ state
+    return lam, amps.conj()[:, None] * (vecs.conj().T @ obs @ vecs) * amps[None, :]
+
+
 def trig_poly_coeffs(h, phi, obs, tol: float = DEDUP_TOL) -> dict:
     """Fourier coefficients of f(t) = <phi| e^{itH} O e^{-itH} |phi>.
 
@@ -240,19 +234,9 @@ def trig_poly_coeffs(h, phi, obs, tol: float = DEDUP_TOL) -> dict:
     Hermitian O and the coefficients reconstruct direct simulation.
     """
     _check_tol(tol)
-    lam, vecs = eig_hermitian(h)
-    phi = np.asarray(phi, dtype=complex).ravel()
-    if phi.shape[0] != lam.shape[0]:
-        raise DimMismatch(f"state length {phi.shape[0]} != dimension {lam.shape[0]}")
-    obs = require_square(obs)
-    if obs.shape[0] != lam.shape[0]:
-        raise DimMismatch(f"observable shape {obs.shape} != generator dimension")
-
-    w = vecs.conj().T @ phi                 # eigenbasis amplitudes
-    ot = vecs.conj().T @ obs @ vecs
-    amp = np.outer(w.conj(), w) * ot        # amp[p, q]
+    lam, gram = _eigen_gram(h, phi, obs)
     gaps = (lam[None, :] - lam[:, None]).ravel()
-    vals = amp.ravel()
+    vals = gram.ravel()
 
     order = np.argsort(gaps, kind="stable")
     gaps = gaps[order]
@@ -285,9 +269,8 @@ def make_generator(n_dim: int, b_max: float, seed: int) -> np.ndarray:
 def grad_analytic_1p_batch(h, thetas, obs, state) -> np.ndarray:
     """Exact derivatives d/dt <s| e^{itH} O e^{-itH} |s> at each t in thetas.
 
-    In the eigenbasis of H, with a = V^dag |s> and z_p = e^{-i t lam_p},
-    f(t) = z^dag G z for the Hermitian G = diag(conj(a)) V^dag O V diag(a),
-    and f'(t) = 2 Im(z^dag G diag(lam) z) = Im(z^dag A z) with
+    With z_p = e^{-i t lam_p} and G the Gram matrix of _eigen_gram,
+    f(t) = z^dag G z and f'(t) = 2 Im(z^dag G diag(lam) z) = Im(z^dag A z) with
     A_pq = G_pq (lam_q - lam_p). Rows and columns of G at exactly equal
     eigenvalues are summed first, so each sample costs one phase per
     distinct eigenvalue, and a generator with a single distinct eigenvalue
@@ -299,13 +282,7 @@ def grad_analytic_1p_batch(h, thetas, obs, state) -> np.ndarray:
         raise DimMismatch(f"thetas must be a scalar or a 1-D array, got shape {thetas.shape}")
     if not np.all(np.isfinite(thetas)):
         raise ValueError("thetas must be finite")
-    lam, vecs = eig_hermitian(h)
-    state = np.asarray(state, dtype=complex).ravel()
-    obs = require_square(obs)
-    if state.shape[0] != lam.shape[0] or obs.shape[0] != lam.shape[0]:
-        raise DimMismatch("state/observable dimension mismatch")
-    amps = vecs.conj().T @ state
-    gram = amps.conj()[:, None] * (vecs.conj().T @ obs @ vecs) * amps[None, :]
+    lam, gram = _eigen_gram(h, state, obs)
     mu, group = np.unique(lam, return_inverse=True)
     fold = (group == np.arange(mu.shape[0])[:, None]).astype(float)   # (K, N)
     amat = (fold @ gram @ fold.T) * (mu[None, :] - mu[:, None])

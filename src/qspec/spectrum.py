@@ -12,13 +12,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (DimMismatch, NotHermitian, QspecError, _check_tol, commutator,
-                     is_hermitian, require_square)
+from .linalg import DimMismatch, QspecError, _check_tol, commutator, require_hermitian_set
 
 DEDUP_TOL = 1e-9
 
 # integer gaps larger than this mean the "common scale" found is noise
 MAX_INT_GAP = 10 ** 6
+
+# Most eigenvalues per gap set: the side of a 12-qubit generator (qsim.MAX_QUBITS)
+MAX_GAP_VALUES = 1 << 12
 
 
 class NonCommensurate(QspecError):
@@ -75,10 +77,13 @@ def gap_set(values, tol: float = DEDUP_TOL) -> GapSet:
 
     The result always contains 0 and is exactly symmetric about it:
     positive differences are clustered and the negatives mirrored.
+    DimMismatch for more than MAX_GAP_VALUES values, before any allocation.
     """
     vals = np.asarray(values, dtype=float).ravel()
     if vals.size == 0 or not np.all(np.isfinite(vals)):
         raise DimMismatch("need a nonempty finite list of eigenvalues")
+    if vals.size > MAX_GAP_VALUES:
+        raise DimMismatch(f"at most {MAX_GAP_VALUES} eigenvalues, got {vals.size}")
     _check_tol(tol)
     diffs = (vals[None, :] - vals[:, None]).ravel()
     pos = _cluster_means(np.sort(diffs[diffs > tol]), tol)
@@ -124,6 +129,13 @@ def _width(ng: NormalizedGapSet) -> int:
     return int(np.max(np.abs(ng.int_gaps)))
 
 
+def _params(per_param) -> tuple:
+    params = tuple(per_param)
+    if not params:
+        raise DimMismatch("need at least one parameter")
+    return params
+
+
 def coverage_radius(per_param) -> float:
     """Smallest Euclidean norm of an integer point outside the product set.
 
@@ -134,9 +146,7 @@ def coverage_radius(per_param) -> float:
     shrinks the norm, so the minimum lies on a coordinate axis and equals
     min over parameters of min(first hole magnitude, width + 1).
     """
-    params = tuple(per_param)
-    if not params:
-        raise DimMismatch("need at least one parameter")
+    params = _params(per_param)
     best = None
     for ng in params:
         width = _width(ng)
@@ -157,9 +167,7 @@ def coverage_radius_box(per_param) -> float:
     cross-check for coverage_radius. The nearest missing point has every
     coordinate within its parameter's width + 1, so the box suffices.
     """
-    params = tuple(per_param)
-    if not params:
-        raise DimMismatch("need at least one parameter")
+    params = _params(per_param)
     sets = [set(int(v) for v in ng.int_gaps) for ng in params]
     ranges = [range(-(_width(ng) + 1), _width(ng) + 2) for ng in params]
     best = None
@@ -175,9 +183,7 @@ def coverage_radius_box(per_param) -> float:
 
 def envelope(per_param) -> FrequencyEnvelope:
     """Combine per-parameter normalized gap sets into truncation radii."""
-    params = tuple(per_param)
-    if not params:
-        raise DimMismatch("need at least one parameter")
+    params = _params(per_param)
     widths = np.array([_width(ng) for ng in params], dtype=float)
     return FrequencyEnvelope(
         d=len(params),
@@ -205,15 +211,7 @@ def commuting_report(generators, tol: float = 1e-12) -> CommutingReport:
     Commuting pairs merge their frequency lattices additively instead of
     as a product, so the count is a useful selection-rule diagnostic.
     """
-    gens = [require_square(g) for g in generators]
-    if not gens:
-        raise DimMismatch("need at least one generator")
-    n = gens[0].shape[0]
-    for g in gens:
-        if g.shape[0] != n:
-            raise DimMismatch("generators must share one dimension")
-        if not is_hermitian(g):
-            raise NotHermitian("generators must be Hermitian")
+    gens = require_hermitian_set(generators)
     norms = [float(np.linalg.norm(g)) for g in gens]
     pairs = []
     for i in range(len(gens)):

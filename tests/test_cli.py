@@ -42,6 +42,30 @@ def test_parse_pauli_expr():
         parse_pauli_expr("X+YY")  # mixed qubit counts
 
 
+@pytest.mark.parametrize("expr, want", [
+    ("0.5*IY + II", 0.5 * pauli_matrix("IY") + pauli_matrix("II")),
+    ("-X", -pauli_matrix("X")),
+    ("X - 0.5*Y", pauli_matrix("X") - 0.5 * pauli_matrix("Y")),
+    ("1e-3*X", 1e-3 * pauli_matrix("X")),
+])
+def test_parse_pauli_expr_signed_terms(expr, want):
+    assert np.max(np.abs(parse_pauli_expr(expr) - want)) == 0.0
+
+
+@pytest.mark.parametrize("expr", ["X-", "X--Y", "-", "+", "+-X", "X+ +Y"])
+def test_parse_pauli_expr_rejects_stray_signs(expr):
+    with pytest.raises(ValueError, match="stray sign"):
+        parse_pauli_expr(expr)
+
+
+@pytest.mark.parametrize("paulis", ["X-", "X--Y", "-"])
+def test_dla_stray_sign_exits_one(capsys, paulis):
+    rc = dispatch(["dla", "--paulis=" + paulis])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert "stray sign" in error_line(captured)
+
+
 def test_spectrum_example(capsys):
     doc = run_json(capsys, ["spectrum", "--eigs", "-1,1"])
     entry = doc["result"]["per_param"][0]
@@ -109,6 +133,31 @@ def test_variance_samples_cap_checked_before_allocating(capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and "at most 1000000" in lines[0]
     assert peak < 1 << 20, peak
+
+
+def test_variance_total_draw_cap_checked_before_allocating(capsys):
+    # eleven weights at the per-weight cap: 1.1e7 draws, over the 1e7 total
+    weights = ",".join(str(k / 10) for k in range(11))
+    tracemalloc.start()
+    try:
+        rc = dispatch(["variance", "--weights", weights, "--samples", str(10 ** 6)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert "at most 10000000" in error_line(captured)
+    assert peak < 1 << 20, peak
+
+
+def test_spectrum_value_cap_exits_one_before_work(capsys):
+    t0 = time.perf_counter()
+    rc = dispatch(["spectrum", "--eigs", ",".join(str(k) for k in range(4097))])
+    elapsed = time.perf_counter() - t0
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert "at most 4096 eigenvalues" in error_line(captured)
+    assert elapsed <= 1.0, elapsed
 
 
 def test_bounds_lower_frozen_slope(capsys):

@@ -1,4 +1,5 @@
-"""Property test: `qspec bounds` ends with exit 0, 1 or 2 and never a traceback."""
+"""Property test: `qspec bounds`, `spectrum`, `dla` and `variance` end with
+exit 0, 1 or 2 and never a traceback."""
 
 import contextlib
 import io
@@ -57,3 +58,48 @@ def test_bounds_upper_fuzz(d, r, ks, count, max_freq, modes):
 @example(pairs=[("2", "0"), ("-1", "-3")])
 def test_bounds_limit_fuzz(pairs):
     run(["bounds", "limit", "--pairs", ",".join(f"{r}:{d}" for r, d in pairs)])
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(eigs=st.lists(numbers, min_size=1, max_size=2), tol=number)
+@example(eigs=[",".join(str(k) for k in range(4097))], tol="0")  # over the value cap
+@example(eigs=["1e308,-1e308"], tol="1")
+@example(eigs=["0,1e308,3"], tol="1")
+def test_spectrum_fuzz(eigs, tol):
+    argv = ["spectrum"]
+    for e in eigs:
+        argv += ["--eigs", e]
+    run(argv + ["--tol", tol])
+
+
+# terms of at most three qubits keep every closure small
+label = st.text(alphabet="IXYZQ", min_size=0, max_size=3)
+term = st.one_of(label, st.builds("{}*{}".format, number, label))
+sign = st.sampled_from(["+", "-", "", "--", "+-", " - "])
+pauli_sum = st.builds(lambda first, rest: first + "".join(s + t for s, t in rest),
+                      term, st.lists(st.tuples(sign, term), max_size=2))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(exprs=st.lists(pauli_sum, min_size=0, max_size=3), tol=number)
+@example(exprs=["X-"], tol="0")    # stray signs
+@example(exprs=["X--Y"], tol="0")
+@example(exprs=["-"], tol="0")
+@example(exprs=["inf*X", "Y"], tol="0")
+@example(exprs=["nan*X"], tol="0")
+def test_dla_fuzz(exprs, tol):
+    run(["dla", "--paulis=" + ";".join(exprs), "--tol", tol])
+
+
+weight = st.one_of(number, st.sampled_from(["0.25", "0.5", "0.75", "1.5"]))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(weights=st.lists(weight, min_size=0, max_size=4).map(",".join),
+       samples=st.one_of(st.integers(-3, 2000).map(str), st.sampled_from(SPECIAL)),
+       seed=number)
+@example(weights=",".join(str(k / 10) for k in range(11)), samples="1000000", seed="0")  # over the draw cap
+@example(weights="0.5", samples="1000000000000", seed="0")
+@example(weights="0.5", samples="10", seed="-1")
+def test_variance_fuzz(weights, samples, seed):
+    run(["variance", "--weights", weights, "--samples", samples, "--seed", seed])

@@ -126,6 +126,20 @@ def test_eta_invariances_and_bounds():
 def test_eta_zero_matrix():
     with pytest.raises(ZeroMatrix):
         eta(np.zeros((3, 3)))
+    # a subnormal peak once gave nan through complex division
+    for scale in (1e-310, 1e-320):
+        with pytest.raises(ZeroMatrix, match="zero matrix"):
+            eta(scale * pauli_matrix("X"))
+    assert eta(1e-300 * np.eye(2)) == pytest.approx(np.sqrt(2.0), abs=1e-15)
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-300, 1e-9, 3.0])
+def test_closure_dims_do_not_depend_on_generator_scale(scale):
+    # brackets of 1e200-scale generators once overflowed and were dropped,
+    # and generators below tol counted as zero
+    rep = dla_report([scale * pauli_matrix("X"), pauli_matrix("Y")])
+    assert (rep.dim, rep.center_dim, rep.derived_dim) == (3, 0, 3)
+    assert len(lie_closure([scale * pauli_matrix("X"), scale * pauli_matrix("Y")])) == 3
 
 
 def test_dla_report_weighted_generator():

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from qspec.experiments import (MAX_VARIANCE_SAMPLES, AllZeroDifferences, TrainConfig,
-                               adam_train, analytic_variance_oracle, build_circuit,
-                               fast_profile, gen_dataset, load_train_config,
+from qspec.experiments import (MAX_VARIANCE_DRAWS, MAX_VARIANCE_SAMPLES, AllZeroDifferences,
+                               TrainConfig, adam_train, analytic_variance_oracle,
+                               build_circuit, fast_profile, gen_dataset, load_train_config,
                                spectrum_matching_experiment, variance_sweep,
                                wilcoxon_exact)
 from qspec.qsim import circuit_forward
@@ -232,6 +232,10 @@ def test_variance_sweep_validation():
         variance_sweep([0.5], samples=0, seed=0)
     with pytest.raises(ValueError, match="at most"):
         variance_sweep([0.5], samples=MAX_VARIANCE_SAMPLES + 1, seed=0)
+    # each weight within its own cap, the total over the cap
+    weights = np.linspace(0.0, 1.0, MAX_VARIANCE_DRAWS // MAX_VARIANCE_SAMPLES + 1)
+    with pytest.raises(ValueError, match=f"at most {MAX_VARIANCE_DRAWS}"):
+        variance_sweep(weights, samples=MAX_VARIANCE_SAMPLES, seed=0)
     assert variance_sweep([0.5], samples=1, seed=0).variances == (0.0,)
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -49,6 +51,11 @@ def test_is_hermitian_tolerance_scales_with_norm():
     h[0, 1] = 1e-7  # tiny asymmetry relative to the norm
     assert is_hermitian(h)
     assert not is_hermitian(np.array([[0.0, 1e-3], [0.0, 0.0]]))
+    # a Frobenius norm past the float range once made every matrix pass
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not is_hermitian(1e200 * np.array([[0.0, 1.0], [0.0, 0.0]]))
+        assert is_hermitian(1e200 * np.array([[1.0, 2.0], [2.0, 0.0]]))
 
 
 def test_unitary_identity_at_zero():

@@ -436,16 +436,18 @@ def test_grad_fd_multilayer_shape():
 
 # ---- finite-difference kernel ---------------------------------------------
 
-def stacked_fd_forward(spec, theta, encoded, step):
-    """Oracle: every variant [theta; theta + step I; theta - step I] through
-    all layers in one circuit_forward_encoded call."""
-    depth = spec.depth
-    eye = np.eye(depth)
-    stacked = np.vstack([theta[None, :],
-                         theta[None, :] + step * eye,
-                         theta[None, :] - step * eye])
-    vals = circuit_forward_encoded(spec, stacked, encoded)
-    return vals[0], (vals[1:depth + 1] - vals[depth + 1:]) / (2.0 * step)
+def dense_fd_forward(spec, theta, encoded, step):
+    """Oracle: each variant theta, theta + step e_l and theta - step e_l as
+    a dense product of expm_herm layers on the encode_inputs rows."""
+    def values(angles):
+        psi = encoded.T
+        for h, t in zip(spec.generators, angles):
+            psi = expm_herm(h, t) @ psi
+        return np.einsum("nb,nm,mb->b", psi.conj(), spec.observable, psi).real
+
+    eye = np.eye(spec.depth)
+    diffs = [values(theta + step * e) - values(theta - step * e) for e in eye]
+    return values(theta), np.array(diffs) / (2.0 * step)
 
 
 @pytest.mark.parametrize("depth", [1, 2, 5])
@@ -464,7 +466,7 @@ def test_fd_forward_matches_stacked_variants(n, depth):
             for batch in (1, 7, 32):
                 theta = gen.uniform(-np.pi, np.pi, depth)
                 enc = encode_inputs(spec, gen.uniform(-np.pi, np.pi, batch))
-                want_vals, want_diffs = stacked_fd_forward(spec, theta, enc, FD_STEP)
+                want_vals, want_diffs = dense_fd_forward(spec, theta, enc, FD_STEP)
                 vals, diffs = _fd_forward(spec, theta, enc, FD_STEP)
                 assert vals.shape == (batch,) and diffs.shape == (depth, batch)
                 np.testing.assert_allclose(vals, want_vals, rtol=0, atol=1e-12)

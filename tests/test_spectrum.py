@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from qspec.linalg import DimMismatch, rng_stream
-from qspec.qsim import pauli_matrix
-from qspec.spectrum import (GapSet, NonCommensurate, NormalizedGapSet,
+from qspec.qsim import MAX_QUBITS, pauli_matrix
+from qspec.spectrum import (MAX_GAP_VALUES, GapSet, NonCommensurate, NormalizedGapSet,
                             commuting_report, coverage_radius,
                             coverage_radius_box, envelope, gap_set,
                             normalize_gaps)
@@ -49,6 +49,13 @@ def test_gap_set_symmetry_and_dedup():
 def test_gap_set_rejects_empty():
     with pytest.raises(DimMismatch):
         gap_set([])
+
+
+def test_gap_set_value_cap_is_a_full_generator_side():
+    assert MAX_GAP_VALUES == 1 << MAX_QUBITS
+    assert gap_set(np.arange(64.0)).omega_max == 63.0
+    with pytest.raises(DimMismatch, match=f"at most {MAX_GAP_VALUES}"):
+        gap_set(np.arange(MAX_GAP_VALUES + 1.0))
 
 
 @pytest.mark.parametrize("tol", [float("nan"), 0.0, -1.0])
