@@ -587,7 +587,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", allow_abbrev=False, help="run the acceptance battery")
     p.add_argument("--full", action="store_true",
-                   help="train at full scale (about 1.5 min)")
+                   help="train at full scale (about 25 s)")
     common(p, seed=True)
 
     return parser

@@ -6,7 +6,8 @@ Two numerical studies with analytic oracles:
   eigenvalue bound b = 10 is fit by models whose generators have
   b in {0.1, 1, 10}; only the spectrum-matched model can represent the
   target's frequency content, and its RMSE wins across seeds (exact
-  signed-rank test on the b = 1 vs b = 10 pairing).
+  signed-rank test on the b = 1 vs b = 10 pairing). Every (seed, model)
+  run trains in lockstep: one Adam loop, one kernel call per step.
 
 * variance_sweep: for H(w) = w (Y on qubit 1) + identity on two qubits,
   the gradient variance over theta ~ U[-2pi, 2pi] grows with the spectral
@@ -15,14 +16,16 @@ Two numerical studies with analytic oracles:
 """
 
 import json
+import operator
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .dla import eta
 from .linalg import QspecError, derive_seed, rng_stream
-from .qsim import (CircuitSpec, _fd_forward, circuit_forward_encoded, encode_inputs,
-                   grad_analytic_1p_batch, make_generator, pauli_matrix)
+from .qsim import (MAX_QUBITS, CircuitSpec, _fd_forward, _forward, _phases, _stack_specs,
+                   circuit_forward_encoded, encode_inputs, grad_analytic_1p_batch,
+                   make_generator, pauli_matrix)
 
 class AllZeroDifferences(QspecError):
     """Signed-rank test is undefined when every difference is zero."""
@@ -35,13 +38,26 @@ _TARGET, _DATA, _MODEL, _INIT = 0, 1, 2, 3
 MAX_VARIANCE_SAMPLES = 10 ** 6
 # Most gradient samples a variance sweep draws over all weights (bounds time)
 MAX_VARIANCE_DRAWS = 10 ** 7
+# Most complex amplitudes a training study holds at once (bounds memory);
+# TrainConfig() holds 358,800
+MAX_TRAIN_AMPLITUDES = 1 << 21
+# Most estimated multiply-adds of a training study (bounds time); TrainConfig()
+# needs about 2.4e10
+MAX_TRAIN_MULADDS = 10 ** 11
+# Most optimizer steps of a training study: each has a fixed cost of tens of
+# microseconds, whatever its arithmetic; TrainConfig() takes 16,000
+MAX_TRAIN_STEPS = 1 << 20
 
 _FAST_OVERRIDES = dict(dataset_size=200, epochs=100, seeds=tuple(range(6)))
 
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Configuration of the spectrum-matching study (defaults = full scale)."""
+    """Configuration of the spectrum-matching study (defaults = full scale).
+
+    ValueError at construction for a malformed field or a study over the
+    MAX_TRAIN_AMPLITUDES, MAX_TRAIN_MULADDS or MAX_TRAIN_STEPS caps.
+    """
 
     n: int = 3
     depth: int = 5
@@ -56,18 +72,30 @@ class TrainConfig:
     share_generator_basis: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
-        object.__setattr__(self, "b_models", tuple(float(b) for b in self.b_models))
+        for name in ("n", "depth", "dataset_size", "epochs", "batch_size"):
+            object.__setattr__(self, name, _whole(name, getattr(self, name)))
+        for name in ("lr", "fd_step", "b_target"):
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
+        object.__setattr__(self, "seeds", tuple(_whole("seeds", s) for s in self.seeds))
+        object.__setattr__(self, "b_models", tuple(_real("b_models", b) for b in self.b_models))
         if self.n < 1 or self.depth < 1 or self.dataset_size < 1:
             raise ValueError("n, depth and dataset_size must be positive")
-        if self.lr <= 0 or self.epochs < 1 or self.batch_size < 1 or self.fd_step <= 0:
+        if self.n > MAX_QUBITS:
+            raise ValueError(f"n must be at most {MAX_QUBITS}, got {self.n}")
+        if self.epochs < 1 or self.batch_size < 1 or not _positive(self.lr, self.fd_step):
             raise ValueError("lr, epochs, batch_size and fd_step must be positive")
         if not self.seeds or len(set(self.seeds)) != len(self.seeds):
             raise ValueError("seeds must be nonempty and distinct")
-        if not self.b_models or any(b <= 0 for b in self.b_models):
+        if not self.b_models or not _positive(*self.b_models):
             raise ValueError("model eigenvalue bounds must be positive")
-        if self.b_target <= 0:
+        if not _positive(self.b_target):
             raise ValueError("target eigenvalue bound must be positive")
+        caps = {"complex amplitudes held": MAX_TRAIN_AMPLITUDES,
+                "multiply-adds": MAX_TRAIN_MULADDS, "optimizer steps": MAX_TRAIN_STEPS}
+        for (what, cap), value in zip(caps.items(), _train_work(self)):
+            if value > cap:
+                raise ValueError(f"training exceeds the cap of {cap:.3g} {what}; use fewer "
+                                 f"seeds, models, samples, epochs, layers or qubits")
 
     @classmethod
     def fast(cls, **overrides) -> "TrainConfig":
@@ -75,6 +103,46 @@ class TrainConfig:
         merged = dict(_FAST_OVERRIDES)
         merged.update(overrides)
         return cls(**merged)
+
+
+def _whole(name: str, value) -> int:
+    """value as an int; integral floats (JSON writes 1e13 as one) are accepted."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be a whole number, got {value!r}") from None
+
+
+def _real(name: str, value) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{name} must be a number, got {value!r}") from None
+
+
+def _positive(*values) -> bool:
+    return all(np.isfinite(v) and v > 0 for v in values)
+
+
+def _train_work(cfg: TrainConfig) -> tuple[int, int, int]:
+    """(complex amplitudes held at once, multiply-adds, optimizer steps) of
+    the lockstep study of cfg, in exact integers; nothing is allocated.
+
+    Each of the R = seeds x models runs holds its dataset's encoded rows at
+    the end and, per step, the phases, the unitaries and the states of its
+    2L + 1 parameter vectors; a step costs each run about
+    (2L + 1) (L N^3 + B N^2) multiply-adds.
+    """
+    dim = 1 << cfg.n
+    runs = len(cfg.seeds) * len(cfg.b_models)
+    batch = min(cfg.batch_size, cfg.dataset_size)
+    variants = 2 * cfg.depth + 1
+    steps = cfg.epochs * -(-cfg.dataset_size // batch)
+    held = runs * (cfg.dataset_size + variants * (cfg.depth + dim + batch)) * dim
+    muladds = runs * steps * variants * (cfg.depth * dim ** 3 + batch * dim ** 2)
+    return held, muladds, steps
 
 
 def fast_profile(cfg: TrainConfig) -> TrainConfig:
@@ -114,6 +182,8 @@ def load_train_config(path: str) -> TrainConfig:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
     for key in ("seeds", "b_models"):
         if key in data:
+            if not isinstance(data[key], list):
+                raise ValueError(f"{key} must be a list, got {data[key]!r}")
             data[key] = tuple(data[key])
     return TrainConfig(**data)
 
@@ -177,23 +247,68 @@ def _as_xy(data) -> tuple[np.ndarray, np.ndarray]:
     return xs, ys
 
 
-def _rmse(spec: CircuitSpec, theta: np.ndarray, enc: np.ndarray, ys: np.ndarray) -> float:
-    pred = circuit_forward_encoded(spec, theta[None, :], enc)[0]
-    return float(np.sqrt(np.mean((pred - ys) ** 2)))
+def _train_runs(models, xs: np.ndarray, ys: np.ndarray, data_of, cfg: TrainConfig,
+                shuffle_seeds, theta0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Adam on R runs in lockstep; returns the final thetas (R, L) and RMSEs (R,).
+
+    Run r trains models[r] from theta0[r] on dataset data_of[r] of the
+    inputs xs and labels ys, both (S, M). DimMismatch unless all models
+    share qubit count, depth, entangler and observable. Each epoch every
+    run draws one permutation of its data from its own stream
+    (shuffle_seeds[r], 1) and walks batches of cfg.batch_size. A step gets
+    the centre values and all L central differences (step cfg.fd_step) of
+    every run from one _fd_forward call on the 2L + 1 parameter vectors
+    per run, and updates each run's Adam moments (bias-corrected,
+    beta1 = 0.9, beta2 = 0.999, eps = 1e-8). Each run's slice of every
+    array is computed as it would be alone, so its result does not depend
+    on which runs train beside it.
+    """
+    stack = _stack_specs(models)
+    n_sets, n_samples = xs.shape
+    encoded = encode_inputs(models[0], xs.ravel()).reshape(n_sets, n_samples, -1)
+    data_of = np.asarray(data_of)
+    rows = data_of[:, None]
+    shufflers = [rng_stream(seed, 1) for seed in shuffle_seeds]
+
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    theta = np.array(theta0, dtype=float)
+    m = np.zeros_like(theta)
+    v = np.zeros_like(theta)
+    step_count = 0
+    batch = min(cfg.batch_size, n_samples)
+
+    for _ in range(cfg.epochs):
+        orders = np.stack([shuffler.permutation(n_samples) for shuffler in shufflers])
+        for start in range(0, n_samples, batch):
+            idx = orders[:, start:start + batch]
+            vals, dfs = _fd_forward(stack, theta, encoded[rows, idx], cfg.fd_step)
+            resid = vals - ys[rows, idx]
+            grad = np.mean(2.0 * resid[:, None, :] * dfs, axis=2)
+
+            step_count += 1
+            m = beta1 * m + (1.0 - beta1) * grad
+            v = beta2 * v + (1.0 - beta2) * grad * grad
+            mhat = m / (1.0 - beta1 ** step_count)
+            vhat = v / (1.0 - beta2 ** step_count)
+            theta = theta - cfg.lr * mhat / (np.sqrt(vhat) + eps)
+
+    pred = _forward(stack, _phases(stack, theta[:, None]), encoded[data_of])[:, 0]
+    return theta, np.sqrt(np.mean((pred - ys[data_of]) ** 2, axis=1))
 
 
 def adam_train(model: CircuitSpec, data, cfg: TrainConfig, seed: int,
                theta0=None) -> tuple[np.ndarray, float]:
     """Minimize mean squared error with Adam; returns (theta, final RMSE).
 
-    Minibatch finite-difference gradients: each epoch shuffles the data
-    (stream (seed, 1)) and walks batches of cfg.batch_size; a batch step
-    gets the centre values and all L central differences (step
-    cfg.fd_step) from one circuit_forward_encoded call on the 2L + 1
-    parameter vectors theta and theta +- cfg.fd_step along each axis. theta0
-    defaults to a uniform draw from [-pi, pi) on stream (seed,).
-    Adam moments use bias correction with beta1 = 0.9, beta2 = 0.999,
-    eps = 1e-8.
+    One run of the lockstep trainer: minibatch finite-difference
+    gradients, with each epoch shuffling the data on stream (seed, 1) and
+    walking batches of cfg.batch_size; a batch step gets the centre values
+    and all L central differences (step cfg.fd_step) from one forward call
+    on the 2L + 1 parameter vectors theta and theta +- cfg.fd_step along
+    each axis. theta0 defaults to a uniform draw from [-pi, pi) on stream
+    (seed,). Adam moments use bias correction with beta1 = 0.9,
+    beta2 = 0.999, eps = 1e-8. The result equals, bit for bit, the same
+    run trained beside others by spectrum_matching_experiment.
     """
     xs, ys = _as_xy(data)
     depth = model.depth
@@ -203,61 +318,44 @@ def adam_train(model: CircuitSpec, data, cfg: TrainConfig, seed: int,
         theta = np.array(theta0, dtype=float).ravel()
         if theta.shape[0] != depth:
             raise ValueError(f"theta0 has length {theta.shape[0]}, expected {depth}")
-    enc = encode_inputs(model, xs)
-
-    shuffler = rng_stream(seed, 1)
-    beta1, beta2, eps = 0.9, 0.999, 1e-8
-    m = np.zeros(depth)
-    v = np.zeros(depth)
-    step_count = 0
-    n_samples = xs.shape[0]
-    batch = min(cfg.batch_size, n_samples)
-
-    for _ in range(cfg.epochs):
-        order = shuffler.permutation(n_samples)
-        for start in range(0, n_samples, batch):
-            idx = order[start:start + batch]
-            vals, dfs = _fd_forward(model, theta, enc[idx], cfg.fd_step)
-            resid = vals - ys[idx]
-            grad = np.mean(2.0 * resid[None, :] * dfs, axis=1)
-
-            step_count += 1
-            m = beta1 * m + (1.0 - beta1) * grad
-            v = beta2 * v + (1.0 - beta2) * grad * grad
-            mhat = m / (1.0 - beta1 ** step_count)
-            vhat = v / (1.0 - beta2 ** step_count)
-            theta = theta - cfg.lr * mhat / (np.sqrt(vhat) + eps)
-
-    return theta, _rmse(model, theta, enc, ys)
-
-
-def _run_one_seed(cfg: TrainConfig, seed: int) -> dict:
-    """All model bounds for one seed: {b: (rmse, theta_init_tuple)}."""
-    target = build_circuit(cfg.n, cfg.depth, cfg.b_target, seed, (_TARGET,))
-    data = gen_dataset(target, cfg.dataset_size, derive_seed(seed, _DATA))
-    out = {}
-    for bi, b in enumerate(cfg.b_models):
-        model_stream = (_MODEL, 0) if cfg.share_generator_basis else (_MODEL, bi)
-        model = build_circuit(cfg.n, cfg.depth, b, seed, model_stream)
-        init_seed = derive_seed(seed, _INIT, bi)
-        theta0 = rng_stream(init_seed).uniform(-np.pi, np.pi, cfg.depth)
-        _, rmse = adam_train(model, data, cfg, init_seed, theta0=theta0)
-        out[b] = (rmse, tuple(float(t) for t in theta0))
-    return out
+    thetas, rmse = _train_runs([model], xs[None], ys[None], [0], cfg, [seed], theta[None])
+    return thetas[0], float(rmse[0])
 
 
 def spectrum_matching_experiment(cfg: TrainConfig | None = None) -> TrainReport:
     """Train every model bound on every seed and pair-test the outcome.
 
-    Seeds run one after another in sorted order, and the report lists them
-    in that order.
+    All seeds x models runs train in lockstep (_train_runs): one Adam loop
+    over an (R, L) theta array, one kernel call per step. Run (seed, b)
+    fits model stream (seed, 2, index of b), or (seed, 2, 0) for every b
+    when share_generator_basis, to the seed's dataset from theta0 on
+    stream derive_seed(seed, 3, index of b), which also seeds its shuffler.
+    Runs do not affect each other, so a seed's results do not depend on
+    the other seeds. The report lists seeds in sorted order. cfg is
+    bounded by its caps (TrainConfig) before any circuit is built.
     """
     cfg = cfg or TrainConfig()
     seeds = sorted(cfg.seeds)
-    by_seed = {s: _run_one_seed(cfg, s) for s in seeds}
+    models, init_seeds, inits, xs, ys = [], [], [], [], []
+    for seed in seeds:
+        target = build_circuit(cfg.n, cfg.depth, cfg.b_target, seed, (_TARGET,))
+        data = gen_dataset(target, cfg.dataset_size, derive_seed(seed, _DATA))
+        xs.append(data[0])
+        ys.append(data[1])
+        for bi, b in enumerate(cfg.b_models):
+            model_stream = (_MODEL, 0) if cfg.share_generator_basis else (_MODEL, bi)
+            models.append(build_circuit(cfg.n, cfg.depth, b, seed, model_stream))
+            init_seeds.append(derive_seed(seed, _INIT, bi))
+            inits.append(rng_stream(init_seeds[-1]).uniform(-np.pi, np.pi, cfg.depth))
+    n_models = len(cfg.b_models)
+    _, final = _train_runs(models, np.stack(xs), np.stack(ys),
+                           np.repeat(np.arange(len(seeds)), n_models), cfg, init_seeds,
+                           np.stack(inits))
+    final = final.reshape(len(seeds), n_models)
+    inits = np.stack(inits).reshape(len(seeds), n_models, cfg.depth)
 
-    rmse = {b: tuple(by_seed[s][b][0] for s in seeds) for b in cfg.b_models}
-    inits = {b: tuple(by_seed[s][b][1] for s in seeds) for b in cfg.b_models}
+    rmse = {b: tuple(final[:, bi].tolist()) for bi, b in enumerate(cfg.b_models)}
+    theta_init = {b: tuple(map(tuple, inits[:, bi].tolist())) for bi, b in enumerate(cfg.b_models)}
     means = {b: float(np.mean(v)) for b, v in rmse.items()}
     stds = {b: float(np.std(v, ddof=1)) if len(v) > 1 else 0.0 for b, v in rmse.items()}
 
@@ -268,7 +366,7 @@ def spectrum_matching_experiment(cfg: TrainConfig | None = None) -> TrainReport:
         except AllZeroDifferences:
             p = 1.0
     return TrainReport(config=cfg, seeds=tuple(seeds), b_models=cfg.b_models,
-                       rmse=rmse, theta_init=inits, means=means, stds=stds,
+                       rmse=rmse, theta_init=theta_init, means=means, stds=stds,
                        wilcoxon_p=p)
 
 

@@ -13,10 +13,21 @@ eigensystems and the basis changes between neighbouring layers are
 stacked on the circuit description, so a forward pass builds each
 parameter vector's whole-circuit unitary with one phase scaling and one
 small matmul per layer, applies it to the encoded rows once, and needs no
-eigensolve. circuit_forward_encoded is the only forward kernel: a
-training step's finite differences stack their 2L + 1 parameter vectors
-into one call of it (_fd_forward), as do theta-scans and x-grids.
+eigensolve.
+
+There is one forward kernel, _forward. It has a leading run axis: R
+circuits of one shape and observable (a _Stack), each with its own V
+parameter vectors and B encoded rows, go through one (R, V*N, N) @
+(R, N, N) matmul per layer and one (R, B, N) @ (R, N, V*N) contraction.
+circuit_forward_encoded calls it with R = 1; a training step's finite
+differences stack their 2L + 1 parameter vectors per run into one call
+(_fd_forward), for one run (grad_fd, adam_train) or for every run of a
+lockstep study at once. Each run's slice of a call is computed the same
+way whatever R is, so a run's values do not depend on which other runs
+share the call.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,6 +78,19 @@ def default_entangler(n: int) -> tuple:
     return tuple((q, (q + 1) % n) for q in range(n))
 
 
+class _Stack(NamedTuple):
+    """Eigensystems of R circuits of one shape and observable, each array
+    with a leading run axis: W = V_L P_L C_L ... C_2 P_1 V_1^dag, with P_l
+    the layer's eigenphases and C_l = V_l^dag V_{l-1} the basis changes."""
+
+    lam: np.ndarray        # (R, L, N) generator eigenvalues
+    last: np.ndarray       # (R, N, N) V_L
+    hops: np.ndarray       # (R, L - 1, N, N) C_2 ... C_L
+    first_h: np.ndarray    # (R, N, N) V_1^dag
+    observable: np.ndarray
+    obs_diag: np.ndarray | None   # diagonal observable: each entry twice, (2N,)
+
+
 class CircuitSpec:
     """Immutable circuit description with cached generator eigensystems.
 
@@ -76,7 +100,7 @@ class CircuitSpec:
     """
 
     __slots__ = ("n", "dim", "generators", "entangler", "observable",
-                 "_lam", "_vecs", "_hops_t", "_unperm", "_obs_diag")
+                 "_stack", "_unperm")
 
     def __init__(self, n: int, generators, entangler=None, observable=None):
         self.n = int(n)
@@ -88,12 +112,6 @@ class CircuitSpec:
         if gens[0].shape[0] != self.dim:
             raise DimMismatch(f"generator shape {gens[0].shape} != ({self.dim}, {self.dim})")
         self.generators = gens
-        eigs = [eig_hermitian(g) for g in gens]
-        self._lam = np.stack([e.values for e in eigs])            # (L, N)
-        self._vecs = np.stack([e.vectors for e in eigs])          # (L, N, N)
-        # transposed basis changes C_l^T = (V_l^dag V_{l-1})^T between layers
-        vecs_h = self._vecs.conj().transpose(0, 2, 1)
-        self._hops_t = (vecs_h[1:] @ self._vecs[:-1]).transpose(0, 2, 1).copy()
 
         if entangler is None:
             entangler = default_entangler(self.n)
@@ -116,12 +134,44 @@ class CircuitSpec:
             raise DimMismatch("observable must be Hermitian")
         self.observable = obs
         offdiag = obs - np.diag(np.diagonal(obs))
-        self._obs_diag = (np.real(np.diagonal(obs)).copy()
-                          if float(np.max(np.abs(offdiag))) == 0.0 else None)
+        # a diagonal observable weighs the squared real and imaginary parts
+        obs_diag = (np.repeat(np.real(np.diagonal(obs)), 2)
+                    if float(np.max(np.abs(offdiag))) == 0.0 else None)
+
+        eigs = [eig_hermitian(g) for g in gens]
+        vecs = np.stack([e.vectors for e in eigs])                # (L, N, N)
+        vecs_h = vecs.conj().transpose(0, 2, 1)
+        # C-contiguous, as a concatenation in _stack_specs is, so a run's
+        # matmuls take the same BLAS path alone and stacked with others
+        self._stack = _Stack(lam=np.stack([e.values for e in eigs])[None],
+                             last=vecs[-1][None].copy(),
+                             hops=(vecs_h[1:] @ vecs[:-1])[None],
+                             first_h=vecs_h[0][None].copy(),
+                             observable=obs, obs_diag=obs_diag)
 
     @property
     def depth(self) -> int:
         return len(self.generators)
+
+
+def _stack_specs(specs) -> _Stack:
+    """One _Stack over the circuits in specs, in order. DimMismatch unless
+    every circuit has the first one's qubit count, depth, entangler and
+    observable."""
+    specs = list(specs)
+    head = specs[0]
+    for spec in specs[1:]:
+        if (spec.n, spec.depth, spec.entangler) != (head.n, head.depth, head.entangler):
+            raise DimMismatch(f"runs differ in shape: {spec.n} qubits, depth {spec.depth}, "
+                              f"entangler {spec.entangler} against {head.n}, {head.depth}, "
+                              f"{head.entangler}")
+        if not np.array_equal(spec.observable, head.observable):
+            raise DimMismatch("runs differ in observable")
+    if len(specs) == 1:
+        return head._stack
+    return head._stack._replace(**{
+        name: np.concatenate([getattr(spec._stack, name) for spec in specs])
+        for name in ("lam", "last", "hops", "first_h")})
 
 
 def encode_inputs(spec: CircuitSpec, xs) -> np.ndarray:
@@ -142,6 +192,36 @@ def encode_inputs(spec: CircuitSpec, xs) -> np.ndarray:
     return amps[spec._unperm].T.astype(complex, order="C")
 
 
+def _forward(stack: _Stack, phases: np.ndarray, encoded: np.ndarray) -> np.ndarray:
+    """Expectation values, real (R, V, B), of R runs with V parameter vectors each.
+
+    phases (R, V, L, N) holds exp(-i theta_l lam_l) per run, vector and
+    layer; encoded (R, B, N) holds each run's rows. The unitaries W of all
+    R*V vectors are built from the left as one (R, V*N, N) array, with row
+    (v, i) the output amplitude i of vector v, so each layer is one batched
+    matmul, and the rows meet them in one (R, B, N) @ (R, N, V*N) matmul.
+    """
+    runs, nvec, depth, dim = phases.shape
+    w = stack.last[:, None] * phases[:, :, -1, None, :]          # (R, V, N, N)
+    for layer in range(depth - 2, -1, -1):
+        w = ((w.reshape(runs, nvec * dim, dim) @ stack.hops[:, layer])
+             .reshape(runs, nvec, dim, dim) * phases[:, :, layer, None, :])
+    w = w.reshape(runs, nvec * dim, dim) @ stack.first_h
+    states = encoded @ w.transpose(0, 2, 1)                          # (R, B, V*N)
+    if stack.obs_diag is not None:
+        parts = states.view(float).reshape(runs, -1, 2 * dim)        # rows (b, v)
+        vals = np.square(parts, out=parts) @ stack.obs_diag
+    else:
+        states = states.reshape(runs, -1, dim)
+        vals = np.einsum("rkn,nm,rkm->rk", states.conj(), stack.observable, states).real
+    return np.ascontiguousarray(vals.reshape(runs, -1, nvec).transpose(0, 2, 1))
+
+
+def _phases(stack: _Stack, thetas: np.ndarray) -> np.ndarray:
+    """Eigenphases exp(-i theta_l lam_l), shape (R, V, L, N), of thetas (R, V, L)."""
+    return np.exp(-1j * (thetas[..., None] * stack.lam[:, None]))
+
+
 def circuit_forward_encoded(spec: CircuitSpec, thetas, encoded) -> np.ndarray:
     """Expectation values for V parameter vectors x B encoded states.
 
@@ -157,16 +237,7 @@ def circuit_forward_encoded(spec: CircuitSpec, thetas, encoded) -> np.ndarray:
     encoded = np.asarray(encoded)
     if encoded.ndim != 2 or encoded.shape[1] != spec.dim:
         raise DimMismatch(f"encoded shape {encoded.shape} != (B, {spec.dim})")
-    phases = np.exp(-1j * (thetas[:, :, None] * spec._lam))       # (V, L, N)
-    # state rows: psi'^T = psi^T W^T, W^T = conj(V_1) P_1 C_2^T P_2 ... C_L^T P_L V_L^T
-    w_t = spec._vecs[0].conj() * phases[:, 0, None, :]
-    for layer in range(1, spec.depth):
-        w_t = (w_t @ spec._hops_t[layer - 1]) * phases[:, layer, None, :]
-    states = encoded @ (w_t @ spec._vecs[-1].T)                  # (V, B, N)
-    if spec._obs_diag is not None:
-        dens = states.real * states.real + states.imag * states.imag
-        return dens @ spec._obs_diag
-    return np.real(np.einsum("vbn,nm,vbm->vb", states.conj(), spec.observable, states))
+    return _forward(spec._stack, _phases(spec._stack, thetas[None]), encoded[None])[0]
 
 
 def circuit_forward_batch(spec: CircuitSpec, theta, xs) -> np.ndarray:
@@ -182,18 +253,24 @@ def circuit_forward(spec: CircuitSpec, theta, x: float) -> float:
     return float(circuit_forward_batch(spec, theta, [float(x)])[0])
 
 
-def _fd_forward(spec: CircuitSpec, theta: np.ndarray, encoded: np.ndarray,
+def _fd_forward(stack: _Stack, theta: np.ndarray, encoded: np.ndarray,
                 step: float) -> tuple[np.ndarray, np.ndarray]:
-    """Centre values, shape (B,), and central differences, shape (L, B).
+    """Centre values, shape (R, B), and central differences, shape (R, L, B).
 
-    The 2L + 1 parameter vectors [theta; theta + step I; theta - step I]
-    go through one circuit_forward_encoded call.
+    theta is (R, L) and encoded (R, B, N). The 2L + 1 parameter vectors
+    [theta; theta + step I; theta - step I] of every run go through one
+    _forward call; their phases are the centre phases, with the shifted
+    layer's multiplied by exp(-+i step lam).
     """
-    depth = spec.depth
-    shifts = step * np.eye(depth)
-    vals = circuit_forward_encoded(spec, np.vstack([theta, theta + shifts, theta - shifts]),
-                                   encoded)
-    return vals[0], (vals[1:depth + 1] - vals[depth + 1:]) / (2.0 * step)
+    depth = theta.shape[1]
+    centre = _phases(stack, theta[:, None])[:, 0]                  # (R, L, N)
+    shift = np.exp(-1j * step * stack.lam)
+    phases = np.repeat(centre[:, None], 2 * depth + 1, axis=1)     # (R, 2L + 1, L, N)
+    layers = np.arange(depth)
+    phases[:, 1 + layers, layers] = centre * shift
+    phases[:, 1 + depth + layers, layers] = centre * shift.conj()
+    vals = _forward(stack, phases, encoded)
+    return vals[:, 0], (vals[:, 1:depth + 1] - vals[:, depth + 1:]) / (2.0 * step)
 
 
 def grad_fd(spec: CircuitSpec, theta, x: float, step: float = FD_STEP) -> np.ndarray:
@@ -206,8 +283,8 @@ def grad_fd(spec: CircuitSpec, theta, x: float, step: float = FD_STEP) -> np.nda
         raise DimMismatch(f"theta has length {theta.shape[0]}, expected {spec.depth}")
     if not np.isfinite(step) or step <= 0:
         raise ValueError("step must be positive")
-    _, diffs = _fd_forward(spec, theta, encode_inputs(spec, [float(x)]), step)
-    return diffs[:, 0]
+    _, diffs = _fd_forward(spec._stack, theta[None], encode_inputs(spec, [float(x)])[None], step)
+    return diffs[0, :, 0]
 
 
 def _eigen_gram(h, state, obs) -> tuple[np.ndarray, np.ndarray]:

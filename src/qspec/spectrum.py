@@ -69,7 +69,9 @@ def _cluster_means(sorted_vals: np.ndarray, tol: float) -> np.ndarray:
     """Means of runs of sorted values separated by gaps larger than tol."""
     if sorted_vals.size == 0:
         return sorted_vals
-    return np.array([run.mean() for run in np.split(sorted_vals, _run_starts(sorted_vals, tol))])
+    starts = np.concatenate([[0], _run_starts(sorted_vals, tol)])
+    lengths = np.diff(np.append(starts, sorted_vals.size))
+    return np.add.reduceat(sorted_vals, starts) / lengths
 
 
 def gap_set(values, tol: float = DEDUP_TOL) -> GapSet:
@@ -77,13 +79,20 @@ def gap_set(values, tol: float = DEDUP_TOL) -> GapSet:
 
     The result always contains 0 and is exactly symmetric about it:
     positive differences are clustered and the negatives mirrored.
-    DimMismatch for more than MAX_GAP_VALUES values, before any allocation.
+    DimMismatch, before any difference is formed, for more than
+    MAX_GAP_VALUES values, or when the n^2 differences, each at most
+    max - min, could overflow the sum of a cluster.
     """
     vals = np.asarray(values, dtype=float).ravel()
     if vals.size == 0 or not np.all(np.isfinite(vals)):
         raise DimMismatch("need a nonempty finite list of eigenvalues")
     if vals.size > MAX_GAP_VALUES:
         raise DimMismatch(f"at most {MAX_GAP_VALUES} eigenvalues, got {vals.size}")
+    with np.errstate(over="ignore"):
+        total = (vals.max() - vals.min()) * float(vals.size) ** 2
+    if not np.isfinite(total):
+        raise DimMismatch(f"eigenvalues from {vals.min():g} to {vals.max():g} are too "
+                          f"far apart: sums of their {vals.size}^2 gaps overflow")
     _check_tol(tol)
     diffs = (vals[None, :] - vals[:, None]).ravel()
     pos = _cluster_means(np.sort(diffs[diffs > tol]), tol)

@@ -333,11 +333,43 @@ def test_out_to_missing_directory_fails_before_work(tmp_path, capsys, monkeypatc
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_non_finite_output_exits_one(capsys, fmt):
-    rc = dispatch(["spectrum", "--eigs", "1e308,-1e308", "--format", fmt])
+    # the witness errors underflow to 0, so the fitted slope is nan
+    rc = dispatch(["bounds", "lower", "--d", "1", "--r", "400", "--K", "1,2,4", "--format", fmt])
     captured = capsys.readouterr()
     assert rc == 1
     assert "non-finite" in error_line(captured)
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("eigs", ["0,1e308,3", "1e308,-1e308"])
+def test_spectrum_overflowing_gaps_exit_one(capsys, eigs):
+    rc = dispatch(["spectrum", f"--eigs={eigs}"])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert "too far apart" in error_line(captured)
+
+
+@pytest.mark.parametrize("config, cap", [
+    ({"dataset_size": 1e13, "epochs": 1, "seeds": [0]}, "amplitudes"),
+    ({"epochs": 1e9}, "multiply-adds"),
+    ({"n": 1, "depth": 1, "dataset_size": 1, "epochs": 1e9, "seeds": [0], "b_models": [1.0]},
+     "steps"),
+    ({"n": 1000}, "at most 12"),
+    ({"epochs": 2.5}, "whole number"),
+])
+def test_train_beyond_work_caps_exits_one_before_work(tmp_path, capsys, config, cap):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    tracemalloc.start()
+    try:
+        rc = dispatch(["train", "--config", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert cap in error_line(captured)
+    assert peak < 1 << 20, peak
 
 
 def test_train_tiny_with_config_and_seed_override(tmp_path, capsys):

@@ -1,16 +1,19 @@
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.stats
 
-from qspec.experiments import (MAX_VARIANCE_DRAWS, MAX_VARIANCE_SAMPLES, AllZeroDifferences,
-                               TrainConfig, adam_train, analytic_variance_oracle,
-                               build_circuit, fast_profile, gen_dataset, load_train_config,
-                               spectrum_matching_experiment, variance_sweep,
-                               wilcoxon_exact)
-from qspec.qsim import circuit_forward
+from qspec.experiments import (MAX_TRAIN_AMPLITUDES, MAX_TRAIN_MULADDS, MAX_TRAIN_STEPS,
+                               MAX_VARIANCE_DRAWS, MAX_VARIANCE_SAMPLES, AllZeroDifferences,
+                               TrainConfig, _train_runs, _train_work, adam_train,
+                               analytic_variance_oracle, build_circuit, fast_profile,
+                               gen_dataset, load_train_config, spectrum_matching_experiment,
+                               variance_sweep, wilcoxon_exact)
+from qspec.linalg import DimMismatch, derive_seed, rng_stream
+from qspec.qsim import CircuitSpec, circuit_forward, pauli_matrix
 
 with open(os.path.join(os.path.dirname(__file__), "data", "kernel_reference.json"),
           encoding="utf-8") as _fh:
@@ -43,9 +46,33 @@ def test_train_config_validation():
     for bad in (dict(n=0), dict(depth=0), dict(dataset_size=0), dict(lr=0.0),
                 dict(epochs=0), dict(batch_size=0), dict(fd_step=0.0),
                 dict(seeds=()), dict(seeds=(0, 0)), dict(b_models=()),
-                dict(b_models=(0.0,)), dict(b_target=0.0)):
+                dict(b_models=(0.0,)), dict(b_target=0.0), dict(n=13), dict(epochs=2.5),
+                dict(dataset_size=float("inf")), dict(batch_size="32"), dict(lr=float("nan")),
+                dict(fd_step=float("inf")), dict(b_models=(1.0, float("nan"))),
+                dict(b_target=float("inf")), dict(lr="fast"), dict(b_target=None),
+                dict(seeds=(0, 1.5)), dict(b_models=("ten",)), dict(lr=10 ** 400)):
         with pytest.raises(ValueError):
             TrainConfig(**bad)
+    cfg = TrainConfig(dataset_size=200.0, epochs=np.int64(3))
+    assert cfg.dataset_size == 200 and type(cfg.dataset_size) is int and cfg.epochs == 3
+
+
+def test_train_work_caps():
+    # the default study uses at most a quarter of each cap
+    caps = (MAX_TRAIN_AMPLITUDES, MAX_TRAIN_MULADDS, MAX_TRAIN_STEPS)
+    assert _train_work(TrainConfig()) == (358_800, 24_330_240_000, 16_000)
+    assert all(4 * used <= cap for used, cap in zip(_train_work(TrainConfig()), caps))
+    # each cap on its own; the configs are rejected without being run
+    for bad, cap in ((dict(dataset_size=10 ** 13, seeds=(0,)), "amplitudes"),
+                     (dict(depth=2000, epochs=1, seeds=(0,)), "amplitudes"),
+                     (dict(epochs=10 ** 9), "multiply-adds"),
+                     (dict(n=1, depth=1, dataset_size=1, epochs=10 ** 9, seeds=(0,),
+                           b_models=(1.0,)), "steps")):
+        with pytest.raises(ValueError, match=cap):
+            TrainConfig(**bad)
+    edge = TrainConfig(n=1, depth=1, dataset_size=1, epochs=MAX_TRAIN_STEPS, seeds=(0,),
+                       b_models=(1.0,))
+    assert _train_work(edge)[2] == MAX_TRAIN_STEPS
 
 
 def test_load_train_config_json(tmp_path):
@@ -83,6 +110,11 @@ def test_load_train_config_errors(tmp_path):
     empty = tmp_path / "d.txt"
     empty.write_text("")
     assert load_train_config(str(empty)) == TrainConfig()
+    for key in ("seeds", "b_models"):
+        not_list = tmp_path / f"{key}.json"
+        not_list.write_text(json.dumps({key: 5}))
+        with pytest.raises(ValueError, match=f"{key} must be a list"):
+            load_train_config(str(not_list))
 
 
 # ---- dataset and training -------------------------------------------------
@@ -189,6 +221,74 @@ def test_spectrum_matching_more_than_twenty_seeds():
     rep = spectrum_matching_experiment(cfg)
     assert len(rep.rmse[1.0]) == 21
     assert rep.wilcoxon_p is not None and 0.0 < rep.wilcoxon_p <= 1.0
+
+
+def test_train_amplitude_estimate_bounds_memory():
+    # the traced peak of a whole study stays within a small multiple of the
+    # estimate, so the cap on the estimate bounds memory
+    for cfg in (TrainConfig(n=2, depth=3, dataset_size=100, epochs=1, seeds=(0, 1)),
+                TrainConfig(n=5, depth=6, dataset_size=60, batch_size=60, epochs=1,
+                            seeds=(0,)),
+                TrainConfig(n=1, depth=30, dataset_size=20, epochs=1, seeds=(0, 1, 2))):
+        tracemalloc.start()
+        try:
+            spectrum_matching_experiment(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 16 * _train_work(cfg)[0], (cfg, peak)
+
+
+def toy_runs(cfg):
+    """The runs of spectrum_matching_experiment(cfg), built as it builds them."""
+    runs = []
+    for si, seed in enumerate(sorted(cfg.seeds)):
+        target = build_circuit(cfg.n, cfg.depth, cfg.b_target, seed, (0,))
+        data = gen_dataset(target, cfg.dataset_size, derive_seed(seed, 1))
+        for bi, b in enumerate(cfg.b_models):
+            init_seed = derive_seed(seed, 3, bi)
+            runs.append((build_circuit(cfg.n, cfg.depth, b, seed, (2, bi)), data, si, init_seed,
+                         rng_stream(init_seed).uniform(-np.pi, np.pi, cfg.depth)))
+    return runs
+
+
+def test_lockstep_runs_equal_solo_adam_train():
+    cfg = TrainConfig(n=2, depth=3, dataset_size=45, lr=1e-2, epochs=4, batch_size=16,
+                      seeds=(4, 1, 7), b_models=(0.5, 1.0, 10.0))
+    runs = toy_runs(cfg)
+    xs = np.stack([runs[3 * k][1][0] for k in range(3)])
+    ys = np.stack([runs[3 * k][1][1] for k in range(3)])
+    thetas, rmses = _train_runs([r[0] for r in runs], xs, ys, [r[2] for r in runs], cfg,
+                                [r[3] for r in runs], np.stack([r[4] for r in runs]))
+    report = spectrum_matching_experiment(cfg)
+    for i, (model, data, si, init_seed, theta0) in enumerate(runs):
+        theta, rmse = adam_train(model, data, cfg, init_seed, theta0=theta0)
+        assert np.array_equal(theta, thetas[i]) and rmse == rmses[i]
+        assert report.rmse[cfg.b_models[i % 3]][si] == rmse
+        assert not np.array_equal(theta, theta0)
+
+
+def test_spectrum_matching_runs_independent_of_seed_subset_and_order():
+    base = dict(n=2, depth=2, dataset_size=40, lr=1e-2, epochs=3, batch_size=12,
+                b_models=(1.0, 10.0))
+    full = spectrum_matching_experiment(TrainConfig(seeds=(0, 1, 2, 3), **base))
+    for subset in ((3, 1), (2,), (1, 0, 3, 2)):
+        rep = spectrum_matching_experiment(TrainConfig(seeds=subset, **base))
+        assert rep.seeds == tuple(sorted(subset))
+        for b in base["b_models"]:
+            assert rep.rmse[b] == tuple(full.rmse[b][s] for s in rep.seeds)
+            assert rep.theta_init[b] == tuple(full.theta_init[b][s] for s in rep.seeds)
+
+
+def test_train_runs_reject_mixed_runs():
+    cfg = TrainConfig(n=2, depth=2, dataset_size=10, epochs=1, seeds=(0,))
+    model = build_circuit(2, 2, 1.0, 5, (2, 0))
+    xs, ys = gen_dataset(build_circuit(2, 2, 1.0, 5, (0,)), 10, 6)
+    for other in (build_circuit(2, 3, 1.0, 5, (2, 1)),
+                  CircuitSpec(2, list(model.generators), observable=pauli_matrix("ZZ"))):
+        with pytest.raises(DimMismatch, match="runs differ"):
+            _train_runs([model, other], xs[None], ys[None], [0, 0], cfg, [1, 2],
+                        np.zeros((2, 2)))
 
 
 # ---- gradient variance sweep ----------------------------------------------

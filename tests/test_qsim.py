@@ -5,8 +5,8 @@ import pytest
 
 from qspec.linalg import (DimMismatch, complex_gaussians, eig_hermitian, rng_stream,
                           unitary_from_generator)
-from qspec.qsim import (FD_STEP, CircuitSpec, _fd_forward, circuit_forward,
-                        circuit_forward_batch, circuit_forward_encoded,
+from qspec.qsim import (FD_STEP, CircuitSpec, _fd_forward, _forward, _phases, _stack_specs,
+                        circuit_forward, circuit_forward_batch, circuit_forward_encoded,
                         default_entangler, encode_inputs,
                         grad_analytic_1p_batch, grad_fd, make_generator,
                         pauli_matrix, trig_poly_coeffs)
@@ -467,10 +467,65 @@ def test_fd_forward_matches_stacked_variants(n, depth):
                 theta = gen.uniform(-np.pi, np.pi, depth)
                 enc = encode_inputs(spec, gen.uniform(-np.pi, np.pi, batch))
                 want_vals, want_diffs = dense_fd_forward(spec, theta, enc, FD_STEP)
-                vals, diffs = _fd_forward(spec, theta, enc, FD_STEP)
-                assert vals.shape == (batch,) and diffs.shape == (depth, batch)
-                np.testing.assert_allclose(vals, want_vals, rtol=0, atol=1e-12)
-                np.testing.assert_allclose(diffs, want_diffs, rtol=0, atol=1e-9)
+                vals, diffs = _fd_forward(spec._stack, theta[None], enc[None], FD_STEP)
+                assert vals.shape == (1, batch) and diffs.shape == (1, depth, batch)
+                np.testing.assert_allclose(vals[0], want_vals, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(diffs[0], want_diffs, rtol=0, atol=1e-9)
+
+
+# ---- runs stacked on one kernel call --------------------------------------
+
+@pytest.mark.parametrize("n, depth", [(1, 1), (2, 3), (3, 5)])
+def test_forward_runs_match_dense_layer_product(n, depth):
+    # oracle: per run, a dense product of expm_herm layers on its own rows
+    dim = 1 << n
+    gen = rng_stream(900 + 10 * n + depth)
+    entanglers = [None] + ([reversed_chain(n)] if n > 1 else [])
+    for entangler in entanglers:
+        for obs in (None, random_hermitian(dim, seed=990 + n)):
+            specs = [CircuitSpec(n, [random_hermitian(dim, seed=9000 + 100 * r + l)
+                                     for l in range(depth)], entangler=entangler,
+                                 observable=obs)
+                     for r in range(4)]
+            stack = _stack_specs(specs)
+            for v, b in ((1, 1), (3, 7), (2 * depth + 1, 32)):
+                thetas = gen.uniform(-np.pi, np.pi, (4, v, depth))
+                enc = np.stack([encode_inputs(specs[0], gen.uniform(-np.pi, np.pi, b))
+                                for _ in specs])
+                got = _forward(stack, _phases(stack, thetas), enc)
+                assert got.shape == (4, v, b)
+                for r, spec in enumerate(specs):
+                    for i, theta in enumerate(thetas[r]):
+                        psi = enc[r].T
+                        for h, t in zip(spec.generators, theta):
+                            psi = expm_herm(h, t) @ psi
+                        want = np.einsum("nb,nm,mb->b", psi.conj(), spec.observable, psi).real
+                        np.testing.assert_allclose(got[r, i], want, rtol=0, atol=1e-12)
+
+
+def test_forward_runs_do_not_depend_on_their_neighbours():
+    specs = [CircuitSpec(3, [random_hermitian(8, seed=950 + 10 * r + l) for l in range(4)])
+             for r in range(5)]
+    gen = rng_stream(951)
+    theta = gen.uniform(-np.pi, np.pi, (5, 4))
+    enc = np.stack([encode_inputs(specs[0], gen.uniform(-1, 1, 32)) for _ in specs])
+    vals, diffs = _fd_forward(_stack_specs(specs), theta, enc, FD_STEP)
+    for r in (0, 3, 4):
+        alone = _fd_forward(_stack_specs(specs[r:r + 1]), theta[r:r + 1], enc[r:r + 1], FD_STEP)
+        assert np.array_equal(alone[0][0], vals[r]) and np.array_equal(alone[1][0], diffs[r])
+
+
+def test_stack_specs_rejects_mixed_runs():
+    base = CircuitSpec(2, [random_hermitian(4, seed=960 + l) for l in range(2)])
+    others = [CircuitSpec(3, [random_hermitian(8, seed=962 + l) for l in range(2)]),
+              CircuitSpec(2, [random_hermitian(4, seed=964)]),
+              CircuitSpec(2, list(base.generators), entangler=[(1, 0)]),
+              CircuitSpec(2, list(base.generators), observable=pauli_matrix("IZ"))]
+    for other in others:
+        with pytest.raises(DimMismatch, match="runs differ"):
+            _stack_specs([base, other])
+    same = CircuitSpec(2, [random_hermitian(4, seed=966 + l) for l in range(2)])
+    assert _stack_specs([base, same, base]).lam.shape == (3, 2, 4)
 
 
 # ---- Pauli helper ---------------------------------------------------------

@@ -1,11 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from qspec.linalg import DimMismatch, rng_stream
 from qspec.qsim import MAX_QUBITS, pauli_matrix
-from qspec.spectrum import (MAX_GAP_VALUES, GapSet, NonCommensurate, NormalizedGapSet,
-                            commuting_report, coverage_radius,
-                            coverage_radius_box, envelope, gap_set,
+from qspec.spectrum import (DEDUP_TOL, MAX_GAP_VALUES, GapSet, NonCommensurate,
+                            NormalizedGapSet, _cluster_means, _run_starts, commuting_report,
+                            coverage_radius, coverage_radius_box, envelope, gap_set,
                             normalize_gaps)
 
 
@@ -56,6 +58,33 @@ def test_gap_set_value_cap_is_a_full_generator_side():
     assert gap_set(np.arange(64.0)).omega_max == 63.0
     with pytest.raises(DimMismatch, match=f"at most {MAX_GAP_VALUES}"):
         gap_set(np.arange(MAX_GAP_VALUES + 1.0))
+
+
+@pytest.mark.parametrize("vals", [[0.0, 1e308, 3.0], [1e308, -1e308],
+                                  [1e306] + [0.0] * (MAX_GAP_VALUES - 1)])
+def test_gap_set_rejects_overflowing_gaps_before_forming_them(vals):
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimMismatch, match="too far apart"):
+            gap_set(vals)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+    assert gap_set([-1e299, 0.0, 1e299]).omega_max == 2e299
+
+
+def test_cluster_means_match_per_run_mean():
+    # oracle: the mean of each run as its own array, as np.split gives them
+    gen = rng_stream(71)
+    for case in range(200):
+        centres = np.sort(gen.uniform(-50.0, 50.0, int(gen.integers(1, 40))))
+        counts = gen.integers(1, 6, centres.size)
+        vals = np.sort(np.repeat(centres, counts)
+                       + gen.uniform(-1.0, 1.0, counts.sum()) * DEDUP_TOL * 0.4)
+        want = [run.mean() for run in np.split(vals, _run_starts(vals, DEDUP_TOL))]
+        np.testing.assert_allclose(_cluster_means(vals, DEDUP_TOL), want, rtol=1e-12, atol=0)
+    assert _cluster_means(np.array([]), DEDUP_TOL).size == 0
 
 
 @pytest.mark.parametrize("tol", [float("nan"), 0.0, -1.0])
