@@ -13,7 +13,7 @@ from .spectrum import (CommutingReport, FrequencyEnvelope, GapSet,
                        normalize_gaps)
 from .bounds import (DomainError, FourierSeries, SobolevParams, annulus_points,
                      annulus_witness, jackson_upper, limit_probe, minimax_lower_curve,
-                     random_unit_ball_series, sobolev_norm, truncation_error)
+                     random_unit_ball_series, sobolev_norm, truncation_error, unit_ball_sweep)
 from .dla import (DimCap, DlaReport, LieBasis, ZeroMatrix, center_basis,
                   derived_algebra, dla_report, eta, lie_closure)
 from .qsim import (CircuitSpec, circuit_forward, circuit_forward_batch,

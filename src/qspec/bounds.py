@@ -19,6 +19,16 @@ PRUNE_FLOOR = 1e-300
 # the annulus K < |s| <= 2K, m = floor(2K), has (2m + 1)^d of them
 MAX_ANNULUS_SCAN = 2 ** 25
 
+# Caps of unit_ball_sweep, each sized so that a sweep at it takes at most
+# about 10 s and 180 MiB on one core: series (about 0.2 ms each), random
+# integers drawn (count x modes x d; 1.6 s and 176 MiB when one series draws
+# them all), (series, K) pairs (about 9 us each) and coefficients summed by
+# the truncation errors (count x len(K) x modes; about 8 ns each)
+MAX_SWEEP_SERIES = 5 * 10 ** 4
+MAX_SWEEP_DRAWS = 10 ** 6
+MAX_SWEEP_RADII = 10 ** 6
+MAX_SWEEP_TERMS = 10 ** 9
+
 
 class DomainError(QspecError):
     """Parameters outside the valid domain (e.g. smoothness r <= d/2)."""
@@ -101,17 +111,24 @@ def annulus_points(d: int, k: float) -> np.ndarray:
     d, k = int(d), float(k)
     if d < 1:
         raise DomainError("dimension d must be at least 1")
-    m = np.floor(2.0 * k)
+    m = _scan_half_side(d, k)
     if m < 1:   # the box holds at most the origin, which lies in no annulus
         return np.empty((0, d), dtype=np.int64)
+    q = sum(np.ix_(*[np.arange(-m, m + 1) ** 2] * d))
+    return np.argwhere((q > k * k) & (q <= 4.0 * k * k)) - m
+
+
+def _scan_half_side(d: int, k: float) -> int:
+    """Half side floor(2k) of an annulus scan's box; DomainError past MAX_ANNULUS_SCAN."""
+    m = np.floor(2.0 * k)
+    if m < 1:
+        return 0
     # the side 2m + 1 is odd, so side^d never equals the power-of-two cap and
     # comparing logarithms decides exactly; nan and inf fail the test
     if not d * np.log2(2.0 * m + 1.0) < np.log2(MAX_ANNULUS_SCAN):
         raise DomainError(f"the annulus scan for d = {d}, K = {k:g} would visit more "
                           f"than {MAX_ANNULUS_SCAN} box points")
-    m = int(m)
-    q = sum(np.ix_(*[np.arange(-m, m + 1) ** 2] * d))
-    return np.argwhere((q > k * k) & (q <= 4.0 * k * k)) - m
+    return int(m)
 
 
 def annulus_witness(p: SobolevParams, k: float) -> FourierSeries:
@@ -134,7 +151,10 @@ def minimax_lower_curve(p: SobolevParams, k_list) -> tuple[np.ndarray, float, fl
     Returns (errors, fitted_slope, reference_exponent) where the slope is
     the ordinary least-squares line through (log k, log error) and the
     reference exponent d/2 - r is reported alongside for comparison; the
-    measured decay follows -r, not the reference exponent.
+    measured decay follows -r, not the reference exponent. DomainError,
+    before any witness is built, if the largest radius's scan is over
+    MAX_ANNULUS_SCAN, or if a witness error would be 0 because every
+    squared coefficient underflows (its logarithm would make the slope nan).
     """
     ks = [float(k) for k in k_list]
     if len(ks) < 3:
@@ -142,10 +162,32 @@ def minimax_lower_curve(p: SobolevParams, k_list) -> tuple[np.ndarray, float, fl
     # stated positively so that a nan radius fails it
     if not (ks[0] >= 1 and all(a < b for a, b in zip(ks, ks[1:]))):
         raise DomainError("radii must be strictly increasing and at least 1")
-    # largest radius first, so an oversized scan fails before any witness is built
-    errors = np.array([truncation_error(annulus_witness(p, k), k) for k in ks[::-1]])[::-1]
+    for k in ks[::-1]:   # the largest scan first, so an oversized one fails first
+        if _witness_underflows(p, k):
+            raise DomainError(f"every squared coefficient of the K = {k:g} witness underflows "
+                              f"at r = {p.r:g}, so its error is 0; use a smaller r or K")
+    errors = np.array([truncation_error(annulus_witness(p, k), k) for k in ks])
     slope = float(np.polyfit(np.log(ks), np.log(errors), 1)[0])
     return errors, slope, p.d / 2 - p.r
+
+
+def _witness_underflows(p: SobolevParams, k: float) -> bool:
+    """True when every coefficient of annulus_witness(p, k) squares to 0.0.
+
+    The largest, c0 (1 + q0)^{-r/2}, sits at the annulus point nearest the
+    origin: k^2 < q0 <= (floor(k) + 1)^2 and (box points)^{-1/2} <= c0 =
+    |A|^{-1/2} <= 1. The annulus is scanned for q0 and |A| only when those
+    brackets leave the answer open. Same float expressions as the witness.
+    """
+    def peak_squares(c0, q0):
+        peak = c0 * (1.0 + np.asarray(q0, dtype=float)) ** (-p.r / 2)
+        return peak * peak
+    c0_low = 1.0 / np.sqrt((2 * _scan_half_side(p.d, k) + 1) ** p.d)
+    high, low = peak_squares([1.0, c0_low], [np.floor(k * k) + 1, (np.floor(k) + 1) ** 2])
+    if high == 0.0 or low > 0.0:
+        return bool(high == 0.0)
+    pts = annulus_points(p.d, k)
+    return bool(peak_squares(1.0 / np.sqrt(len(pts)), np.einsum("ij,ij->i", pts, pts).min()) == 0.0)
 
 
 def jackson_upper(h: FourierSeries, p: SobolevParams, ks) -> list[tuple[float, float]]:
@@ -201,3 +243,29 @@ def random_unit_ball_series(p: SobolevParams, max_freq: int, modes: int, seed: i
     if scale < PRUNE_FLOOR:
         raise DomainError("degenerate draw: zero Sobolev norm")
     return FourierSeries(p.d, h.freqs, h.coeffs / scale)
+
+
+def unit_ball_sweep(p: SobolevParams, ks, count: int, max_freq: int, modes: int,
+                    seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(errors, rigorous, reference), float (count, len(ks)) arrays: [i, j]
+    holds the truncation error at radius ks[j] of series i =
+    random_unit_ball_series(p, max_freq, modes, seed + i) and its
+    jackson_upper pair there. DomainError, before the first draw, for
+    count < 1, an empty ks, or a sweep over one of the MAX_SWEEP_* caps."""
+    ks = [float(k) for k in ks]
+    count, modes = int(count), int(modes)
+    if count < 1 or not ks:
+        raise DomainError("need count >= 1 and at least one K")
+    work = ((count, MAX_SWEEP_SERIES, "series"),
+            (count * modes * p.d, MAX_SWEEP_DRAWS, "drawn integers (count x modes x d)"),
+            (count * len(ks), MAX_SWEEP_RADII, "(series, K) pairs"),
+            (count * len(ks) * modes, MAX_SWEEP_TERMS, "summed terms (count x K x modes)"))
+    for value, cap, what in work:
+        if value > cap:
+            raise DomainError(f"the sweep needs {value} {what}; the cap is {cap}")
+    errors, bounds = np.empty((count, len(ks))), np.empty((count, len(ks), 2))
+    for i in range(count):
+        series = random_unit_ball_series(p, max_freq, modes, seed + i)
+        bounds[i] = jackson_upper(series, p, ks)
+        errors[i] = [truncation_error(series, k) for k in ks]
+    return errors, bounds[..., 0], bounds[..., 1]

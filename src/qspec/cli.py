@@ -19,17 +19,15 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .bounds import (SobolevParams, jackson_upper, limit_probe,
-                     minimax_lower_curve, random_unit_ball_series,
-                     truncation_error)
+from .bounds import SobolevParams, limit_probe, minimax_lower_curve, unit_ball_sweep
+from .checks import battery
 from .dla import CLOSURE_TOL, MAX_DLA_SIDE, dla_report
 from .experiments import (MAX_VARIANCE_SAMPLES, TrainConfig, analytic_variance_oracle,
                           fast_profile, load_train_config, spectrum_matching_experiment,
-                          variance_sweep, wilcoxon_exact)
-from .linalg import QspecError, complex_gaussians, rng_stream, unitary_from_generator
-from .qsim import make_generator, pauli_matrix, trig_poly_coeffs
-from .spectrum import (DEDUP_TOL, NonCommensurate, coverage_radius, coverage_radius_box,
-                       envelope, gap_set, normalize_gaps)
+                          variance_sweep)
+from .linalg import QspecError
+from .qsim import pauli_matrix
+from .spectrum import DEDUP_TOL, NonCommensurate, envelope, gap_set, normalize_gaps
 
 # flags whose values may start with a minus sign; argparse needs them glued
 _MERGE_FLAGS = ("--eigs", "--weights", "--K", "--pairs")
@@ -111,13 +109,9 @@ def _flatten(obj, prefix: str = ""):
 
 def render_csv(manifest: dict, header, rows) -> str:
     """Two sections: '# manifest' key,value lines then a '# result' table."""
-    lines = ["# manifest"]
-    for key, val in _flatten(manifest):
-        lines.append(f"{_csv_cell(key)},{_csv_cell(val)}")
-    lines.append("# result")
-    lines.append(",".join(_csv_cell(h) for h in header))
-    for row in rows:
-        lines.append(",".join(_csv_cell(c) for c in row))
+    lines = ["# manifest"] + [f"{_csv_cell(key)},{_csv_cell(val)}"
+                              for key, val in _flatten(manifest)]
+    lines += ["# result"] + [",".join(_csv_cell(c) for c in row) for row in [header, *rows]]
     return "\n".join(lines) + "\n"
 
 
@@ -242,38 +236,24 @@ def _cmd_spectrum(ns) -> tuple[dict, object]:
 def _cmd_bounds_lower(ns) -> tuple[dict, object]:
     params = SobolevParams(d=ns.d, r=ns.r)
     errors, slope, ref = minimax_lower_curve(params, ns.K)
-    result = {"d": ns.d, "r": ns.r, "K": list(ns.K),
-              "witness_errors": list(errors),
-              "fitted_slope": slope,
-              "reference_exponent": ref}
+    result = {"d": ns.d, "r": ns.r, "K": list(ns.K), "witness_errors": list(errors),
+              "fitted_slope": slope, "reference_exponent": ref}
     rows = [("K", k, e) for k, e in zip(ns.K, errors)]
-    rows.append(("fitted_slope", "", slope))
-    rows.append(("reference_exponent", "", ref))
-    return result, rows
+    return result, rows + [("fitted_slope", "", slope), ("reference_exponent", "", ref)]
 
 
 def _cmd_bounds_upper(ns) -> tuple[dict, object]:
-    if ns.count < 1 or not ns.K:
-        raise QspecError("bounds upper needs --count >= 1 and at least one K")
-    params = SobolevParams(d=ns.d, r=ns.r)
-    worst_ratio = 0.0
-    empirical_c = 0.0
-    max_err = [0.0] * len(ns.K)
-    for i in range(ns.count):
-        series = random_unit_ball_series(params, ns.max_freq, ns.modes, ns.seed + i)
-        bounds = jackson_upper(series, params, ns.K)
-        for j, (k, (rig, ref)) in enumerate(zip(ns.K, bounds)):
-            err = truncation_error(series, k)
-            worst_ratio = max(worst_ratio, err / rig if rig > 0 else 0.0)
-            empirical_c = max(empirical_c, err / ref if ref > 0 else 0.0)
-            max_err[j] = max(max_err[j], err)
-    result = {"d": ns.d, "r": ns.r, "K": list(ns.K),
-              "series_count": ns.count,
-              "max_truncation_error": max_err,
+    errors, rigorous, reference = unit_ball_sweep(SobolevParams(d=ns.d, r=ns.r), ns.K, ns.count,
+                                                  ns.max_freq, ns.modes, ns.seed)
+    # largest error / bound over the positive bounds, and at least 0
+    worst, empirical = (max(0.0, float(np.divide(errors, bound, out=np.zeros_like(bound),
+                                                 where=bound > 0).max()))
+                        for bound in (rigorous, reference))
+    result = {"d": ns.d, "r": ns.r, "K": list(ns.K), "series_count": ns.count,
+              "max_truncation_error": list(errors.max(axis=0)),
               "rigorous_bound": [(1.0 + k * k) ** (-ns.r / 2) for k in ns.K],
-              "worst_ratio": worst_ratio,
-              "bound_holds": bool(worst_ratio <= 1.0 + 1e-12),
-              "empirical_reference_constant": empirical_c}
+              "worst_ratio": worst, "bound_holds": bool(worst <= 1.0 + 1e-12),
+              "empirical_reference_constant": empirical}
     return result, _generic_rows(result)
 
 
@@ -289,233 +269,42 @@ def _cmd_dla(ns) -> tuple[dict, object]:
     if not generators:
         raise QspecError("no generator expressions given")
     report = dla_report(generators, tol=ns.tol)
-    result = {"generator_count": len(generators),
-              "dim": report.dim,
-              "center_dim": report.center_dim,
-              "derived_dim": report.derived_dim,
+    result = {"generator_count": len(generators), "dim": report.dim,
+              "center_dim": report.center_dim, "derived_dim": report.derived_dim,
               "eta_per_generator": list(report.eta_per_generator)}
     return result, _generic_rows(result)
 
 
 def _cmd_train(ns) -> tuple[dict, object]:
-    if ns.config:
-        cfg = load_train_config(ns.config)
-    else:
-        cfg = TrainConfig()
+    cfg = load_train_config(ns.config) if ns.config else TrainConfig()
     if ns.fast:
         cfg = fast_profile(cfg)
     if ns.seeds is not None:
         cfg = replace(cfg, seeds=tuple(ns.seeds))
     report = spectrum_matching_experiment(cfg)
     result = report.to_dict()
-    rows = []
+    rows = [(seed, f"rmse_b{b:g}", v) for b in report.b_models
+            for seed, v in zip(report.seeds, report.rmse[b])]
     for b in report.b_models:
-        for seed, v in zip(report.seeds, report.rmse[b]):
-            rows.append((seed, f"rmse_b{b:g}", v))
-    for b in report.b_models:
-        rows.append(("summary", f"mean_rmse_b{b:g}", report.means[b]))
-        rows.append(("summary", f"std_rmse_b{b:g}", report.stds[b]))
-    rows.append(("summary", "wilcoxon_p", report.wilcoxon_p))
-    return result, rows
+        rows += [("summary", f"mean_rmse_b{b:g}", report.means[b]),
+                 ("summary", f"std_rmse_b{b:g}", report.stds[b])]
+    return result, rows + [("summary", "wilcoxon_p", report.wilcoxon_p)]
 
 
 def _cmd_variance(ns) -> tuple[dict, object]:
     report = variance_sweep(ns.weights, ns.samples, ns.seed)
     result = report.to_dict()
     result["analytic_variances"] = [analytic_variance_oracle(w) for w in report.weights]
-    rows = list(zip(report.weights, report.variances, report.etas))
-    return result, rows
-
-
-# -------------------------------------------------------------- selftest
-
-def _check(name: str, passed: bool, **observed) -> dict:
-    entry = {"name": name, "passed": bool(passed)}
-    entry.update(observed)
-    return entry
-
-
-def _selftest_reconstruction(seed: int) -> list:
-    worst_recon = 0.0
-    worst_support = 0.0
-    worst_conj = 0.0
-    thetas = np.linspace(-3.0, 3.0, 25)
-    for i in range(20):
-        h = make_generator(8, 10.0, rng_stream(seed, 0, i).integers(0, 2 ** 32))
-        obs = make_generator(8, 1.0, rng_stream(seed, 1, i).integers(0, 2 ** 32))
-        phi = complex_gaussians(rng_stream(seed, 2, i), 8)
-        phi = phi / np.linalg.norm(phi)
-        coeffs = trig_poly_coeffs(h, phi, obs)
-        gaps = gap_set(np.linalg.eigvalsh(h)).gaps
-        for t in thetas:
-            direct = float(np.real(phi.conj() @ _heisenberg(h, t, obs) @ phi))
-            recon = float(np.real(sum(a * np.exp(-1j * t * w) for w, a in coeffs.items())))
-            worst_recon = max(worst_recon, abs(direct - recon))
-        for w, a in coeffs.items():
-            if abs(a) > 1e-12:
-                worst_support = max(worst_support, float(np.min(np.abs(gaps - w))))
-            mirror = min(coeffs, key=lambda u: abs(u + w))
-            worst_conj = max(worst_conj, abs(coeffs[mirror] - np.conj(a)))
-    return [
-        _check("trig_reconstruction_matches_simulation", worst_recon <= 1e-9,
-               max_abs_deviation=worst_recon, instances=20),
-        _check("coeff_support_within_gap_set", worst_support <= 1e-9,
-               max_gap_distance=worst_support),
-        _check("conjugate_symmetry", worst_conj <= 1e-10,
-               max_asymmetry=worst_conj),
-    ]
-
-
-def _heisenberg(h: np.ndarray, t: float, obs: np.ndarray) -> np.ndarray:
-    u = unitary_from_generator(h, t)
-    return u.conj().T @ obs @ u
-
-
-def _selftest_bounds(seed: int) -> list:
-    p1 = SobolevParams(d=1, r=2.0)
-    _, slope1, ref1 = minimax_lower_curve(p1, [4, 8, 16, 32, 64])
-    p2 = SobolevParams(d=2, r=2.0)
-    _, slope2, ref2 = minimax_lower_curve(p2, [4, 8, 16, 32])
-    checks = [
-        _check("lower_bound_slope_d1", abs(slope1 - (-2.0)) <= 0.1,
-               fitted_slope=slope1, reference_exponent=ref1),
-        _check("lower_bound_slope_d2", abs(slope2 - (-2.0)) <= 0.2,
-               fitted_slope=slope2, reference_exponent=ref2),
-    ]
-    params = SobolevParams(d=2, r=2.0)
-    worst = 0.0
-    ks = range(1, 9)
-    for i in range(20):
-        series = random_unit_ball_series(params, 8, 12, seed + 1000 + i)
-        for k, (rig, _) in zip(ks, jackson_upper(series, params, ks)):
-            err = truncation_error(series, k)
-            worst = max(worst, err - rig)
-    checks.append(_check("upper_bound_holds", worst <= 1e-12,
-                         max_violation=worst, series_count=20))
-    return checks
-
-
-def _selftest_coverage(seed: int) -> list:
-    from .spectrum import NormalizedGapSet
-
-    def ng(ints):
-        return NormalizedGapSet(gamma=1.0, int_gaps=np.array(sorted(ints)))
-
-    full = ng(range(-1, 2))
-    ex_ok = (coverage_radius([full, full]) == 2.0
-             and coverage_radius([ng([0]), ng(range(-5, 6))]) == 1.0
-             and coverage_radius([ng(range(-2, 3))] * 2) == 3.0)
-    gen = rng_stream(seed, 3)
-    worst = 0.0
-    for _ in range(25):
-        d = int(gen.integers(1, 4))
-        params = []
-        for _ in range(d):
-            width = int(gen.integers(0, 4))
-            ints = {0}
-            for v in range(1, width + 1):
-                if gen.random() < 0.7:
-                    ints.add(v)
-                    ints.add(-v)
-            params.append(ng(ints))
-        worst = max(worst, abs(coverage_radius(params) - coverage_radius_box(params)))
-    return [
-        _check("coverage_radius_examples", ex_ok),
-        _check("coverage_radius_matches_box_scan", worst == 0.0,
-               max_abs_difference=worst, cases=25),
-    ]
-
-
-def _selftest_variance(seed: int) -> list:
-    grid = [0.0, 0.25, 0.5, 0.75, 1.0]
-    rep_small = variance_sweep(grid, 50, seed)
-    nondecreasing = all(b >= a - 1e-12 for a, b in
-                        zip(rep_small.variances, rep_small.variances[1:]))
-    eta_exact = max(abs(e - 2.0 / np.sqrt(1.0 + w * w))
-                    for w, e in zip(rep_small.weights, rep_small.etas))
-    etas_decreasing = all(b < a for a, b in zip(rep_small.etas, rep_small.etas[1:]))
-    zero_exact = rep_small.variances[0] == 0.0
-
-    mc_grid = [0.1 * k for k in range(1, 11)]
-    rep_mc = variance_sweep(mc_grid, 100000, seed)
-    rel = max(abs(v - analytic_variance_oracle(w)) / analytic_variance_oracle(w)
-              for w, v in zip(rep_mc.weights, rep_mc.variances))
-    return [
-        _check("variance_monotone_50_samples", nondecreasing,
-               variances=list(rep_small.variances)),
-        _check("variance_zero_weight_exact", zero_exact),
-        _check("eta_closed_form", eta_exact <= 1e-12 and etas_decreasing,
-               max_abs_error=eta_exact),
-        _check("variance_matches_oracle_1e5", rel <= 0.02,
-               max_rel_error=rel, samples=100000),
-    ]
-
-
-def _selftest_train(full: bool) -> list:
-    cfg = TrainConfig() if full else TrainConfig.fast()
-    report = spectrum_matching_experiment(cfg)
-    m = report.means
-    ordered = m[10.0] < m[1.0] < m[0.1]
-    checks = [_check("train_rmse_ordering", ordered,
-                     profile="full" if full else "fast",
-                     mean_rmse={repr(b): m[b] for b in report.b_models},
-                     wilcoxon_p=report.wilcoxon_p)]
-    if full:
-        checks.append(_check("train_wilcoxon_significant",
-                             report.wilcoxon_p is not None and report.wilcoxon_p <= 0.05,
-                             wilcoxon_p=report.wilcoxon_p))
-    return checks
-
-
-def _selftest_stats() -> list:
-    p_all_pos = wilcoxon_exact([(float(i + 1), 0.0) for i in range(10)])
-    p_mirror = wilcoxon_exact([(1.0, 0.0), (0.0, 1.0)])
-    return [
-        _check("wilcoxon_ten_positive", abs(p_all_pos - 2.0 / 1024.0) < 1e-15,
-               p=p_all_pos),
-        _check("wilcoxon_mirrored_pair_capped", p_mirror == 1.0, p=p_mirror),
-    ]
-
-
-def _selftest_dla() -> list:
-    from .dla import center_basis, derived_algebra, eta, lie_closure
-
-    z = pauli_matrix("Z")
-    x = pauli_matrix("X")
-    y = pauli_matrix("Y")
-    dims_ok = (len(lie_closure([z])) == 1
-               and len(lie_closure([x, y])) == 3
-               and len(lie_closure([pauli_matrix("ZI"), pauli_matrix("IZ")])) == 2)
-    u2 = lie_closure([np.eye(2), x, y, z])
-    u2_ok = (len(u2) == 4 and len(center_basis(u2)) == 1
-             and len(derived_algebra(u2)) == 3)
-    eta_ok = (eta(np.eye(4)) == 2.0
-              and eta(pauli_matrix("XX")) == 0.0
-              and abs(eta(0.5 * pauli_matrix("IY") + pauli_matrix("II"))
-                      - 2.0 / np.sqrt(1.25)) <= 1e-15)
-    return [
-        _check("lie_closure_dimensions", dims_ok),
-        _check("u2_center_and_derived", u2_ok),
-        _check("eta_examples", eta_ok),
-    ]
+    return result, list(zip(report.weights, report.variances, report.etas))
 
 
 def _cmd_selftest(ns) -> tuple[dict, object]:
-    checks = []
-    checks.extend(_selftest_reconstruction(ns.seed))
-    checks.extend(_selftest_bounds(ns.seed))
-    checks.extend(_selftest_coverage(ns.seed))
-    checks.extend(_selftest_variance(ns.seed))
-    checks.extend(_selftest_stats())
-    checks.extend(_selftest_dla())
-    checks.extend(_selftest_train(ns.full))
+    checks = battery(ns.seed, ns.full)
     for c in checks:
-        status = "pass" if c["passed"] else "FAIL"
-        print(f"[{status}] {c['name']}", file=sys.stderr)
+        print(f"[{'pass' if c['passed'] else 'FAIL'}] {c['name']}", file=sys.stderr)
     result = {"checks": checks, "all_passed": all(c["passed"] for c in checks)}
     rows = [(c["name"], "passed", c["passed"]) for c in checks]
-    rows.append(("all", "passed", result["all_passed"]))
-    return result, rows
+    return result, rows + [("all", "passed", result["all_passed"])]
 
 
 # ------------------------------------------------------------------ driver
@@ -595,48 +384,33 @@ def _build_parser() -> argparse.ArgumentParser:
 
 _HANDLERS = {
     "spectrum": _cmd_spectrum,
+    "bounds lower": _cmd_bounds_lower,
+    "bounds upper": _cmd_bounds_upper,
+    "bounds limit": _cmd_bounds_limit,
     "dla": _cmd_dla,
     "train": _cmd_train,
     "variance": _cmd_variance,
     "selftest": _cmd_selftest,
 }
 
-_BOUNDS_HANDLERS = {
-    "lower": _cmd_bounds_lower,
-    "upper": _cmd_bounds_upper,
-    "limit": _cmd_bounds_limit,
-}
-
-# headers for the CSV result tables
+# headers of the CSV result tables other than ("key", "index", "value")
 _CSV_HEADERS = {
-    "spectrum": ("key", "index", "value"),
-    "bounds lower": ("key", "index", "value"),
-    "bounds upper": ("key", "index", "value"),
     "bounds limit": ("pair", "index", "value"),
-    "dla": ("key", "index", "value"),
     "train": ("seed", "metric", "value"),
     "variance": ("weight", "variance", "eta"),
     "selftest": ("check", "metric", "value"),
 }
 
 
-def _manifest(ns, label: str) -> dict:
-    skip = {"subcommand", "bounds_mode", "out", "format"}
+def _manifest(ns, label: str, duration_s: float) -> dict:
     options = {}
-    for key in sorted(vars(ns)):
-        if key in skip:
-            continue
+    for key in sorted(set(vars(ns)) - {"subcommand", "bounds_mode", "out", "format"}):
         val = getattr(ns, key)
         if isinstance(val, list) and val and isinstance(val[0], tuple):
             val = [list(v) for v in val]
         options[key] = val
-    return {
-        "subcommand": label,
-        "version": __version__,
-        "format": ns.format,
-        "options": options,
-        "duration_s": 0.0,
-    }
+    return {"subcommand": label, "version": __version__, "format": ns.format,
+            "options": options, "duration_s": duration_s}
 
 
 def _check_out(path) -> None:
@@ -660,12 +434,7 @@ def dispatch(argv=None) -> int:
         code = exc.code if isinstance(exc.code, int) else 0
         return 0 if code == 0 else 2
 
-    if ns.subcommand == "bounds":
-        label = f"bounds {ns.bounds_mode}"
-        handler = _BOUNDS_HANDLERS[ns.bounds_mode]
-    else:
-        label = ns.subcommand
-        handler = _HANDLERS[ns.subcommand]
+    label = f"bounds {ns.bounds_mode}" if ns.subcommand == "bounds" else ns.subcommand
 
     started = time.perf_counter()
     try:
@@ -673,13 +442,12 @@ def dispatch(argv=None) -> int:
         # a non-finite result fails in rendering, so numpy's floating-point
         # warnings would only add lines before the error
         with np.errstate(all="ignore"):
-            result, rows = handler(ns)
-        manifest = _manifest(ns, label)
-        manifest["duration_s"] = time.perf_counter() - started
+            result, rows = _HANDLERS[label](ns)
+        manifest = _manifest(ns, label, time.perf_counter() - started)
         if ns.format == "json":
             text = render_json({"manifest": manifest, "result": result}) + "\n"
         else:
-            text = render_csv(manifest, _CSV_HEADERS[label], rows)
+            text = render_csv(manifest, _CSV_HEADERS.get(label, ("key", "index", "value")), rows)
     except (QspecError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -82,14 +82,17 @@ class TrainConfig:
             raise ValueError("n, depth and dataset_size must be positive")
         if self.n > MAX_QUBITS:
             raise ValueError(f"n must be at most {MAX_QUBITS}, got {self.n}")
-        if self.epochs < 1 or self.batch_size < 1 or not _positive(self.lr, self.fd_step):
-            raise ValueError("lr, epochs, batch_size and fd_step must be positive")
+        if (self.epochs < 1 or self.batch_size < 1 or not _positive(self.lr, self.fd_step)
+                or max(self.lr, self.fd_step) > 1):
+            raise ValueError("epochs and batch_size must be positive, lr and fd_step in (0, 1]")
         if not self.seeds or len(set(self.seeds)) != len(self.seeds):
             raise ValueError("seeds must be nonempty and distinct")
         if not self.b_models or not _positive(*self.b_models):
             raise ValueError("model eigenvalue bounds must be positive")
         if not _positive(self.b_target):
             raise ValueError("target eigenvalue bound must be positive")
+        if not isinstance(self.share_generator_basis, bool):
+            raise ValueError("share_generator_basis must be true or false")
         caps = {"complex amplitudes held": MAX_TRAIN_AMPLITUDES,
                 "multiply-adds": MAX_TRAIN_MULADDS, "optimizer steps": MAX_TRAIN_STEPS}
         for (what, cap), value in zip(caps.items(), _train_work(self)):

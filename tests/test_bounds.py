@@ -4,11 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qspec.bounds import (MAX_ANNULUS_SCAN, PRUNE_FLOOR, DomainError,
+from qspec.bounds import (MAX_ANNULUS_SCAN, MAX_SWEEP_DRAWS, MAX_SWEEP_RADII,
+                          MAX_SWEEP_SERIES, MAX_SWEEP_TERMS, PRUNE_FLOOR, DomainError,
                           FourierSeries, SobolevParams, annulus_points,
                           annulus_witness, jackson_upper, limit_probe,
                           minimax_lower_curve, random_unit_ball_series,
-                          sobolev_norm, truncation_error)
+                          sobolev_norm, truncation_error, unit_ball_sweep)
 from qspec.linalg import complex_gaussians, rng_stream
 
 
@@ -309,3 +310,82 @@ def test_series_rejects_bad_shape_and_order():
     for freqs, coeffs in bad:
         with pytest.raises(DomainError):
             FourierSeries(2, freqs, coeffs)
+
+
+def test_lower_curve_rejects_underflow_exactly_when_a_witness_error_is_zero(monkeypatch):
+    # oracle: build every witness and look for a zero truncation error
+    import qspec.bounds as bounds
+    scans = []
+    monkeypatch.setattr(bounds, "annulus_points",
+                        lambda d, k: scans.append(k) or annulus_points(d, k))
+    gen = rng_stream(2024)
+    outcomes = set()
+    for _ in range(300):
+        d = int(gen.integers(1, 4))
+        # smoothness around the underflow edge of radii 1..6: (1 + |s|^2)^-r near 1e-324
+        p = SobolevParams(d, float(gen.uniform(d / 2 + 0.01, 700.0)))
+        ks = sorted(set(float(k) for k in gen.choice([1, 1.5, 2, 2.5, 3, 4, 5, 6], size=3)))
+        if len(ks) < 3:
+            continue
+        brute = any(truncation_error(annulus_witness(p, k), k) == 0.0 for k in ks)
+        scans.clear()
+        try:
+            minimax_lower_curve(p, ks)
+            rejected = False
+        except DomainError as exc:
+            assert "underflows" in str(exc)
+            rejected = True
+        assert rejected == brute, (d, p.r, ks)
+        outcomes.add((brute, len(scans) > (0 if rejected else len(ks))))
+    # both verdicts, each reached with and without the exact scan
+    assert outcomes == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_unit_ball_sweep_matches_per_series_calls():
+    p = SobolevParams(2, 2.0)
+    ks = [1.0, 2.5, 4.0, 9.0]
+    errors, rigorous, reference = unit_ball_sweep(p, ks, 6, 5, 9, seed=31)
+    assert errors.shape == rigorous.shape == reference.shape == (6, 4)
+    for i in range(6):
+        h = random_unit_ball_series(p, 5, 9, seed=31 + i)
+        assert errors[i].tolist() == [truncation_error(h, k) for k in ks]
+        assert list(zip(rigorous[i], reference[i])) == jackson_upper(h, p, ks)
+
+
+@pytest.mark.parametrize("count, ks, modes, d", [
+    (MAX_SWEEP_SERIES + 1, [1.0], 1, 1),
+    (1, [1.0], MAX_SWEEP_DRAWS // 2 + 1, 2),
+    (2, [1.0 + k for k in range(MAX_SWEEP_RADII // 2 + 1)], 1, 1),
+    (1, [1.0] * 1000, MAX_SWEEP_TERMS // 1000 + 1, 1),
+    (0, [1.0], 1, 1),
+    (1, [], 1, 1),
+])
+def test_unit_ball_sweep_caps_reject_before_drawing(monkeypatch, count, ks, modes, d):
+    import qspec.bounds as bounds
+
+    def never(*args):
+        raise AssertionError("a series was drawn")
+    monkeypatch.setattr(bounds, "random_unit_ball_series", never)
+    with pytest.raises(DomainError):
+        unit_ball_sweep(SobolevParams(d, 2.0), ks, count, 8, modes, seed=0)
+
+
+def test_unit_ball_sweep_caps_admit_their_limits(monkeypatch):
+    import qspec.bounds as bounds
+
+    class Drawn(Exception):
+        pass
+
+    def drawn(*args):
+        raise Drawn
+    monkeypatch.setattr(bounds, "random_unit_ball_series", drawn)
+    for count, ks, modes, d in ((MAX_SWEEP_SERIES, [1.0], 1, 1),
+                                (1, [1.0], MAX_SWEEP_DRAWS // 2, 2),
+                                (1, [1.0] * 1000, MAX_SWEEP_TERMS // 1000, 1)):
+        with pytest.raises(Drawn):
+            unit_ball_sweep(SobolevParams(d, 2.0), ks, count, 8, modes, seed=0)
+    # the CLI default (20 series) and the benchmark's 1000, each of 12 modes at d = 2
+    # and 8 radii, stay at least 40 times inside every cap
+    for count in (20, 1000):
+        assert 40 * count <= MAX_SWEEP_SERIES and 40 * count * 12 * 2 <= MAX_SWEEP_DRAWS
+        assert 40 * count * 8 <= MAX_SWEEP_RADII and 40 * count * 8 * 12 <= MAX_SWEEP_TERMS

@@ -280,8 +280,30 @@ def test_bounds_upper_rejects_vacuous_runs(capsys, argv):
     rc = dispatch(["bounds", "upper"] + argv)
     captured = capsys.readouterr()
     assert rc == 1
-    assert "--count >= 1 and at least one K" in error_line(captured)
+    assert "count >= 1 and at least one K" in error_line(captured)
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv, cap", [
+    (["--modes", str(10 ** 12), "--count", "1"], "drawn integers"),
+    (["--count", str(10 ** 8)], "series"),
+    (["--count", "2000", "--K", ",".join(str(k) for k in range(1, 1001))], "(series, K) pairs"),
+    (["--count", "1", "--modes", "500000", "--K", ",".join(["1"] * 3000)], "summed terms"),
+])
+def test_bounds_upper_beyond_work_caps_exits_one_before_work(capsys, argv, cap):
+    t0 = time.perf_counter()
+    tracemalloc.start()
+    try:
+        rc = dispatch(["bounds", "upper"] + argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    elapsed = time.perf_counter() - t0
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert cap in error_line(captured)
+    assert peak < 1 << 20, peak
+    assert elapsed <= 1.0, elapsed
 
 
 @pytest.mark.parametrize("argv", [["spectrum", "--eigs", "-1,1"],
@@ -332,13 +354,32 @@ def test_out_to_missing_directory_fails_before_work(tmp_path, capsys, monkeypatc
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_non_finite_output_exits_one(capsys, fmt):
-    # the witness errors underflow to 0, so the fitted slope is nan
-    rc = dispatch(["bounds", "lower", "--d", "1", "--r", "400", "--K", "1,2,4", "--format", fmt])
+def test_non_finite_output_exits_one(capsys, monkeypatch, fmt):
+    # no subcommand is known to return a non-finite value, so a stand-in
+    # handler hands the renderer one
+    nan = float("nan")
+    monkeypatch.setitem(cli._HANDLERS, "bounds limit",
+                        lambda ns: ({"values": [nan]}, [("", "", nan)]))
+    rc = dispatch(["bounds", "limit", "--pairs", "2:2", "--format", fmt])
     captured = capsys.readouterr()
     assert rc == 1
     assert "non-finite" in error_line(captured)
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("ks", ["1,2,4", "1,1.5,2"])
+def test_bounds_lower_underflowing_witness_exits_one_before_work(capsys, monkeypatch, ks):
+    # at r = 400 every squared coefficient of the K = 2 witness underflows,
+    # though (1 + K^2)^(-r/2) squared does not: its nearest point has |s| = 3
+    import qspec.bounds as bounds
+
+    def never(*args):
+        raise AssertionError("a witness was built")
+    monkeypatch.setattr(bounds, "annulus_witness", never)
+    rc = dispatch(["bounds", "lower", "--d", "1", "--r", "400", "--K", ks])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert "underflows" in error_line(captured)
 
 
 @pytest.mark.parametrize("eigs", ["0,1e308,3", "1e308,-1e308"])

@@ -1,8 +1,12 @@
-"""Property test: `qspec bounds`, `spectrum`, `dla` and `variance` end with
-exit 0, 1 or 2 and never a traceback."""
+"""Property test: `qspec bounds`, `spectrum`, `dla`, `variance` and
+`train --config` end with exit 0, 1 or 2, never a traceback, and on exit 1
+one `error:` line."""
 
 import contextlib
 import io
+import json
+import os
+import tempfile
 
 import pytest
 
@@ -24,7 +28,8 @@ def run(argv):
     assert rc in (0, 1, 2), (argv, rc)
     assert "Traceback" not in err.getvalue(), argv
     if rc == 1:
-        assert err.getvalue().startswith("error: "), (argv, err.getvalue())
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), (argv, err.getvalue())
     return rc
 
 
@@ -46,6 +51,8 @@ def test_bounds_lower_fuzz(d, r, ks):
 @example(d="2", r="2", ks="1e308", count="1", max_freq="8", modes="12")
 @example(d="2", r="inf", ks="nan", count="-1", max_freq="-1", modes="0")
 @example(d="2", r="2", ks="", count="2", max_freq="0", modes="1")
+@example(d="2", r="2", ks="1,2", count="1", max_freq="8", modes="1000000000000")  # over the caps
+@example(d="2", r="2", ks="1,2", count="100000000", max_freq="8", modes="12")
 def test_bounds_upper_fuzz(d, r, ks, count, max_freq, modes):
     run(["bounds", "upper", "--d", d, "--r", r, "--K", ks, "--count", count,
          "--max-freq", max_freq, "--modes", modes])
@@ -103,3 +110,48 @@ weight = st.one_of(number, st.sampled_from(["0.25", "0.5", "0.75", "1.5"]))
 @example(weights="0.5", samples="10", seed="-1")
 def test_variance_fuzz(weights, samples, seed):
     run(["variance", "--weights", weights, "--samples", samples, "--seed", seed])
+
+
+# a config that trains in well under a second (n, depth, epochs and
+# dataset_size are always set and small), with at most one field replaced
+# by a value it must reject or may coerce (True, 1.5, 1e308)
+step = st.sampled_from([1e-3, 0.1, 1.0])
+bound = st.sampled_from([1e-3, 0.1, 1.0, 10.0])
+small_config = st.fixed_dictionaries(
+    {"n": st.integers(1, 3), "depth": st.integers(1, 3), "epochs": st.integers(1, 9),
+     "dataset_size": st.integers(1, 40),
+     "seeds": st.lists(st.integers(-2, 5), min_size=1, max_size=3)},
+    optional={"batch_size": st.integers(1, 40), "lr": step, "fd_step": step, "b_target": bound,
+              "b_models": st.lists(bound, min_size=1, max_size=3),
+              "share_generator_basis": st.booleans()})
+junk = st.sampled_from([None, "x", [], {}, True, 1.5, -3, 0, 1e13, 1e308, -1e308,
+                        float("inf"), float("nan"), "1e13", [None], [1.5], [1e308]])
+field = st.sampled_from(["n", "depth", "epochs", "dataset_size", "seeds", "batch_size",
+                         "lr", "fd_step", "b_target", "b_models", "share_generator_basis",
+                         "bogus"])
+train_config = st.builds(lambda cfg, bad: dict(cfg, **dict(bad)), small_config,
+                         st.lists(st.tuples(field, junk), max_size=1))
+SMALL = {"n": 1, "depth": 1, "dataset_size": 1, "seeds": [0], "b_models": [1.0]}
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(config=train_config, form=st.sampled_from(["json", "key = value"]),
+       extra=st.sampled_from(["", "# note", "n: 3", "{", "lr = [1,"]))
+@example(config={"seeds": 5}, form="json", extra="")
+@example(config={"lr": "x"}, form="json", extra="")
+@example(config={"dataset_size": 1e13}, form="key = value", extra="")
+@example(config={"dataset_size": 300000, "seeds": [0]}, form="json", extra="")  # amplitudes
+@example(config={"epochs": 1e9}, form="json", extra="")                          # multiply-adds
+@example(config=dict(SMALL, epochs=2 ** 21), form="key = value", extra="")      # steps
+@example(config=dict(SMALL, epochs=1, share_generator_basis=float("nan")), form="json", extra="")
+@example(config=dict(SMALL, epochs=1, lr=1e308), form="json", extra="")
+def test_train_config_fuzz(config, form, extra):
+    if form == "json":
+        text = json.dumps(config)
+    else:
+        text = "".join(f"{key} = {json.dumps(value)}\n" for key, value in config.items())
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "train.cfg")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n" + extra + "\n")
+        run(["train", "--config", path])

@@ -57,6 +57,18 @@ def test_train_config_validation():
     assert cfg.dataset_size == 200 and type(cfg.dataset_size) is int and cfg.epochs == 3
 
 
+def test_train_config_rejects_values_that_fail_after_training():
+    # each of these trained to a non-finite RMSE or config entry, which
+    # only the rendering of the finished report rejected
+    for bad in (dict(lr=1e308), dict(fd_step=1e308), dict(lr=1.5), dict(fd_step=2.0),
+                dict(share_generator_basis=float("nan")), dict(share_generator_basis="x"),
+                dict(share_generator_basis=1)):
+        with pytest.raises(ValueError):
+            TrainConfig(**bad)
+    cfg = TrainConfig(lr=1.0, fd_step=1.0, share_generator_basis=True)
+    assert cfg.lr == cfg.fd_step == 1.0 and cfg.share_generator_basis is True
+
+
 def test_train_work_caps():
     # the default study uses at most a quarter of each cap
     caps = (MAX_TRAIN_AMPLITUDES, MAX_TRAIN_MULADDS, MAX_TRAIN_STEPS)
