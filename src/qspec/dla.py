@@ -3,10 +3,12 @@
 Closure of {i * H_j} under commutators, center (commutant within the
 algebra), derived subalgebra, and the trace-concentration metric
 eta(G) = |Tr G| / ||G||_F that separates identity-like generators from
-traceless ones.
+traceless ones. The center and the derived algebra are both read from
+the structure constants, which a LieBasis builds at most once.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -46,6 +48,11 @@ class LieBasis:
 
     def __len__(self):
         return len(self.elements)
+
+    @cached_property
+    def structure_constants(self) -> np.ndarray:
+        """f of _structure_constants, built on first use and kept."""
+        return _structure_constants(self)
 
 
 @dataclass(frozen=True)
@@ -147,26 +154,18 @@ def _split(g: LieBasis, a: np.ndarray, tol: float) -> tuple:
     return _elements(coords[small], g.dim_matrix), _elements(coords[~small], g.dim_matrix)
 
 
-def _center(g: LieBasis, f: np.ndarray, tol: float) -> list:
-    """The null space of the adjoint action, f with rows (j, k), columns i."""
-    return _split(g, f.reshape(len(g), -1).T, tol)[0]
-
-
-def _derived(g: LieBasis, f: np.ndarray, tol: float) -> list:
-    """The row space of f with rows (i, j), columns k."""
-    return _split(g, f.reshape(-1, len(g)), tol)[1]
-
-
 def center_basis(g: LieBasis, tol: float = CLOSURE_TOL) -> list:
-    """Orthonormal basis of the center {X in g : [X, Y] = 0 for all Y}."""
+    """Orthonormal basis of the center {X in g : [X, Y] = 0 for all Y}: the
+    null space of the adjoint action, f with rows (j, k) and columns i."""
     _check_tol(tol)
-    return _center(g, _structure_constants(g), tol) if len(g) else []
+    return _split(g, g.structure_constants.reshape(len(g), -1).T, tol)[0] if len(g) else []
 
 
 def derived_algebra(g: LieBasis, tol: float = CLOSURE_TOL) -> list:
-    """Orthonormal basis of span{[X, Y] : X, Y in g} inside g."""
+    """Orthonormal basis of span{[X, Y] : X, Y in g} inside g: the row
+    space of f with rows (i, j) and columns k."""
     _check_tol(tol)
-    return _derived(g, _structure_constants(g), tol) if len(g) else []
+    return _split(g, g.structure_constants.reshape(-1, len(g)), tol)[1] if len(g) else []
 
 
 def eta(g) -> float:
@@ -190,20 +189,16 @@ def eta(g) -> float:
     return float(np.sqrt((tr.real * tr.real + tr.imag * tr.imag) / fro_sq))
 
 
-def dla_report(generators, tol: float = CLOSURE_TOL, max_dim: int | None = None) -> DlaReport:
+def dla_report(generators, tol: float = CLOSURE_TOL) -> DlaReport:
     """Closure, center, derived dimensions plus eta per generator; the
-    structure constants are built once for both center and derived. eta
-    comes first, so a zero generator fails before the closure runs."""
+    center and the derived algebra share the basis's structure constants.
+    eta comes first, so a zero generator fails before the closure runs."""
     generators = list(generators)
     etas = tuple(eta(g) for g in generators)
-    basis = lie_closure(generators, tol=tol, max_dim=max_dim)
-    center = derived = []
-    if len(basis):
-        f = _structure_constants(basis)
-        center, derived = _center(basis, f, tol), _derived(basis, f, tol)
+    basis = lie_closure(generators, tol=tol)
     return DlaReport(
-        dim=len(basis.elements),
-        center_dim=len(center),
-        derived_dim=len(derived),
+        dim=len(basis),
+        center_dim=len(center_basis(basis, tol)),
+        derived_dim=len(derived_algebra(basis, tol)),
         eta_per_generator=etas,
     )

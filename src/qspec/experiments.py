@@ -23,8 +23,8 @@ import numpy as np
 
 from .dla import eta
 from .linalg import QspecError, derive_seed, rng_stream
-from .qsim import (MAX_QUBITS, CircuitSpec, _fd_forward, _forward, _phases, _stack_specs,
-                   circuit_forward_encoded, encode_inputs, grad_analytic_1p_batch,
+from .qsim import (MAX_EIGEN_BOUND, MAX_QUBITS, CircuitSpec, _fd_forward, _forward, _phases,
+                   _stack_specs, circuit_forward_encoded, encode_inputs, grad_analytic_1p_batch,
                    make_generator, pauli_matrix)
 
 class AllZeroDifferences(QspecError):
@@ -87,10 +87,10 @@ class TrainConfig:
             raise ValueError("epochs and batch_size must be positive, lr and fd_step in (0, 1]")
         if not self.seeds or len(set(self.seeds)) != len(self.seeds):
             raise ValueError("seeds must be nonempty and distinct")
-        if not self.b_models or not _positive(*self.b_models):
-            raise ValueError("model eigenvalue bounds must be positive")
-        if not _positive(self.b_target):
-            raise ValueError("target eigenvalue bound must be positive")
+        # make_generator's bounds, checked before any circuit is built
+        for name, bounds in (("b_models", self.b_models), ("b_target", (self.b_target,))):
+            if not bounds or not all(0.0 < b <= MAX_EIGEN_BOUND for b in bounds):
+                raise ValueError(f"{name} must lie in (0, {MAX_EIGEN_BOUND:.4g}]")
         if not isinstance(self.share_generator_basis, bool):
             raise ValueError("share_generator_basis must be true or false")
         caps = {"complex amplitudes held": MAX_TRAIN_AMPLITUDES,

@@ -13,7 +13,10 @@ eigensystems and the basis changes between neighbouring layers are
 stacked on the circuit description, so a forward pass builds each
 parameter vector's whole-circuit unitary with one phase scaling and one
 small matmul per layer, applies it to the encoded rows once, and needs no
-eigensolve.
+eigensolve. The observable is stored as O = U diag(o) U^dag, with U^dag
+folded into the last basis, so every expectation value is one
+contraction: the squared real and imaginary parts of the output
+amplitudes weighed by o. A diagonal observable keeps U = I.
 
 There is one forward kernel, _forward. It has a leading run axis: R
 circuits of one shape and observable (a _Stack), each with its own V
@@ -31,13 +34,18 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import (DimMismatch, _check_tol, eig_hermitian, haar_unitary,
+from .linalg import (DimMismatch, _check_tol, eig_hermitian, haar_unitary, is_hermitian,
                      require_hermitian_set, require_square)
-from .spectrum import DEDUP_TOL, _run_starts
+from .spectrum import DEDUP_TOL, _sorted_runs
 
 FD_STEP = 1e-4
 
 MAX_QUBITS = 12
+
+# Largest b_max of make_generator: its eigenvalues' span 2 b_max and the
+# entries of H + H^dag, at most 2 b_max up to rounding, stay finite with a
+# factor 2 to spare
+MAX_EIGEN_BOUND = np.finfo(float).max / 4
 
 PAULI_1Q = {
     "I": np.eye(2, dtype=complex),
@@ -79,16 +87,17 @@ def default_entangler(n: int) -> tuple:
 
 
 class _Stack(NamedTuple):
-    """Eigensystems of R circuits of one shape and observable, each array
-    with a leading run axis: W = V_L P_L C_L ... C_2 P_1 V_1^dag, with P_l
-    the layer's eigenphases and C_l = V_l^dag V_{l-1} the basis changes."""
+    """Eigensystems of R circuits of one shape and observable O = U diag(o) U^dag,
+    each array but weights with a leading run axis: U^dag W = U^dag V_L P_L
+    C_L ... C_2 P_1 V_1^dag, with P_l the layer's eigenphases and
+    C_l = V_l^dag V_{l-1} the basis changes, so <psi|O|psi> weighs the
+    squared parts of U^dag W |psi> by o."""
 
     lam: np.ndarray        # (R, L, N) generator eigenvalues
-    last: np.ndarray       # (R, N, N) V_L
+    last: np.ndarray       # (R, N, N) U^dag V_L
     hops: np.ndarray       # (R, L - 1, N, N) C_2 ... C_L
     first_h: np.ndarray    # (R, N, N) V_1^dag
-    observable: np.ndarray
-    obs_diag: np.ndarray | None   # diagonal observable: each entry twice, (2N,)
+    weights: np.ndarray    # (2N,) each eigenvalue o_k twice, for Re^2 and Im^2
 
 
 class CircuitSpec:
@@ -96,7 +105,9 @@ class CircuitSpec:
 
     n: qubit count; generators: one Hermitian 2^n x 2^n matrix per layer;
     entangler: CNOT (control, target) pairs applied once after encoding;
-    observable: Hermitian matrix, default Z on qubit 0.
+    observable: Hermitian matrix, default Z on qubit 0. A non-diagonal
+    observable is eigensolved once here and its eigenbasis folded into the
+    last layer's basis; a diagonal one is taken as it is.
     """
 
     __slots__ = ("n", "dim", "generators", "entangler", "observable",
@@ -130,24 +141,26 @@ class CircuitSpec:
         obs = require_square(observable)
         if obs.shape[0] != self.dim:
             raise DimMismatch(f"observable shape {obs.shape} != ({self.dim}, {self.dim})")
-        if not np.allclose(obs, obs.conj().T, atol=1e-12):
+        if not is_hermitian(obs):
             raise DimMismatch("observable must be Hermitian")
         self.observable = obs
-        offdiag = obs - np.diag(np.diagonal(obs))
-        # a diagonal observable weighs the squared real and imaginary parts
-        obs_diag = (np.repeat(np.real(np.diagonal(obs)), 2)
-                    if float(np.max(np.abs(offdiag))) == 0.0 else None)
 
         eigs = [eig_hermitian(g) for g in gens]
         vecs = np.stack([e.vectors for e in eigs])                # (L, N, N)
         vecs_h = vecs.conj().transpose(0, 2, 1)
+        last = vecs[-1]
+        if np.count_nonzero(obs - np.diag(np.diagonal(obs))):
+            obs_vals, obs_vecs = eig_hermitian(obs)
+            last = obs_vecs.conj().T @ last
+        else:
+            obs_vals = np.real(np.diagonal(obs))
         # C-contiguous, as a concatenation in _stack_specs is, so a run's
         # matmuls take the same BLAS path alone and stacked with others
         self._stack = _Stack(lam=np.stack([e.values for e in eigs])[None],
-                             last=vecs[-1][None].copy(),
+                             last=last[None].copy(),
                              hops=(vecs_h[1:] @ vecs[:-1])[None],
                              first_h=vecs_h[0][None].copy(),
-                             observable=obs, obs_diag=obs_diag)
+                             weights=np.repeat(obs_vals, 2))
 
     @property
     def depth(self) -> int:
@@ -208,12 +221,8 @@ def _forward(stack: _Stack, phases: np.ndarray, encoded: np.ndarray) -> np.ndarr
              .reshape(runs, nvec, dim, dim) * phases[:, :, layer, None, :])
     w = w.reshape(runs, nvec * dim, dim) @ stack.first_h
     states = encoded @ w.transpose(0, 2, 1)                          # (R, B, V*N)
-    if stack.obs_diag is not None:
-        parts = states.view(float).reshape(runs, -1, 2 * dim)        # rows (b, v)
-        vals = np.square(parts, out=parts) @ stack.obs_diag
-    else:
-        states = states.reshape(runs, -1, dim)
-        vals = np.einsum("rkn,nm,rkm->rk", states.conj(), stack.observable, states).real
+    parts = states.view(float).reshape(runs, -1, 2 * dim)            # rows (b, v)
+    vals = np.square(parts, out=parts) @ stack.weights
     return np.ascontiguousarray(vals.reshape(runs, -1, nvec).transpose(0, 2, 1))
 
 
@@ -316,13 +325,8 @@ def trig_poly_coeffs(h, phi, obs, tol: float = DEDUP_TOL) -> dict:
     vals = gram.ravel()
 
     order = np.argsort(gaps, kind="stable")
-    gaps = gaps[order]
-    vals = vals[order]
-    splits = _run_starts(gaps, tol)
-    coeffs = {}
-    for run_g, run_v in zip(np.split(gaps, splits), np.split(vals, splits)):
-        coeffs[float(run_g.mean())] = complex(run_v.sum())
-    return coeffs
+    means, starts = _sorted_runs(gaps[order], tol)
+    return dict(zip(means.tolist(), np.add.reduceat(vals[order], starts).tolist()))
 
 
 def make_generator(n_dim: int, b_max: float, seed: int) -> np.ndarray:
@@ -335,8 +339,8 @@ def make_generator(n_dim: int, b_max: float, seed: int) -> np.ndarray:
     if n_dim < 2:
         raise DimMismatch("dimension must be at least 2")
     b_max = float(b_max)
-    if not np.isfinite(b_max) or b_max < 0:
-        raise ValueError("b_max must be finite and nonnegative")
+    if not 0.0 <= b_max <= MAX_EIGEN_BOUND:   # nan fails too
+        raise ValueError(f"b_max must lie in [0, {MAX_EIGEN_BOUND:.4g}], got {b_max:.4g}")
     lam = np.linspace(-b_max, b_max, n_dim)
     u = haar_unitary(n_dim, seed)
     h = (u * lam) @ u.conj().T

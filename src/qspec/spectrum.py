@@ -59,19 +59,11 @@ class FrequencyEnvelope:
     k_cov: float
 
 
-def _run_starts(sorted_vals: np.ndarray, tol: float) -> np.ndarray:
-    """Start indices (after the first) of the runs of sorted values: a new
-    run begins wherever the step from the previous value exceeds tol."""
-    return np.where(np.diff(sorted_vals) > tol)[0] + 1
-
-
-def _cluster_means(sorted_vals: np.ndarray, tol: float) -> np.ndarray:
-    """Means of runs of sorted values separated by gaps larger than tol."""
-    if sorted_vals.size == 0:
-        return sorted_vals
-    starts = np.concatenate([[0], _run_starts(sorted_vals, tol)])
-    lengths = np.diff(np.append(starts, sorted_vals.size))
-    return np.add.reduceat(sorted_vals, starts) / lengths
+def _sorted_runs(sorted_vals: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Means and start indices of the runs of sorted values: a run begins at
+    the first value and wherever the step from the previous value exceeds tol."""
+    starts = np.flatnonzero(np.diff(sorted_vals, prepend=-np.inf) > tol)
+    return np.add.reduceat(sorted_vals, starts) / np.diff(starts, append=sorted_vals.size), starts
 
 
 def gap_set(values, tol: float = DEDUP_TOL) -> GapSet:
@@ -95,7 +87,7 @@ def gap_set(values, tol: float = DEDUP_TOL) -> GapSet:
                           f"far apart: sums of their {vals.size}^2 gaps overflow")
     _check_tol(tol)
     diffs = (vals[None, :] - vals[:, None]).ravel()
-    pos = _cluster_means(np.sort(diffs[diffs > tol]), tol)
+    pos = _sorted_runs(np.sort(diffs[diffs > tol]), tol)[0]
     gaps = np.concatenate([-pos[::-1], [0.0], pos])
     omega = float(pos[-1]) if pos.size else 0.0
     return GapSet(gaps=gaps, omega_max=omega)

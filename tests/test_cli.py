@@ -413,6 +413,18 @@ def test_train_beyond_work_caps_exits_one_before_work(tmp_path, capsys, config, 
     assert peak < 1 << 20, peak
 
 
+@pytest.mark.parametrize("config, name", [({"b_models": [1.0, 1e308]}, "b_models"),
+                                          ({"b_target": 1e308}, "b_target")])
+def test_train_overflowing_eigenvalue_bound_exits_one(tmp_path, capsys, config, name):
+    # the generator's entries overflowed and were blamed on its Hermiticity
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    rc = dispatch(["train", "--config", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert f"{name} must lie in" in error_line(captured)
+
+
 def test_train_tiny_with_config_and_seed_override(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n": 2, "depth": 2, "dataset_size": 20,

@@ -145,6 +145,7 @@ SMALL = {"n": 1, "depth": 1, "dataset_size": 1, "seeds": [0], "b_models": [1.0]}
 @example(config=dict(SMALL, epochs=2 ** 21), form="key = value", extra="")      # steps
 @example(config=dict(SMALL, epochs=1, share_generator_basis=float("nan")), form="json", extra="")
 @example(config=dict(SMALL, epochs=1, lr=1e308), form="json", extra="")
+@example(config=dict(SMALL, epochs=1, b_models=[1e308]), form="json", extra="")  # overflows
 def test_train_config_fuzz(config, form, extra):
     if form == "json":
         text = json.dumps(config)

@@ -3,6 +3,7 @@ import time
 import numpy as np
 import pytest
 
+from qspec import dla
 from qspec.dla import (MAX_DLA_DIM, MAX_DLA_SIDE, DimCap, LieBasis, ZeroMatrix, center_basis,
                        derived_algebra, dla_report, eta, lie_closure)
 from qspec.linalg import commutator, complex_gaussians, haar_unitary, rng_stream
@@ -92,6 +93,45 @@ def test_derived_lies_inside_algebra():
     for el in derived_algebra(basis):
         proj = sum(inner(b, el) * b for b in basis.elements)
         assert np.max(np.abs(proj - el)) <= 1e-10
+
+
+def test_dla_report_reads_the_public_center_and_derived_algebra(monkeypatch):
+    # spies: the report's dimensions come from center_basis and
+    # derived_algebra, on the closure's basis, and f is built once per report
+    calls, built = [], []
+    for name in ("center_basis", "derived_algebra"):
+        def spy(g, tol, _fn=getattr(dla, name), _name=name):
+            out = _fn(g, tol)
+            calls.append((_name, len(g), tol, len(out)))
+            return out
+        monkeypatch.setattr(dla, name, spy)
+    structure_constants = dla._structure_constants
+
+    def counted(g):
+        built.append(len(g))
+        return structure_constants(g)
+    monkeypatch.setattr(dla, "_structure_constants", counted)
+    for gens, dims in (([np.eye(2), pauli_matrix("X"), pauli_matrix("Y")], (4, 1, 3)),
+                       ([pauli_matrix("ZI"), pauli_matrix("IZ")], (2, 2, 0))):
+        calls.clear()
+        built.clear()
+        rep = dla_report(gens, tol=1e-9)
+        assert (rep.dim, rep.center_dim, rep.derived_dim) == dims
+        assert calls == [("center_basis", dims[0], 1e-9, dims[1]),
+                         ("derived_algebra", dims[0], 1e-9, dims[2])]
+        assert built == [dims[0]]
+
+
+def test_structure_constants_built_once_per_basis(monkeypatch):
+    basis = lie_closure([pauli_matrix("X"), pauli_matrix("Y")])
+    built = []
+    structure_constants = dla._structure_constants
+    monkeypatch.setattr(dla, "_structure_constants",
+                        lambda g: built.append(1) or structure_constants(g))
+    for _ in range(2):
+        assert (len(center_basis(basis)), len(derived_algebra(basis))) == (0, 3)
+    assert len(built) == 1
+    assert np.array_equal(basis.structure_constants, structure_constants(basis))
 
 
 def test_eta_identity_and_traceless_exact():

@@ -13,7 +13,7 @@ from qspec.experiments import (MAX_TRAIN_AMPLITUDES, MAX_TRAIN_MULADDS, MAX_TRAI
                                gen_dataset, load_train_config, spectrum_matching_experiment,
                                variance_sweep, wilcoxon_exact)
 from qspec.linalg import DimMismatch, derive_seed, rng_stream
-from qspec.qsim import CircuitSpec, circuit_forward, pauli_matrix
+from qspec.qsim import MAX_EIGEN_BOUND, CircuitSpec, circuit_forward, pauli_matrix
 
 with open(os.path.join(os.path.dirname(__file__), "data", "kernel_reference.json"),
           encoding="utf-8") as _fh:
@@ -67,6 +67,16 @@ def test_train_config_rejects_values_that_fail_after_training():
             TrainConfig(**bad)
     cfg = TrainConfig(lr=1.0, fd_step=1.0, share_generator_basis=True)
     assert cfg.lr == cfg.fd_step == 1.0 and cfg.share_generator_basis is True
+
+
+def test_train_config_rejects_overflowing_eigenvalue_bounds():
+    # make_generator's predicate, applied before any circuit is built
+    for name, bad in (("b_target", dict(b_target=1e308)),
+                      ("b_models", dict(b_models=(1.0, np.nextafter(MAX_EIGEN_BOUND, np.inf))))):
+        with pytest.raises(ValueError, match=f"{name} must lie in"):
+            TrainConfig(**bad)
+    cfg = TrainConfig(b_target=MAX_EIGEN_BOUND, b_models=(MAX_EIGEN_BOUND,))
+    assert cfg.b_target == cfg.b_models[0] == MAX_EIGEN_BOUND
 
 
 def test_train_work_caps():

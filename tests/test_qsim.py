@@ -5,12 +5,13 @@ import pytest
 
 from qspec.linalg import (DimMismatch, complex_gaussians, eig_hermitian, rng_stream,
                           unitary_from_generator)
-from qspec.qsim import (FD_STEP, CircuitSpec, _fd_forward, _forward, _phases, _stack_specs,
+from qspec.qsim import (FD_STEP, MAX_EIGEN_BOUND, CircuitSpec, _eigen_gram, _fd_forward,
+                        _forward, _phases, _stack_specs,
                         circuit_forward, circuit_forward_batch, circuit_forward_encoded,
                         default_entangler, encode_inputs,
                         grad_analytic_1p_batch, grad_fd, make_generator,
                         pauli_matrix, trig_poly_coeffs)
-from qspec.spectrum import gap_set
+from qspec.spectrum import DEDUP_TOL, gap_set
 
 
 # ---- dense reference circuit, built from scratch -------------------------
@@ -220,6 +221,13 @@ def test_circuit_spec_validation():
         CircuitSpec(2, [np.eye(4)], entangler=((0, 2),))
     with pytest.raises(DimMismatch):
         CircuitSpec(2, [np.eye(4)], observable=np.diag([1j, 0, 0, 0]))
+    # within np.allclose's relative tolerance, beyond linalg.is_hermitian's
+    zi, xi = pauli_matrix("ZI"), pauli_matrix("XI")
+    zi[0, 0] += 4e-6j
+    xi[0, 2] += 4e-6
+    for obs in (zi, xi):
+        with pytest.raises(DimMismatch, match="observable must be Hermitian"):
+            CircuitSpec(2, [np.eye(4)], observable=obs)
     with pytest.raises(DimMismatch):
         circuit_forward(CircuitSpec(2, [np.eye(4)]), [0.1, 0.2], 0.0)
 
@@ -297,6 +305,33 @@ def test_trig_poly_coeffs_recovers_known_gaps():
         assert abs(w - k * step) <= 1e-9
 
 
+def split_loop_coeffs(h, phi, obs, tol=DEDUP_TOL):
+    """Oracle: one np.split array per run of sorted gaps, its mean the key
+    and its sum the coefficient."""
+    lam, gram = _eigen_gram(h, phi, obs)
+    gaps = (lam[None, :] - lam[:, None]).ravel()
+    order = np.argsort(gaps, kind="stable")
+    gaps, vals = gaps[order], gram.ravel()[order]
+    splits = np.where(np.diff(gaps) > tol)[0] + 1
+    return {float(g.mean()): complex(v.sum())
+            for g, v in zip(np.split(gaps, splits), np.split(vals, splits))}
+
+
+@pytest.mark.parametrize("label", ["generic", "ZZZ+XII", "XX+ZZ", "ZZ", "I"])
+def test_trig_poly_coeffs_match_per_run_split(label):
+    for seed in range(5):
+        if label == "generic":
+            h = random_hermitian(8, seed=1700 + seed)
+        else:
+            h = sum(pauli_matrix(term) for term in label.split("+"))
+        dim = h.shape[0]
+        phi, obs = random_state(dim, seed=1710 + seed), random_hermitian(dim, seed=1720 + seed)
+        got, want = trig_poly_coeffs(h, phi, obs), split_loop_coeffs(h, phi, obs)
+        assert len(got) == len(want)
+        np.testing.assert_allclose(list(got), list(want), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(list(got.values()), list(want.values()), rtol=0, atol=1e-12)
+
+
 # ---- generator factory ----------------------------------------------------
 
 def test_make_generator_eigenvalues():
@@ -317,6 +352,19 @@ def test_make_generator_determinism_and_validation():
         make_generator(1, 1.0, seed=0)
     with pytest.raises(ValueError):
         make_generator(4, -1.0, seed=0)
+
+
+def test_make_generator_rejects_overflowing_bound():
+    # past the cap, linspace's span or H + H^dag overflowed and the
+    # generator failed as non-Hermitian
+    for b in (np.nextafter(MAX_EIGEN_BOUND, np.inf), 1e308):
+        with pytest.raises(ValueError, match="b_max must lie in"):
+            make_generator(4, b, seed=0)
+    for n_dim in (2, 3, 8, 64):
+        for seed in range(5):
+            h = make_generator(n_dim, MAX_EIGEN_BOUND, seed)
+            assert np.all(np.isfinite(h.view(float)))
+            assert np.max(np.abs(h - h.conj().T)) == 0.0
 
 
 # ---- gradients ------------------------------------------------------------
@@ -501,6 +549,43 @@ def test_forward_runs_match_dense_layer_product(n, depth):
                             psi = expm_herm(h, t) @ psi
                         want = np.einsum("nb,nm,mb->b", psi.conj(), spec.observable, psi).real
                         np.testing.assert_allclose(got[r, i], want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("terms", [("XI",), ("XX", "ZZ")])
+def test_forward_matches_dense_layer_product_for_degenerate_observables(terms):
+    # degenerate eigenvalues leave the observable's eigenbasis free, so the
+    # basis folded into the last layer must still give the same values
+    obs = sum(pauli_matrix(t) for t in terms)
+    gen = rng_stream(970)
+    specs = [CircuitSpec(2, [random_hermitian(4, seed=9700 + 10 * r + l) for l in range(3)],
+                         observable=obs) for r in range(3)]
+    thetas = gen.uniform(-np.pi, np.pi, (3, 7, 3))
+    enc = np.stack([encode_inputs(specs[0], gen.uniform(-np.pi, np.pi, 5)) for _ in specs])
+    stack = _stack_specs(specs)
+    stacked = _forward(stack, _phases(stack, thetas), enc)
+    fd_vals, fd_diffs = _fd_forward(stack, thetas[:, 0], enc, FD_STEP)
+    for r, spec in enumerate(specs):
+        want = np.empty((7, 5))
+        for i, theta in enumerate(thetas[r]):
+            psi = enc[r].T
+            for h, t in zip(spec.generators, theta):
+                psi = expm_herm(h, t) @ psi
+            want[i] = np.einsum("nb,nm,mb->b", psi.conj(), obs, psi).real
+        np.testing.assert_allclose(circuit_forward_encoded(spec, thetas[r], enc[r]), want,
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(stacked[r], want, rtol=0, atol=1e-12)
+        want_vals, want_diffs = dense_fd_forward(spec, thetas[r, 0], enc[r], FD_STEP)
+        np.testing.assert_allclose(fd_vals[r], want_vals, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(fd_diffs[r], want_diffs, rtol=0, atol=1e-9)
+
+
+def test_diagonal_observable_takes_the_generator_basis_as_it_is():
+    gens = [random_hermitian(8, seed=980 + l) for l in range(3)]
+    for obs in (None, pauli_matrix("IZZ"), np.diag(np.arange(8.0))):
+        stack = CircuitSpec(3, gens, observable=obs)._stack
+        assert np.array_equal(stack.last[0], eig_hermitian(gens[-1]).vectors)
+    stack = CircuitSpec(3, gens, observable=pauli_matrix("XII"))._stack
+    assert not np.array_equal(stack.last[0], eig_hermitian(gens[-1]).vectors)
 
 
 def test_forward_runs_do_not_depend_on_their_neighbours():

@@ -6,7 +6,7 @@ import pytest
 from qspec.linalg import DimMismatch, rng_stream
 from qspec.qsim import MAX_QUBITS, pauli_matrix
 from qspec.spectrum import (DEDUP_TOL, MAX_GAP_VALUES, GapSet, NonCommensurate,
-                            NormalizedGapSet, _cluster_means, _run_starts, commuting_report,
+                            NormalizedGapSet, _sorted_runs, commuting_report,
                             coverage_radius, coverage_radius_box, envelope, gap_set,
                             normalize_gaps)
 
@@ -82,9 +82,13 @@ def test_cluster_means_match_per_run_mean():
         counts = gen.integers(1, 6, centres.size)
         vals = np.sort(np.repeat(centres, counts)
                        + gen.uniform(-1.0, 1.0, counts.sum()) * DEDUP_TOL * 0.4)
-        want = [run.mean() for run in np.split(vals, _run_starts(vals, DEDUP_TOL))]
-        np.testing.assert_allclose(_cluster_means(vals, DEDUP_TOL), want, rtol=1e-12, atol=0)
-    assert _cluster_means(np.array([]), DEDUP_TOL).size == 0
+        splits = np.where(np.diff(vals) > DEDUP_TOL)[0] + 1
+        want = [run.mean() for run in np.split(vals, splits)]
+        means, starts = _sorted_runs(vals, DEDUP_TOL)
+        np.testing.assert_allclose(means, want, rtol=1e-12, atol=0)
+        assert np.array_equal(starts, np.concatenate([[0], splits]))
+    means, starts = _sorted_runs(np.array([]), DEDUP_TOL)
+    assert means.size == 0 and starts.size == 0
 
 
 @pytest.mark.parametrize("tol", [float("nan"), 0.0, -1.0])
