@@ -9,6 +9,7 @@ bound, and the large-d limit probe.
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .linalg import QspecError, complex_gaussians, rng_stream
 
@@ -20,10 +21,11 @@ PRUNE_FLOOR = 1e-300
 MAX_ANNULUS_SCAN = 2 ** 25
 
 # Caps of unit_ball_sweep, each sized so that a sweep at it takes at most
-# about 10 s and 180 MiB on one core: series (about 0.2 ms each), random
-# integers drawn (count x modes x d; 1.6 s and 176 MiB when one series draws
-# them all), (series, K) pairs (about 9 us each) and coefficients summed by
-# the truncation errors (count x len(K) x modes; about 8 ns each)
+# about 10 s and 180 MiB on one core: series (about 60 us each, nearly all
+# of it seeding and drawing), random integers drawn (count x modes x d; 0.8 s
+# and 152 MiB when one series draws 10^6 distinct ones), (series, K) pairs
+# (about 0.1 us each) and coefficients summed by the truncation errors
+# (count x len(K) x modes; about 9 ns each)
 MAX_SWEEP_SERIES = 5 * 10 ** 4
 MAX_SWEEP_DRAWS = 10 ** 6
 MAX_SWEEP_RADII = 10 ** 6
@@ -200,12 +202,20 @@ def jackson_upper(h: FourierSeries, p: SobolevParams, ks) -> list[tuple[float, f
     """
     if h.d != p.d:
         raise DomainError(f"series dimension {h.d} != parameter dimension {p.d}")
+    factors = _jackson_factors(p, ks)
+    w = sobolev_norm(h, p.r)
+    return [(rigorous * w, reference * w) for rigorous, reference in factors]
+
+
+def _jackson_factors(p: SobolevParams, ks) -> list[tuple[float, float]]:
+    """((1 + k^2)^{-r/2}, k^{d/2 - r}) per radius k, the factors of the
+    Sobolev norm in jackson_upper; DomainError unless every k is finite
+    and at least 1."""
     ks = [float(k) for k in ks]
     if not all(np.isfinite(k) and k >= 1 for k in ks):
         raise DomainError("truncation radius k must be at least 1")
-    w = sobolev_norm(h, p.r)
     # k * k, not k ** 2: see truncation_error
-    return [((1.0 + k * k) ** (-p.r / 2) * w, k ** (p.d / 2 - p.r) * w) for k in ks]
+    return [((1.0 + k * k) ** (-p.r / 2), k ** (p.d / 2 - p.r)) for k in ks]
 
 
 def limit_probe(pairs) -> np.ndarray:
@@ -230,19 +240,69 @@ def random_unit_ball_series(p: SobolevParams, max_freq: int, modes: int, seed: i
     and rescales so sobolev_norm(., r) = 1. Used to exercise the upper
     bound on the boundary of the unit ball.
     """
+    freqs, coeffs, _, _ = _draw_unit_ball(p, max_freq, modes, [seed])
+    return FourierSeries(p.d, freqs, coeffs)
+
+
+def _draw_unit_ball(p: SobolevParams, max_freq: int, modes: int, seeds):
+    """random_unit_ball_series(p, max_freq, modes, s) for every s in seeds,
+    packed as (freqs, coeffs, norm_sq, lengths): series i is the next
+    lengths[i] rows of the (T, d) freqs and the (T,) coeffs and norm_sq.
+
+    Each series draws from its own rng_stream(s). One stable lexsort by
+    (series, frequency row) keeps repeats in draw order, so the one
+    np.add.at sums each as a per-series np.add.at would. Coefficients
+    below PRUNE_FLOOR are dropped before and after the rescaling, as the
+    two FourierSeries builds of the series would drop them.
+    """
     if max_freq < 0 or modes < 1:
         raise DomainError("need max_freq >= 0 and modes >= 1")
-    gen = rng_stream(seed)
-    draws = gen.integers(-max_freq, max_freq + 1, size=(modes, p.d))
-    amps = complex_gaussians(gen, modes)
-    freqs, slot = np.unique(draws, axis=0, return_inverse=True)
-    coeffs = np.zeros(len(freqs), dtype=complex)
-    np.add.at(coeffs, slot.ravel(), amps)   # repeats sum in draw order
-    h = FourierSeries(p.d, freqs, coeffs)
-    scale = sobolev_norm(h, p.r)
-    if scale < PRUNE_FLOOR:
+    count = len(seeds)
+    draws = np.empty((count, modes, p.d), dtype=np.int64)
+    amps = np.empty((count, modes), dtype=complex)
+    for i, seed in enumerate(seeds):
+        gen = rng_stream(seed)
+        draws[i] = gen.integers(-max_freq, max_freq + 1, size=(modes, p.d))
+        amps[i] = complex_gaussians(gen, modes)
+    draws, series = draws.reshape(-1, p.d), np.repeat(np.arange(count), modes)
+    order = np.lexsort([*draws.T[::-1], series])
+    draws, series = draws[order], series[order]
+    first = np.ones(len(order), dtype=bool)   # first draw of each (series, frequency)
+    first[1:] = (series[1:] != series[:-1]) | np.any(draws[1:] != draws[:-1], axis=1)
+    coeffs = np.zeros(np.count_nonzero(first), dtype=complex)
+    np.add.at(coeffs, np.cumsum(first) - 1, amps.ravel()[order])   # repeats sum in draw order
+    keep = np.abs(coeffs) >= PRUNE_FLOOR
+    freqs, coeffs, series = draws[first][keep], coeffs[keep], series[first][keep]
+    norm_sq = np.einsum("ij,ij->i", freqs, freqs, dtype=float)
+    lengths = np.bincount(series, minlength=count)
+    scale = _sobolev_norms(norm_sq, coeffs, lengths, p.r)
+    if np.any(scale < PRUNE_FLOOR):
         raise DomainError("degenerate draw: zero Sobolev norm")
-    return FourierSeries(p.d, h.freqs, h.coeffs / scale)
+    coeffs = coeffs / np.repeat(scale, lengths)
+    keep = np.abs(coeffs) >= PRUNE_FLOOR
+    return freqs[keep], coeffs[keep], norm_sq[keep], np.bincount(series[keep], minlength=count)
+
+
+def _sobolev_norms(norm_sq, coeffs, lengths, r) -> np.ndarray:
+    """sobolev_norm of each packed series (see _draw_unit_ball), bit for bit."""
+    return np.sqrt(_run_sums((1.0 + norm_sq) ** r * np.abs(coeffs) ** 2, lengths))
+
+
+def _run_sums(values, lengths) -> np.ndarray:
+    """Sum of each run of a float (T,) array, run i holding the next
+    lengths[i] entries, equal bit for bit to np.sum of the run alone.
+
+    The runs of each length are copied into one (runs, length) array and
+    summed along rows, which pairs terms as np.sum of one run does; zero
+    padding to a common length would change that pairing.
+    """
+    out = np.zeros(len(lengths))
+    starts, low = np.cumsum(lengths) - lengths, lengths.min()
+    for n in np.flatnonzero(np.bincount(lengths - low)) + low:
+        if n:   # an empty run sums to 0.0
+            runs = np.flatnonzero(lengths == n)
+            out[runs] = sliding_window_view(values, n)[starts[runs]].sum(axis=1)
+    return out
 
 
 def unit_ball_sweep(p: SobolevParams, ks, count: int, max_freq: int, modes: int,
@@ -250,8 +310,13 @@ def unit_ball_sweep(p: SobolevParams, ks, count: int, max_freq: int, modes: int,
     """(errors, rigorous, reference), float (count, len(ks)) arrays: [i, j]
     holds the truncation error at radius ks[j] of series i =
     random_unit_ball_series(p, max_freq, modes, seed + i) and its
-    jackson_upper pair there. DomainError, before the first draw, for
-    count < 1, an empty ks, or a sweep over one of the MAX_SWEEP_* caps."""
+    jackson_upper pair there, bit for bit. DomainError, before the first
+    draw, for count < 1, an empty ks, a radius that jackson_upper rejects,
+    or a sweep over one of the MAX_SWEEP_* caps.
+
+    All series are drawn and reduced together: each radius costs one pass
+    over the packed coefficients, whatever the count.
+    """
     ks = [float(k) for k in ks]
     count, modes = int(count), int(modes)
     if count < 1 or not ks:
@@ -263,9 +328,13 @@ def unit_ball_sweep(p: SobolevParams, ks, count: int, max_freq: int, modes: int,
     for value, cap, what in work:
         if value > cap:
             raise DomainError(f"the sweep needs {value} {what}; the cap is {cap}")
-    errors, bounds = np.empty((count, len(ks))), np.empty((count, len(ks), 2))
-    for i in range(count):
-        series = random_unit_ball_series(p, max_freq, modes, seed + i)
-        bounds[i] = jackson_upper(series, p, ks)
-        errors[i] = [truncation_error(series, k) for k in ks]
-    return errors, bounds[..., 0], bounds[..., 1]
+    factors = np.array(_jackson_factors(p, ks))
+    _, coeffs, norm_sq, lengths = _draw_unit_ball(p, max_freq, modes, range(seed, seed + count))
+    norms = _sobolev_norms(norm_sq, coeffs, lengths, p.r)
+    squares, ends = np.abs(coeffs) ** 2, np.cumsum(lengths)
+    errors = np.empty((count, len(ks)))
+    for j, k in enumerate(ks):
+        outside = np.flatnonzero(norm_sq > k * k)   # as in truncation_error
+        hits = np.diff(np.searchsorted(outside, ends), prepend=0)
+        errors[:, j] = np.sqrt(_run_sums(squares[outside], hits))
+    return errors, norms[:, None] * factors[:, 0], norms[:, None] * factors[:, 1]

@@ -10,8 +10,8 @@ import numpy as np
 
 from .bounds import SobolevParams, minimax_lower_curve, unit_ball_sweep
 from .dla import dla_report, eta, lie_closure
-from .experiments import (TrainConfig, analytic_variance_oracle, spectrum_matching_experiment,
-                          variance_sweep, wilcoxon_exact)
+from .experiments import (TrainConfig, analytic_variance_oracle, fast_profile,
+                          spectrum_matching_experiment, variance_sweep, wilcoxon_exact)
 from .linalg import complex_gaussians, rng_stream, unitary_from_generator
 from .qsim import make_generator, pauli_matrix, trig_poly_coeffs
 from .spectrum import NormalizedGapSet, coverage_radius, coverage_radius_box, gap_set
@@ -182,7 +182,7 @@ def battery(seed: int, full: bool) -> list:
     errors, rigorous, _ = unit_ball_sweep(p, range(1, 9), 20, 8, 12, seed + 1000)
     small = variance_sweep([0.0, 0.25, 0.5, 0.75, 1.0], 50, seed)
     x, y, z = (pauli_matrix(label) for label in "XYZ")
-    train = spectrum_matching_experiment(TrainConfig() if full else TrainConfig.fast())
+    train = spectrum_matching_experiment(TrainConfig() if full else fast_profile(TrainConfig()))
     return [
         reconstruction_matches_simulation(circuits, np.linspace(-3.0, 3.0, 25)),
         coeff_support_within_gap_set(circuits),

@@ -17,6 +17,7 @@ Two numerical studies with analytic oracles:
 
 import json
 import operator
+import sys
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -24,8 +25,8 @@ import numpy as np
 from .dla import eta
 from .linalg import QspecError, derive_seed, rng_stream
 from .qsim import (MAX_EIGEN_BOUND, MAX_QUBITS, CircuitSpec, _fd_forward, _forward, _phases,
-                   _stack_specs, circuit_forward_encoded, encode_inputs, grad_analytic_1p_batch,
-                   make_generator, pauli_matrix)
+                   _stack_specs, _workspace, circuit_forward_encoded, encode_inputs,
+                   grad_analytic_1p_batch, make_generator, pauli_matrix)
 
 class AllZeroDifferences(QspecError):
     """Signed-rank test is undefined when every difference is zero."""
@@ -48,7 +49,10 @@ MAX_TRAIN_MULADDS = 10 ** 11
 # microseconds, whatever its arithmetic; TrainConfig() takes 16,000
 MAX_TRAIN_STEPS = 1 << 20
 
-_FAST_OVERRIDES = dict(dataset_size=200, epochs=100, seeds=tuple(range(6)))
+# How far one Adam step moves a parameter, in units of lr: Kingma & Ba's
+# bound (1 - beta1) / sqrt(1 - beta2) = 3.16 for the betas of _train_runs.
+# Gradients that grow by beta2 / beta1 every step can move it up to 7.27 lr
+ADAM_STEP_BOUND = 3.2
 
 
 @dataclass(frozen=True)
@@ -95,17 +99,20 @@ class TrainConfig:
             raise ValueError("share_generator_basis must be true or false")
         caps = {"complex amplitudes held": MAX_TRAIN_AMPLITUDES,
                 "multiply-adds": MAX_TRAIN_MULADDS, "optimizer steps": MAX_TRAIN_STEPS}
-        for (what, cap), value in zip(caps.items(), _train_work(self)):
+        work = _train_work(self)
+        for (what, cap), value in zip(caps.items(), work):
             if value > cap:
                 raise ValueError(f"training exceeds the cap of {cap:.3g} {what}; use fewer "
                                  f"seeds, models, samples, epochs, layers or qubits")
-
-    @classmethod
-    def fast(cls, **overrides) -> "TrainConfig":
-        """Reduced profile: 200 samples, 100 epochs, 6 seeds."""
-        merged = dict(_FAST_OVERRIDES)
-        merged.update(overrides)
-        return cls(**merged)
+        # theta starts in [-pi, pi] and the finite differences shift it by fd_step,
+        # so theta * lambda in qsim._phases stays finite while this product does
+        steps = work[2]
+        reach = np.pi + ADAM_STEP_BOUND * self.lr * steps + self.fd_step
+        if not max(self.b_models) * reach <= sys.float_info.max:
+            raise ValueError(f"eigenphases could overflow: the largest b_models, "
+                             f"{max(self.b_models):.4g}, times the angle reach {reach:.4g} of "
+                             f"{steps} steps at this lr exceeds the largest float; use a "
+                             f"smaller b_models, lr or number of steps")
 
 
 def _whole(name: str, value) -> int:
@@ -149,8 +156,8 @@ def _train_work(cfg: TrainConfig) -> tuple[int, int, int]:
 
 
 def fast_profile(cfg: TrainConfig) -> TrainConfig:
-    """Apply the reduced-profile overrides to an existing config."""
-    return replace(cfg, **_FAST_OVERRIDES)
+    """cfg reduced to 200 samples, 100 epochs and seeds 0..5; other fields kept."""
+    return replace(cfg, dataset_size=200, epochs=100, seeds=tuple(range(6)))
 
 
 def load_train_config(path: str) -> TrainConfig:
@@ -279,12 +286,13 @@ def _train_runs(models, xs: np.ndarray, ys: np.ndarray, data_of, cfg: TrainConfi
     v = np.zeros_like(theta)
     step_count = 0
     batch = min(cfg.batch_size, n_samples)
+    work = _workspace(len(models), 2 * theta.shape[1] + 1, encoded.shape[-1], batch)
 
     for _ in range(cfg.epochs):
         orders = np.stack([shuffler.permutation(n_samples) for shuffler in shufflers])
         for start in range(0, n_samples, batch):
             idx = orders[:, start:start + batch]
-            vals, dfs = _fd_forward(stack, theta, encoded[rows, idx], cfg.fd_step)
+            vals, dfs = _fd_forward(stack, theta, encoded[rows, idx], cfg.fd_step, work)
             resid = vals - ys[rows, idx]
             grad = np.mean(2.0 * resid[:, None, :] * dfs, axis=2)
 

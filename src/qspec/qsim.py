@@ -205,7 +205,7 @@ def encode_inputs(spec: CircuitSpec, xs) -> np.ndarray:
     return amps[spec._unperm].T.astype(complex, order="C")
 
 
-def _forward(stack: _Stack, phases: np.ndarray, encoded: np.ndarray) -> np.ndarray:
+def _forward(stack: _Stack, phases: np.ndarray, encoded: np.ndarray, work=None) -> np.ndarray:
     """Expectation values, real (R, V, B), of R runs with V parameter vectors each.
 
     phases (R, V, L, N) holds exp(-i theta_l lam_l) per run, vector and
@@ -213,17 +213,35 @@ def _forward(stack: _Stack, phases: np.ndarray, encoded: np.ndarray) -> np.ndarr
     R*V vectors are built from the left as one (R, V*N, N) array, with row
     (v, i) the output amplitude i of vector v, so each layer is one batched
     matmul, and the rows meet them in one (R, B, N) @ (R, N, V*N) matmul.
+    work, from _workspace, holds the three large temporaries; a loop that
+    passes the same work to every call allocates no large array per call.
     """
     runs, nvec, depth, dim = phases.shape
-    w = stack.last[:, None] * phases[:, :, -1, None, :]          # (R, V, N, N)
+    w, tmp, states = work or _workspace(runs, nvec, dim, encoded.shape[1])
+    flat = (runs, nvec * dim, dim)
+    np.multiply(stack.last[:, None], phases[:, :, -1, None, :], out=w)   # (R, V, N, N)
     for layer in range(depth - 2, -1, -1):
-        w = ((w.reshape(runs, nvec * dim, dim) @ stack.hops[:, layer])
-             .reshape(runs, nvec, dim, dim) * phases[:, :, layer, None, :])
-    w = w.reshape(runs, nvec * dim, dim) @ stack.first_h
-    states = encoded @ w.transpose(0, 2, 1)                          # (R, B, V*N)
+        np.matmul(w.reshape(flat), stack.hops[:, layer], out=tmp.reshape(flat))
+        np.multiply(tmp, phases[:, :, layer, None, :], out=w)
+    np.matmul(w.reshape(flat), stack.first_h, out=tmp.reshape(flat))
+    states = np.matmul(encoded, tmp.reshape(flat).transpose(0, 2, 1),
+                       out=states[:, :encoded.shape[1]])                 # (R, B, V*N)
     parts = states.view(float).reshape(runs, -1, 2 * dim)            # rows (b, v)
     vals = np.square(parts, out=parts) @ stack.weights
     return np.ascontiguousarray(vals.reshape(runs, -1, nvec).transpose(0, 2, 1))
+
+
+def _workspace(runs: int, nvec: int, dim: int, batch: int) -> tuple:
+    """_forward's temporaries for R runs of V vectors and up to `batch` rows:
+    two (R, V, N, N) unitary buffers and the (R, batch, V*N) states.
+
+    Reusing them across a training loop keeps about 1 MB per step off the
+    heap; allocated and freed every step, glibc may trim the heap top each
+    time and fault the pages back in, which made `train --fast` about a
+    third slower in some heap layouts."""
+    return (np.empty((runs, nvec, dim, dim), dtype=complex),
+            np.empty((runs, nvec, dim, dim), dtype=complex),
+            np.empty((runs, batch, nvec * dim), dtype=complex))
 
 
 def _phases(stack: _Stack, thetas: np.ndarray) -> np.ndarray:
@@ -263,13 +281,13 @@ def circuit_forward(spec: CircuitSpec, theta, x: float) -> float:
 
 
 def _fd_forward(stack: _Stack, theta: np.ndarray, encoded: np.ndarray,
-                step: float) -> tuple[np.ndarray, np.ndarray]:
+                step: float, work=None) -> tuple[np.ndarray, np.ndarray]:
     """Centre values, shape (R, B), and central differences, shape (R, L, B).
 
     theta is (R, L) and encoded (R, B, N). The 2L + 1 parameter vectors
     [theta; theta + step I; theta - step I] of every run go through one
     _forward call; their phases are the centre phases, with the shifted
-    layer's multiplied by exp(-+i step lam).
+    layer's multiplied by exp(-+i step lam). work is passed to _forward.
     """
     depth = theta.shape[1]
     centre = _phases(stack, theta[:, None])[:, 0]                  # (R, L, N)
@@ -278,7 +296,7 @@ def _fd_forward(stack: _Stack, theta: np.ndarray, encoded: np.ndarray,
     layers = np.arange(depth)
     phases[:, 1 + layers, layers] = centre * shift
     phases[:, 1 + depth + layers, layers] = centre * shift.conj()
-    vals = _forward(stack, phases, encoded)
+    vals = _forward(stack, phases, encoded, work)
     return vals[:, 0], (vals[:, 1:depth + 1] - vals[:, depth + 1:]) / (2.0 * step)
 
 

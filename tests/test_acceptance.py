@@ -16,7 +16,8 @@ import numpy as np
 from qspec import checks
 from qspec.bounds import SobolevParams, unit_ball_sweep
 from qspec.cli import dispatch
-from qspec.experiments import TrainConfig, spectrum_matching_experiment, variance_sweep
+from qspec.experiments import (TrainConfig, fast_profile, spectrum_matching_experiment,
+                               variance_sweep)
 from qspec.linalg import complex_gaussians, rng_stream
 from qspec.qsim import make_generator, pauli_matrix, trig_poly_coeffs
 from qspec.spectrum import NormalizedGapSet
@@ -147,7 +148,7 @@ def test_07_training_separates_spectral_widths(capsys):
     assert el_full <= 45 * 60
 
     t1 = time.monotonic()
-    fast = spectrum_matching_experiment(TrainConfig.fast())
+    fast = spectrum_matching_experiment(fast_profile(TrainConfig()))
     el_fast = time.monotonic() - t1
     assert checks.train_rmse_ordering(fast, "fast")["passed"]
     assert el_fast <= 5 * 60

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from qspec import bounds
 from qspec.bounds import (MAX_ANNULUS_SCAN, MAX_SWEEP_DRAWS, MAX_SWEEP_RADII,
                           MAX_SWEEP_SERIES, MAX_SWEEP_TERMS, PRUNE_FLOOR, DomainError,
                           FourierSeries, SobolevParams, annulus_points,
@@ -126,8 +127,6 @@ def test_annulus_scan_cap_checked_before_allocating():
 
 
 def test_lower_curve_checks_largest_scan_first(monkeypatch):
-    import qspec.bounds as bounds
-
     def never(*args):
         raise AssertionError("a witness was built")
     monkeypatch.setattr(bounds, "truncation_error", never)
@@ -314,7 +313,6 @@ def test_series_rejects_bad_shape_and_order():
 
 def test_lower_curve_rejects_underflow_exactly_when_a_witness_error_is_zero(monkeypatch):
     # oracle: build every witness and look for a zero truncation error
-    import qspec.bounds as bounds
     scans = []
     monkeypatch.setattr(bounds, "annulus_points",
                         lambda d, k: scans.append(k) or annulus_points(d, k))
@@ -341,15 +339,64 @@ def test_lower_curve_rejects_underflow_exactly_when_a_witness_error_is_zero(monk
     assert outcomes == {(False, False), (False, True), (True, False), (True, True)}
 
 
-def test_unit_ball_sweep_matches_per_series_calls():
-    p = SobolevParams(2, 2.0)
+def reference_unit_ball_series(p, max_freq, modes, seed):
+    """The draw one series at a time: np.unique merges the repeats and two
+    FourierSeries builds prune. Returns the series and its term counts as
+    drawn, after the first prune and after the second. complex_gaussians
+    is read from qspec.bounds, so a patched one serves both sides."""
+    gen = rng_stream(seed)
+    draws = gen.integers(-max_freq, max_freq + 1, size=(modes, p.d))
+    amps = bounds.complex_gaussians(gen, modes)
+    freqs, slot = np.unique(draws, axis=0, return_inverse=True)
+    coeffs = np.zeros(len(freqs), dtype=complex)
+    np.add.at(coeffs, slot.ravel(), amps)
+    h = FourierSeries(p.d, freqs, coeffs)
+    g = FourierSeries(p.d, h.freqs, h.coeffs / sobolev_norm(h, p.r))
+    return g, (len(freqs), len(h.freqs), len(g.freqs))
+
+
+def tiny_gaussians(gen, shape):
+    """complex_gaussians with every fourth draw below PRUNE_FLOOR and the
+    next one just above it, so that rescaling by a norm above 3 prunes it."""
+    amps = complex_gaussians(gen, shape)
+    amps[::4] *= 1e-301
+    amps[1::4] *= 3e-300 / np.abs(amps[1::4])
+    return amps
+
+
+@pytest.mark.parametrize("d, max_freq, modes, tiny", [
+    (2, 5, 9, False), (2, 1, 200, False), (3, 1, 40, False), (1, 2, 50, False), (2, 50, 40, True),
+], ids=["d2-modes9", "d2-modes200-repeats", "d3-modes40-repeats", "d1-modes50-repeats",
+        "d2-modes40-pruned"])
+def test_unit_ball_sweep_matches_per_series_calls(monkeypatch, d, max_freq, modes, tiny):
+    if tiny:
+        monkeypatch.setattr(bounds, "complex_gaussians", tiny_gaussians)
+    p = SobolevParams(d, 2.0)
     ks = [1.0, 2.5, 4.0, 9.0]
-    errors, rigorous, reference = unit_ball_sweep(p, ks, 6, 5, 9, seed=31)
+    errors, rigorous, reference = unit_ball_sweep(p, ks, 6, max_freq, modes, seed=31)
     assert errors.shape == rigorous.shape == reference.shape == (6, 4)
+    terms = []
     for i in range(6):
-        h = random_unit_ball_series(p, 5, 9, seed=31 + i)
+        h = random_unit_ball_series(p, max_freq, modes, seed=31 + i)
         assert errors[i].tolist() == [truncation_error(h, k) for k in ks]
         assert list(zip(rigorous[i], reference[i])) == jackson_upper(h, p, ks)
+        want, counts = reference_unit_ball_series(p, max_freq, modes, 31 + i)
+        assert h.freqs.tolist() == want.freqs.tolist()
+        assert h.coeffs.tolist() == want.coeffs.tolist()
+        terms.append(counts)
+    drawn, first, second = np.array(terms).T
+    if (2 * max_freq + 1) ** d < modes:   # more draws than frequencies: repeats merge
+        assert np.all(drawn < modes)
+    # the pruned config drops terms at both prunes, the others at neither
+    assert (np.any(first < drawn), np.any(second < first)) == (tiny, tiny)
+
+
+def test_unit_ball_sweep_rejects_a_degenerate_draw(monkeypatch):
+    monkeypatch.setattr(bounds, "complex_gaussians", lambda gen, shape: np.zeros(shape, complex))
+    with pytest.raises(DomainError, match="degenerate draw"):
+        unit_ball_sweep(SobolevParams(2, 2.0), [1.0, 2.0], 3, 8, 12, seed=0)
+    with pytest.raises(DomainError, match="degenerate draw"):
+        random_unit_ball_series(SobolevParams(2, 2.0), 8, 12, seed=0)
 
 
 @pytest.mark.parametrize("count, ks, modes, d", [
@@ -361,24 +408,20 @@ def test_unit_ball_sweep_matches_per_series_calls():
     (1, [], 1, 1),
 ])
 def test_unit_ball_sweep_caps_reject_before_drawing(monkeypatch, count, ks, modes, d):
-    import qspec.bounds as bounds
-
     def never(*args):
         raise AssertionError("a series was drawn")
-    monkeypatch.setattr(bounds, "random_unit_ball_series", never)
+    monkeypatch.setattr(bounds, "rng_stream", never)
     with pytest.raises(DomainError):
         unit_ball_sweep(SobolevParams(d, 2.0), ks, count, 8, modes, seed=0)
 
 
 def test_unit_ball_sweep_caps_admit_their_limits(monkeypatch):
-    import qspec.bounds as bounds
-
     class Drawn(Exception):
         pass
 
     def drawn(*args):
         raise Drawn
-    monkeypatch.setattr(bounds, "random_unit_ball_series", drawn)
+    monkeypatch.setattr(bounds, "rng_stream", drawn)
     for count, ks, modes, d in ((MAX_SWEEP_SERIES, [1.0], 1, 1),
                                 (1, [1.0], MAX_SWEEP_DRAWS // 2, 2),
                                 (1, [1.0] * 1000, MAX_SWEEP_TERMS // 1000, 1)):

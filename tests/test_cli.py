@@ -425,6 +425,23 @@ def test_train_overflowing_eigenvalue_bound_exits_one(tmp_path, capsys, config, 
     assert f"{name} must lie in" in error_line(captured)
 
 
+def test_train_overflowing_eigenphase_exits_one_before_training(tmp_path, capsys, monkeypatch):
+    # every field is in range, but Adam may move theta far enough that
+    # theta * lambda overflows and the report holds a nan
+    import qspec.experiments as experiments
+
+    def never(*args):
+        raise AssertionError("training started")
+    monkeypatch.setattr(experiments, "_train_runs", never)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"b_models": [4.4e307], "lr": 1, "epochs": 5, "seeds": [0],
+                                "dataset_size": 20}))
+    rc = dispatch(["train", "--config", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert "eigenphases could overflow" in error_line(captured)
+
+
 def test_train_tiny_with_config_and_seed_override(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n": 2, "depth": 2, "dataset_size": 20,

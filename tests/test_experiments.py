@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from qspec.experiments import (MAX_TRAIN_AMPLITUDES, MAX_TRAIN_MULADDS, MAX_TRAIN_STEPS,
-                               MAX_VARIANCE_DRAWS, MAX_VARIANCE_SAMPLES, AllZeroDifferences,
-                               TrainConfig, _train_runs, _train_work, adam_train,
+from qspec.experiments import (ADAM_STEP_BOUND, MAX_TRAIN_AMPLITUDES, MAX_TRAIN_MULADDS,
+                               MAX_TRAIN_STEPS, MAX_VARIANCE_DRAWS, MAX_VARIANCE_SAMPLES,
+                               AllZeroDifferences, TrainConfig, _train_runs, _train_work, adam_train,
                                analytic_variance_oracle, build_circuit, fast_profile,
                                gen_dataset, load_train_config, spectrum_matching_experiment,
                                variance_sweep, wilcoxon_exact)
@@ -27,11 +27,11 @@ def test_train_config_defaults_and_fast():
     assert cfg.n == 3 and cfg.depth == 5 and cfg.dataset_size == 1000
     assert cfg.epochs == 500 and cfg.seeds == tuple(range(10))
     assert cfg.b_models == (0.1, 1.0, 10.0) and cfg.b_target == 10.0
-    fast = TrainConfig.fast()
+    fast = fast_profile(cfg)
     assert fast.dataset_size == 200 and fast.epochs == 100
     assert fast.seeds == tuple(range(6))
     assert fast.lr == cfg.lr and fast.depth == cfg.depth
-    assert TrainConfig.fast(lr=1e-3).lr == 1e-3
+    assert fast_profile(TrainConfig(lr=1e-3)).lr == 1e-3
 
 
 def test_fast_profile_keeps_other_fields():
@@ -77,6 +77,18 @@ def test_train_config_rejects_overflowing_eigenvalue_bounds():
             TrainConfig(**bad)
     cfg = TrainConfig(b_target=MAX_EIGEN_BOUND, b_models=(MAX_EIGEN_BOUND,))
     assert cfg.b_target == cfg.b_models[0] == MAX_EIGEN_BOUND
+
+
+def test_train_config_bounds_the_eigenphases():
+    # b * (pi + ADAM_STEP_BOUND * lr * steps + fd_step) must stay finite; here
+    # steps = 5, so the reach is pi + 16 + fd_step
+    big = dict(lr=1.0, epochs=5, seeds=(0,), dataset_size=20)
+    reach = np.pi + ADAM_STEP_BOUND * 5 + 1e-4
+    with pytest.raises(ValueError, match="eigenphases could overflow"):
+        TrainConfig(b_models=(1.0, 4.4e307), **big)
+    with pytest.raises(ValueError, match="eigenphases could overflow"):
+        TrainConfig(b_models=(np.finfo(float).max / reach * 1.01,), **big)
+    TrainConfig(b_models=(np.finfo(float).max / reach * 0.99,), **big)
 
 
 def test_train_work_caps():
