@@ -39,6 +39,9 @@ _TARGET, _DATA, _MODEL, _INIT = 0, 1, 2, 3
 MAX_VARIANCE_SAMPLES = 10 ** 6
 # Most gradient samples a variance sweep draws over all weights (bounds time)
 MAX_VARIANCE_DRAWS = 10 ** 7
+# Below a = 8 pi w = this, analytic_variance_oracle's closed form would lose
+# about 1e-15 / a^2 to cancellation; its series through a^14 loses 1e-18
+ORACLE_SERIES_BELOW = 0.5
 # Most complex amplitudes a training study holds at once (bounds memory);
 # TrainConfig() holds 358,800
 MAX_TRAIN_AMPLITUDES = 1 << 21
@@ -408,13 +411,21 @@ def analytic_variance_oracle(w: float) -> float:
 
     The cost is C(theta) = cos(2 w theta), so the derivative is
     -2w sin(2 w theta) and the variance integrates to
-    4 w^2 (1/2 - sin(8 pi w) / (16 pi w)), with the w = 0 limit 0.
+    4 w^2 (1/2 - sin(8 pi w) / (16 pi w)) = 4 w^2 (a - sin a) / (2a) with
+    a = 8 pi w. Below a = ORACLE_SERIES_BELOW the difference cancels, so
+    (a - sin a) / (2a) is summed as its Taylor series a^2/12 - a^4/240 +
+    ... through a^14 instead; the result is never negative, and 0 at w = 0.
     """
     w = float(w)
     if not np.isfinite(w) or w < 0:
         raise ValueError("weight must be finite and nonnegative")
-    if w == 0.0:
-        return 0.0
+    a = 8.0 * np.pi * w
+    if a < ORACLE_SERIES_BELOW:
+        x = a * a
+        series = 1.0
+        for d in (210.0, 156.0, 110.0, 72.0, 42.0, 20.0):   # (2k + 2)(2k + 3), k = 6 .. 1
+            series = 1.0 - x / d * series
+        return 4.0 * w * w * (x / 12.0) * series
     return 4.0 * w * w * (0.5 - np.sin(8.0 * np.pi * w) / (16.0 * np.pi * w))
 
 

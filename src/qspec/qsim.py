@@ -28,6 +28,10 @@ differences stack their 2L + 1 parameter vectors per run into one call
 lockstep study at once. Each run's slice of a call is computed the same
 way whatever R is, so a run's values do not depend on which other runs
 share the call.
+
+trig_poly_coeffs and grad_analytic_1p_batch take the modes (the gaps of H)
+and coefficients of f(t) = <s| e^{itH} O e^{-itH} |s> from one routine,
+_gap_coeffs; the gradient is a real sine series over the positive gaps.
 """
 
 from typing import NamedTuple
@@ -41,6 +45,9 @@ from .spectrum import DEDUP_TOL, _sorted_runs
 FD_STEP = 1e-4
 
 MAX_QUBITS = 12
+
+# Most elements of one (gaps, block of thetas) temporary of grad_analytic_1p_batch
+GRAD_BLOCK_ELEMENTS = 1 << 20
 
 # Largest b_max of make_generator: its eigenvalues' span 2 b_max and the
 # entries of H + H^dag, at most 2 b_max up to rounding, stay finite with a
@@ -316,15 +323,30 @@ def grad_fd(spec: CircuitSpec, theta, x: float, step: float = FD_STEP) -> np.nda
 
 def _eigen_gram(h, state, obs) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues lam of H and G = diag(conj(a)) V^dag O V diag(a), a = V^dag |state>:
-    <state| e^{itH} O e^{-itH} |state> = z^dag G z with z_p = e^{-i t lam_p}."""
+    <state| e^{itH} O e^{-itH} |state> = z^dag G z with z_p = e^{-i t lam_p}.
+    DimMismatch for a state or observable of the wrong size or a
+    non-Hermitian observable."""
     lam, vecs = eig_hermitian(h)
     state = np.asarray(state, dtype=complex).ravel()
     obs = require_square(obs)
     if state.shape[0] != lam.shape[0] or obs.shape[0] != lam.shape[0]:
         raise DimMismatch(f"state length {state.shape[0]} and observable shape {obs.shape} "
                           f"must match the generator dimension {lam.shape[0]}")
+    if not is_hermitian(obs):
+        raise DimMismatch("observable must be Hermitian")
     amps = vecs.conj().T @ state
     return lam, amps.conj()[:, None] * (vecs.conj().T @ obs @ vecs) * amps[None, :]
+
+
+def _gap_coeffs(h, state, obs, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted gaps w = lam_q - lam_p of H, runs within tol merged to their mean
+    (tol = 0: exactly equal gaps only), and the sums a_w of G_pq over each run:
+    <state| e^{itH} O e^{-itH} |state> = sum_w a_w e^{-i t w}."""
+    lam, gram = _eigen_gram(h, state, obs)
+    gaps = (lam[None, :] - lam[:, None]).ravel()
+    order = np.argsort(gaps, kind="stable")
+    means, starts = _sorted_runs(gaps[order], tol)
+    return means, np.add.reduceat(gram.ravel()[order], starts)
 
 
 def trig_poly_coeffs(h, phi, obs, tol: float = DEDUP_TOL) -> dict:
@@ -338,13 +360,8 @@ def trig_poly_coeffs(h, phi, obs, tol: float = DEDUP_TOL) -> dict:
     Hermitian O and the coefficients reconstruct direct simulation.
     """
     _check_tol(tol)
-    lam, gram = _eigen_gram(h, phi, obs)
-    gaps = (lam[None, :] - lam[:, None]).ravel()
-    vals = gram.ravel()
-
-    order = np.argsort(gaps, kind="stable")
-    means, starts = _sorted_runs(gaps[order], tol)
-    return dict(zip(means.tolist(), np.add.reduceat(vals[order], starts).tolist()))
+    gaps, coeffs = _gap_coeffs(h, phi, obs, tol)
+    return dict(zip(gaps.tolist(), coeffs.tolist()))
 
 
 def make_generator(n_dim: int, b_max: float, seed: int) -> np.ndarray:
@@ -368,25 +385,30 @@ def make_generator(n_dim: int, b_max: float, seed: int) -> np.ndarray:
 def grad_analytic_1p_batch(h, thetas, obs, state) -> np.ndarray:
     """Exact derivatives d/dt <s| e^{itH} O e^{-itH} |s> at each t in thetas.
 
-    With z_p = e^{-i t lam_p} and G the Gram matrix of _eigen_gram,
-    f(t) = z^dag G z and f'(t) = 2 Im(z^dag G diag(lam) z) = Im(z^dag A z) with
-    A_pq = G_pq (lam_q - lam_p). Rows and columns of G at exactly equal
-    eigenvalues are summed first, so each sample costs one phase per
-    distinct eigenvalue, and a generator with a single distinct eigenvalue
-    gives exact zeros. One eigensolve serves the whole batch; thetas is a
-    scalar or a 1-D array of finite angles.
+    With a_w from _gap_coeffs, exactly equal gaps merged, a_{-w} = conj(a_w)
+    gives f'(t) = sum_{w > 0} 2 w |a_w| sin(arg a_w - w t): one sine per
+    positive gap and sample, and exact zeros when H has one distinct
+    eigenvalue. One eigensolve serves the whole batch; thetas, a scalar or
+    a 1-D array of finite angles, goes in blocks of max(1,
+    GRAD_BLOCK_ELEMENTS // gaps) samples, so the (gaps, block) temporary
+    stays within GRAD_BLOCK_ELEMENTS unless one sample's gaps exceed it.
     """
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     if thetas.ndim != 1:
         raise DimMismatch(f"thetas must be a scalar or a 1-D array, got shape {thetas.shape}")
     if not np.all(np.isfinite(thetas)):
         raise ValueError("thetas must be finite")
-    lam, gram = _eigen_gram(h, state, obs)
-    mu, group = np.unique(lam, return_inverse=True)
-    fold = (group == np.arange(mu.shape[0])[:, None]).astype(float)   # (K, N)
-    amat = (fold @ gram @ fold.T) * (mu[None, :] - mu[:, None])
-    arg = np.outer(thetas, mu)
-    zc = np.empty(arg.shape, dtype=complex)                 # conj(z), (B, K)
-    np.cos(arg, out=zc.real)
-    np.sin(arg, out=zc.imag)
-    return np.einsum("bi,bi->b", zc, zc.conj() @ amat.T).imag
+    gaps, coeffs = _gap_coeffs(h, state, obs, 0.0)
+    pos = gaps > 0.0
+    omega, coeffs = gaps[pos], coeffs[pos]
+    amp, phase = 2.0 * omega * np.abs(coeffs), np.angle(coeffs)
+    if omega.size == 0:
+        return np.zeros(thetas.shape[0])
+    out = np.empty(thetas.shape[0])
+    cols = max(1, GRAD_BLOCK_ELEMENTS // omega.size)
+    for lo in range(0, thetas.shape[0], cols):
+        arg = np.multiply.outer(omega, thetas[lo:lo + cols])       # (gaps, block)
+        np.subtract(phase[:, None], arg, out=arg)
+        np.dot(amp, np.sin(arg, out=arg), out=out[lo:lo + cols])
+        del arg                  # freed before the next block is allocated
+    return out

@@ -121,6 +121,13 @@ def test_variance_json_includes_oracle(capsys):
     assert res["analytic_variances"][1] == pytest.approx(2.0, abs=1e-12)
 
 
+def test_variance_json_tiny_weight_oracle_is_positive_zero(capsys):
+    rc = dispatch(["variance", "--weights", "1e-320", "--samples", "3"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert '"analytic_variances": [0]' in out
+
+
 def test_variance_samples_cap_checked_before_allocating(capsys):
     tracemalloc.start()
     try:

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import tracemalloc
 
@@ -8,6 +9,7 @@ import scipy.stats
 
 from qspec.experiments import (ADAM_STEP_BOUND, MAX_TRAIN_AMPLITUDES, MAX_TRAIN_MULADDS,
                                MAX_TRAIN_STEPS, MAX_VARIANCE_DRAWS, MAX_VARIANCE_SAMPLES,
+                               ORACLE_SERIES_BELOW,
                                AllZeroDifferences, TrainConfig, _train_runs, _train_work, adam_train,
                                analytic_variance_oracle, build_circuit, fast_profile,
                                gen_dataset, load_train_config, spectrum_matching_experiment,
@@ -334,6 +336,26 @@ def test_variance_sweep_oracle_grid():
         assert analytic_variance_oracle(w) == pytest.approx(v, abs=1e-12)
     with pytest.raises(ValueError):
         analytic_variance_oracle(-0.5)
+
+
+def test_variance_oracle_small_weights_follow_series():
+    # the closed form cancelled: 5% off at w = 1e-9, 0 at 1e-12, -0 at 1e-320
+    for w in np.concatenate([np.logspace(-12, -4, 17), [1e-150, 1e-320, 0.0]]):
+        a = 8.0 * np.pi * w
+        want = 64.0 / 3.0 * np.pi ** 2 * w ** 4 * (1.0 - a * a / 20.0 + a ** 4 / 840.0)
+        got = analytic_variance_oracle(w)
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+        assert math.copysign(1.0, got) == 1.0
+
+
+def test_variance_oracle_closed_form_kept_above_series():
+    w_edge = ORACLE_SERIES_BELOW / (8.0 * np.pi)
+    # the two branches meet at the threshold
+    below, above = (analytic_variance_oracle(w_edge * (1.0 + s)) for s in (-1e-12, 1e-12))
+    assert below == pytest.approx(above, rel=1e-11)
+    for w in (np.nextafter(w_edge, 1.0) * 1.0000001, 0.05, 0.1, 0.25, 0.5, 1.0, 3.7):
+        closed = 4.0 * w * w * (0.5 - np.sin(8.0 * np.pi * w) / (16.0 * np.pi * w))
+        assert analytic_variance_oracle(w) == closed
 
 
 def test_variance_sweep_report():

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -5,8 +6,8 @@ import pytest
 
 from qspec.linalg import (DimMismatch, complex_gaussians, eig_hermitian, rng_stream,
                           unitary_from_generator)
-from qspec.qsim import (FD_STEP, MAX_EIGEN_BOUND, CircuitSpec, _eigen_gram, _fd_forward,
-                        _forward, _phases, _stack_specs,
+from qspec.qsim import (FD_STEP, GRAD_BLOCK_ELEMENTS, MAX_EIGEN_BOUND, CircuitSpec, _eigen_gram,
+                        _fd_forward, _forward, _phases, _stack_specs,
                         circuit_forward, circuit_forward_batch, circuit_forward_encoded,
                         default_entangler, encode_inputs,
                         grad_analytic_1p_batch, grad_fd, make_generator,
@@ -332,6 +333,17 @@ def test_trig_poly_coeffs_match_per_run_split(label):
         np.testing.assert_allclose(list(got.values()), list(want.values()), rtol=0, atol=1e-12)
 
 
+def test_single_parameter_series_reject_non_hermitian_observable():
+    # the sine series needs a_{-w} = conj(a_w), which holds only for Hermitian O
+    h = np.diag([0.0, 1.0]).astype(complex)
+    plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
+    obs = np.array([[1.0, 2.0], [0.0, 1.0]])
+    with pytest.raises(DimMismatch, match="observable must be Hermitian"):
+        trig_poly_coeffs(h, plus, obs)
+    with pytest.raises(DimMismatch, match="observable must be Hermitian"):
+        grad_analytic_1p_batch(h, [0.1, 0.2], obs, plus)
+
+
 # ---- generator factory ----------------------------------------------------
 
 def test_make_generator_eigenvalues():
@@ -446,6 +458,68 @@ def test_grad_analytic_batch_rejects_bad_thetas():
         for bad in (float("nan"), float("inf"), -float("inf")):
             with pytest.raises(ValueError, match="finite"):
                 grad_analytic_1p_batch(h, [0.1, bad], obs, state)
+
+
+def phase_vector_grad(h, thetas, obs, state):
+    """Oracle: the quadratic form over per-eigenvalue phases. With z_p =
+    e^{-i t lam_p}, f'(t) = Im(z^dag A z), A_pq = G_pq (lam_q - lam_p), rows
+    and columns of G at exactly equal eigenvalues summed first."""
+    lam, gram = _eigen_gram(h, state, obs)
+    mu, group = np.unique(lam, return_inverse=True)
+    fold = (group == np.arange(mu.shape[0])[:, None]).astype(float)
+    amat = (fold @ gram @ fold.T) * (mu[None, :] - mu[:, None])
+    zc = np.exp(1j * np.outer(thetas, mu))
+    return np.einsum("bi,bi->b", zc, zc.conj() @ amat.T).imag
+
+
+def oracle_cases():
+    """(name, H) pairs covering generic, repeated, near-equal-gap and scalar spectra."""
+    z = complex_gaussians(rng_stream(380), (2, 2))
+    h2 = (z + z.conj().T) / 2
+    cases = [(f"random{dim}", random_hermitian(dim, seed=381 + dim)) for dim in (2, 4, 8)]
+    cases += [("repeated", np.kron(np.eye(2), h2)),
+              ("linspace8", make_generator(8, 10.0, seed=390)),
+              ("linspace16", make_generator(16, 1.0, seed=391))]
+    cases += [(f"scalar{dim}", c * np.eye(dim)) for dim, c in ((2, 0.0), (4, 1.0), (8, -2.5))]
+    return cases
+
+
+@pytest.mark.parametrize("name,h", oracle_cases())
+def test_grad_analytic_batch_matches_phase_vector_oracle(name, h):
+    dim = h.shape[0]
+    obs, state = random_hermitian(dim, seed=392), random_state(dim, seed=393)
+    thetas = rng_stream(394).uniform(-3, 3, 200)
+    got = grad_analytic_1p_batch(h, thetas, obs, state)
+    np.testing.assert_allclose(got, phase_vector_grad(h, thetas, obs, state), rtol=0, atol=1e-12)
+    if name.startswith("scalar"):
+        assert np.all(got == 0.0)
+
+
+def test_grad_analytic_batch_crosses_block_boundary():
+    # dim 64 has 2016 positive gaps, so 1e4 angles take several blocks
+    h = random_hermitian(64, seed=395)
+    obs, state = random_hermitian(64, seed=396), random_state(64, seed=397)
+    thetas = rng_stream(398).uniform(-3, 3, 10_000)
+    assert thetas.size * 2016 > GRAD_BLOCK_ELEMENTS
+    got = grad_analytic_1p_batch(h, thetas, obs, state)
+    np.testing.assert_allclose(got, phase_vector_grad(h, thetas, obs, state), rtol=0, atol=1e-12)
+
+
+def test_grad_analytic_batch_temporaries_stay_in_block_bound():
+    # one gap: a block is GRAD_BLOCK_ELEMENTS angles, far fewer than the batch
+    h, obs = pauli_matrix("Y"), pauli_matrix("Z")
+    state = np.array([1.0, 0.0])
+    thetas = rng_stream(399).uniform(-3, 3, 4 * GRAD_BLOCK_ELEMENTS)
+    grad_analytic_1p_batch(h, thetas[:8], obs, state)
+    tracemalloc.start()
+    try:
+        got = grad_analytic_1p_batch(h, thetas, obs, state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the result, the finiteness mask and one float block, with 64 KiB to spare
+    assert peak <= got.nbytes + thetas.size + 8 * GRAD_BLOCK_ELEMENTS + (1 << 16)
+    np.testing.assert_allclose(got, -2.0 * np.sin(2.0 * thetas), rtol=0, atol=1e-12)
 
 
 def test_grad_fd_matches_analytic_single_layer():
