@@ -35,7 +35,7 @@ class ZeroMatrix(QspecError):
 
 
 class DimCap(QspecError):
-    """Closure dimension would exceed the requested cap."""
+    """Closure dimension would exceed the cap."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,11 +76,12 @@ def _elements(rows: np.ndarray, n: int) -> list:
     return list(np.ascontiguousarray(rows).view(complex).reshape(-1, n, n))
 
 
-def _extend(basis: np.ndarray, m: int, cands: np.ndarray, tol: float, cap: int) -> int:
+def _extend(basis: np.ndarray, m: int, cands: np.ndarray, tol: float) -> int:
     """Append to orthonormal rows basis[:m] the parts of the rows of cands
-    outside their span, in order; returns the new row count. One block
-    projection drops candidates in the span; survivors are projected
-    twice, so near-dependent residuals survive cancellation."""
+    outside their span, in order; returns the new row count, or DimCap
+    past len(basis) rows. One block projection drops candidates in the
+    span; survivors are projected twice, so near-dependent residuals
+    survive cancellation."""
     resid = cands - (cands @ basis[:m].T) @ basis[:m]
     for v in resid[np.linalg.norm(resid, axis=1) > tol]:
         for _ in range(2):
@@ -88,38 +89,35 @@ def _extend(basis: np.ndarray, m: int, cands: np.ndarray, tol: float, cap: int) 
         nrm = float(np.linalg.norm(v))
         if nrm > tol:
             if m == len(basis):
-                raise DimCap(f"closure dimension exceeds cap {cap}")
+                raise DimCap(f"closure dimension exceeds cap {m}")
             basis[m] = v / nrm
             m += 1
     return m
 
 
-def lie_closure(generators, tol: float = CLOSURE_TOL, max_dim: int | None = None) -> LieBasis:
+def lie_closure(generators, tol: float = CLOSURE_TOL) -> LieBasis:
     """Orthonormal basis of the real Lie algebra generated by {i * H_j}.
 
     Breadth-first bracket search: each accepted element is bracketed with
     everything accepted before it, so the basis is independent of how the
     span is presented. The span does not depend on the generators' scale,
     so each is peak-rescaled first: brackets cannot overflow, and tol is
-    relative to each generator. max_dim defaults to min(N^2, MAX_DLA_DIM), N^2
-    being the ambient u(N) bound; exceeding it raises DimCap, as does a
-    side N above MAX_DLA_SIDE.
+    relative to each generator. A dimension above min(N^2, MAX_DLA_DIM),
+    N^2 being the ambient u(N) bound, raises DimCap, as does a side N
+    above MAX_DLA_SIDE.
     """
     _check_tol(tol)
     gens = require_hermitian_set(generators)
     n = gens[0].shape[0]
     if n > MAX_DLA_SIDE:
         raise DimCap(f"matrix side {n} exceeds {MAX_DLA_SIDE}")
-    cap = min(n * n, MAX_DLA_DIM) if max_dim is None else int(max_dim)
-    if cap < 1:
-        raise DimCap("max_dim must be at least 1")
 
-    basis = np.empty((min(cap, n * n), 2 * n * n))
+    basis = np.empty((min(n * n, MAX_DLA_DIM), 2 * n * n))
     cube = basis.view(complex).reshape(-1, n, n)
-    m = _extend(basis, 0, _rows(1j * _peak_scaled(np.array(gens))[0]), tol, cap)
+    m = _extend(basis, 0, _rows(1j * _peak_scaled(np.array(gens))[0]), tol)
     j = 1
     while j < m:
-        m = _extend(basis, m, _rows(cube[:j] @ cube[j] - cube[j] @ cube[:j]), tol, cap)
+        m = _extend(basis, m, _rows(cube[:j] @ cube[j] - cube[j] @ cube[:j]), tol)
         j += 1
     return LieBasis(dim_matrix=n, elements=tuple(_elements(basis[:m], n)))
 

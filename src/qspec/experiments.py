@@ -24,9 +24,10 @@ import numpy as np
 
 from .dla import eta
 from .linalg import QspecError, derive_seed, rng_stream
-from .qsim import (MAX_EIGEN_BOUND, MAX_QUBITS, CircuitSpec, _fd_forward, _forward, _phases,
-                   _stack_specs, _workspace, circuit_forward_encoded, encode_inputs,
+from .qsim import (FD_STEP, MAX_EIGEN_BOUND, MAX_QUBITS, CircuitSpec, _fd_forward, _forward,
+                   _phases, _stack_specs, _workspace, circuit_forward_encoded, encode_inputs,
                    grad_analytic_1p_batch, make_generator, pauli_matrix)
+from .spectrum import _sorted_runs
 
 class AllZeroDifferences(QspecError):
     """Signed-rank test is undefined when every difference is zero."""
@@ -72,7 +73,7 @@ class TrainConfig:
     lr: float = 1e-5
     epochs: int = 500
     batch_size: int = 32
-    fd_step: float = 1e-4
+    fd_step: float = FD_STEP
     seeds: tuple = tuple(range(10))
     b_target: float = 10.0
     b_models: tuple = (0.1, 1.0, 10.0)
@@ -209,7 +210,6 @@ class TrainReport:
     seeds: tuple
     b_models: tuple
     rmse: dict         # b -> tuple of per-seed final RMSE, seed order
-    theta_init: dict   # b -> tuple of per-seed initial parameter tuples
     means: dict        # b -> mean RMSE
     stds: dict         # b -> sample std of RMSE (0 for a single seed)
     wilcoxon_p: float | None  # b=1 vs b=10 pairing when both present
@@ -242,21 +242,6 @@ def gen_dataset(target: CircuitSpec, count: int, seed: int) -> tuple[np.ndarray,
     xs = rng_stream(seed).uniform(-1.0, 1.0, int(count))
     ys = np.asarray(
         circuit_forward_encoded(target, np.ones((1, target.depth)), encode_inputs(target, xs))[0])
-    return xs, ys
-
-
-def _as_xy(data) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(data, tuple) and len(data) == 2:
-        xs, ys = data
-    else:
-        arr = np.asarray(data, dtype=float)
-        if arr.ndim != 2 or arr.shape[1] != 2:
-            raise ValueError("data must be (xs, ys) arrays or a list of (x, y) pairs")
-        xs, ys = arr[:, 0], arr[:, 1]
-    xs = np.asarray(xs, dtype=float).ravel()
-    ys = np.asarray(ys, dtype=float).ravel()
-    if xs.shape != ys.shape or xs.size == 0:
-        raise ValueError("inputs and labels must be nonempty and the same length")
     return xs, ys
 
 
@@ -310,32 +295,6 @@ def _train_runs(models, xs: np.ndarray, ys: np.ndarray, data_of, cfg: TrainConfi
     return theta, np.sqrt(np.mean((pred - ys[data_of]) ** 2, axis=1))
 
 
-def adam_train(model: CircuitSpec, data, cfg: TrainConfig, seed: int,
-               theta0=None) -> tuple[np.ndarray, float]:
-    """Minimize mean squared error with Adam; returns (theta, final RMSE).
-
-    One run of the lockstep trainer: minibatch finite-difference
-    gradients, with each epoch shuffling the data on stream (seed, 1) and
-    walking batches of cfg.batch_size; a batch step gets the centre values
-    and all L central differences (step cfg.fd_step) from one forward call
-    on the 2L + 1 parameter vectors theta and theta +- cfg.fd_step along
-    each axis. theta0 defaults to a uniform draw from [-pi, pi) on stream
-    (seed,). Adam moments use bias correction with beta1 = 0.9,
-    beta2 = 0.999, eps = 1e-8. The result equals, bit for bit, the same
-    run trained beside others by spectrum_matching_experiment.
-    """
-    xs, ys = _as_xy(data)
-    depth = model.depth
-    if theta0 is None:
-        theta = rng_stream(seed).uniform(-np.pi, np.pi, depth)
-    else:
-        theta = np.array(theta0, dtype=float).ravel()
-        if theta.shape[0] != depth:
-            raise ValueError(f"theta0 has length {theta.shape[0]}, expected {depth}")
-    thetas, rmse = _train_runs([model], xs[None], ys[None], [0], cfg, [seed], theta[None])
-    return thetas[0], float(rmse[0])
-
-
 def spectrum_matching_experiment(cfg: TrainConfig | None = None) -> TrainReport:
     """Train every model bound on every seed and pair-test the outcome.
 
@@ -350,38 +309,33 @@ def spectrum_matching_experiment(cfg: TrainConfig | None = None) -> TrainReport:
     """
     cfg = cfg or TrainConfig()
     seeds = sorted(cfg.seeds)
-    models, init_seeds, inits, xs, ys = [], [], [], [], []
+    models, init_seeds, inits, data = [], [], [], []
     for seed in seeds:
         target = build_circuit(cfg.n, cfg.depth, cfg.b_target, seed, (_TARGET,))
-        data = gen_dataset(target, cfg.dataset_size, derive_seed(seed, _DATA))
-        xs.append(data[0])
-        ys.append(data[1])
+        data.append(gen_dataset(target, cfg.dataset_size, derive_seed(seed, _DATA)))
         for bi, b in enumerate(cfg.b_models):
             model_stream = (_MODEL, 0) if cfg.share_generator_basis else (_MODEL, bi)
             models.append(build_circuit(cfg.n, cfg.depth, b, seed, model_stream))
             init_seeds.append(derive_seed(seed, _INIT, bi))
             inits.append(rng_stream(init_seeds[-1]).uniform(-np.pi, np.pi, cfg.depth))
     n_models = len(cfg.b_models)
-    _, final = _train_runs(models, np.stack(xs), np.stack(ys),
-                           np.repeat(np.arange(len(seeds)), n_models), cfg, init_seeds,
-                           np.stack(inits))
+    xs, ys = (np.stack(arrays) for arrays in zip(*data))
+    _, final = _train_runs(models, xs, ys, np.repeat(np.arange(len(seeds)), n_models), cfg,
+                           init_seeds, np.stack(inits))
     final = final.reshape(len(seeds), n_models)
-    inits = np.stack(inits).reshape(len(seeds), n_models, cfg.depth)
 
     rmse = {b: tuple(final[:, bi].tolist()) for bi, b in enumerate(cfg.b_models)}
-    theta_init = {b: tuple(map(tuple, inits[:, bi].tolist())) for bi, b in enumerate(cfg.b_models)}
     means = {b: float(np.mean(v)) for b, v in rmse.items()}
     stds = {b: float(np.std(v, ddof=1)) if len(v) > 1 else 0.0 for b, v in rmse.items()}
 
     p = None
-    if 1.0 in cfg.b_models and 10.0 in cfg.b_models and len(seeds) >= 1:
+    if 1.0 in cfg.b_models and 10.0 in cfg.b_models:
         try:
             p = wilcoxon_exact(list(zip(rmse[1.0], rmse[10.0])))
         except AllZeroDifferences:
             p = 1.0
     return TrainReport(config=cfg, seeds=tuple(seeds), b_models=cfg.b_models,
-                       rmse=rmse, theta_init=theta_init, means=means, stds=stds,
-                       wilcoxon_p=p)
+                       rmse=rmse, means=means, stds=stds, wilcoxon_p=p)
 
 
 @dataclass(frozen=True, eq=False)
@@ -466,37 +420,36 @@ def variance_sweep(weights, samples: int, seed: int) -> VarianceSweepReport:
 
 
 def _doubled_ranks(vals: np.ndarray) -> np.ndarray:
-    """Twice the ranks 1..n, ties sharing their average rank. Average ranks
-    are multiples of 1/2, so the doubled ranks are integers."""
+    """Twice the ranks 1..n of finite vals, ties sharing their average rank.
+    A tie run over sorted positions i..j gets i + j + 2, an integer."""
     order = np.argsort(vals, kind="stable")
+    starts = _sorted_runs(vals[order], 0.0)[1]
+    ends = np.append(starts[1:], vals.shape[0])         # one past each run
     ranks2 = np.empty(vals.shape[0], dtype=np.int64)
-    sv = vals[order]
-    i = 0
-    while i < sv.shape[0]:
-        j = i
-        while j + 1 < sv.shape[0] and sv[j + 1] == sv[i]:
-            j += 1
-        ranks2[order[i:j + 1]] = i + j + 2
-        i = j + 1
+    ranks2[order] = np.repeat(starts + ends + 1, ends - starts)
     return ranks2
 
 
 def wilcoxon_exact(pairs) -> float:
     """Exact two-sided signed-rank p-value over all 2^n sign assignments.
 
-    Differences a - b per pair; zero differences are dropped (error if
-    none remain); tied |differences| share average ranks. The statistic is
-    the sum of ranks of the positive differences, and the two-sided p
-    doubles the smaller exact tail (capped at 1). The null distribution of
-    twice the statistic comes from a dynamic program over the doubled
-    ranks r: starting from prob[0] = 1, each r sets
-    prob <- (prob + prob shifted by r) / 2. Every entry is a count over
-    2^n, so for n <= 52 the tails are exact; the work is O(n^3).
+    Differences a - b per pair, ValueError unless all are finite; zero
+    differences are dropped (error if none remain); tied |differences|
+    share average ranks. The statistic is the sum of ranks of the
+    positive differences, and the two-sided p doubles the smaller exact
+    tail (capped at 1). The null distribution of twice the statistic
+    comes from a dynamic program over the doubled ranks r: starting from
+    prob[0] = 1, each r sets prob <- (prob + prob shifted by r) / 2. Every
+    entry is a count over 2^n, so for n <= 52 the tails are exact; the
+    work is O(n^3).
     """
     arr = np.asarray(pairs, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 1:
         raise ValueError("pairs must be a nonempty list of (a, b) pairs")
-    d = arr[:, 0] - arr[:, 1]
+    with np.errstate(invalid="ignore", over="ignore"):
+        d = arr[:, 0] - arr[:, 1]
+    if not np.all(np.isfinite(d)):
+        raise ValueError("differences a - b must be finite")
     d = d[d != 0.0]
     if d.size == 0:
         raise AllZeroDifferences("every difference is zero")

@@ -1,10 +1,10 @@
 """Dense complex linear algebra and seeded randomness.
 
 Hermitian eigensolves, generator exponentials, Haar-random unitaries,
-commutators, and norm/trace helpers. All randomness in the package flows
-through counter-based Philox generators addressed by an explicit 64-bit
-seed plus an integer stream path, so every stochastic result is
-reproducible from its arguments alone.
+and commutators. All randomness in the package flows through
+counter-based Philox generators addressed by an explicit 64-bit seed
+plus an integer stream path, so every stochastic result is reproducible
+from its arguments alone.
 """
 
 from typing import NamedTuple
@@ -84,11 +84,11 @@ def _peak_scaled(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (parts / scale).view(complex), peaks
 
 
-def is_hermitian(m, tol: float = HERMITIAN_TOL) -> bool:
+def is_hermitian(m) -> bool:
     m = require_square(m)
     # ||M||_F as peak * ||M / peak||_F: no overflow below the float limit
     scaled, peaks = _peak_scaled(m[None])
-    bound = tol * (1.0 + float(peaks[0]) * float(np.linalg.norm(scaled)))
+    bound = HERMITIAN_TOL * (1.0 + float(peaks[0]) * float(np.linalg.norm(scaled)))
     return float(np.max(np.abs(m - m.conj().T))) <= bound
 
 
@@ -160,9 +160,3 @@ def commutator(a, b) -> np.ndarray:
     if a.shape != b.shape:
         raise DimMismatch(f"shape mismatch {a.shape} vs {b.shape}")
     return a @ b - b @ a
-
-
-def frob_trace(m) -> tuple[float, complex]:
-    """Frobenius norm and trace of a square matrix, as (norm, trace)."""
-    m = require_square(m)
-    return float(np.linalg.norm(m)), complex(np.trace(m))

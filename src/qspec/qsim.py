@@ -24,10 +24,9 @@ parameter vectors and B encoded rows, go through one (R, V*N, N) @
 (R, N, N) matmul per layer and one (R, B, N) @ (R, N, V*N) contraction.
 circuit_forward_encoded calls it with R = 1; a training step's finite
 differences stack their 2L + 1 parameter vectors per run into one call
-(_fd_forward), for one run (grad_fd, adam_train) or for every run of a
-lockstep study at once. Each run's slice of a call is computed the same
-way whatever R is, so a run's values do not depend on which other runs
-share the call.
+(_fd_forward), for one run (grad_fd) or for every run of a lockstep
+study at once. Each run's slice of a call is computed the same way
+whatever R is, so a run's values do not depend on the other runs.
 
 trig_poly_coeffs and grad_analytic_1p_batch take the modes (the gaps of H)
 and coefficients of f(t) = <s| e^{itH} O e^{-itH} |s> from one routine,
@@ -38,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import (DimMismatch, _check_tol, eig_hermitian, haar_unitary, is_hermitian,
+from .linalg import (DimMismatch, eig_hermitian, haar_unitary, is_hermitian,
                      require_hermitian_set, require_square)
 from .spectrum import DEDUP_TOL, _sorted_runs
 
@@ -145,12 +144,7 @@ class CircuitSpec:
             # Z on qubit 0: +1 when the most significant bit is 0
             zdiag = 1.0 - 2.0 * ((np.arange(self.dim) >> (self.n - 1)) & 1)
             observable = np.diag(zdiag.astype(complex))
-        obs = require_square(observable)
-        if obs.shape[0] != self.dim:
-            raise DimMismatch(f"observable shape {obs.shape} != ({self.dim}, {self.dim})")
-        if not is_hermitian(obs):
-            raise DimMismatch("observable must be Hermitian")
-        self.observable = obs
+        self.observable = obs = _observable(observable, self.dim)
 
         eigs = [eig_hermitian(g) for g in gens]
         vecs = np.stack([e.vectors for e in eigs])                # (L, N, N)
@@ -172,6 +166,16 @@ class CircuitSpec:
     @property
     def depth(self) -> int:
         return len(self.generators)
+
+
+def _observable(obs, dim: int) -> np.ndarray:
+    """obs as a complex dim x dim Hermitian array; DimMismatch otherwise."""
+    obs = require_square(obs)
+    if obs.shape[0] != dim:
+        raise DimMismatch(f"observable shape {obs.shape} != ({dim}, {dim})")
+    if not is_hermitian(obs):
+        raise DimMismatch("observable must be Hermitian")
+    return obs
 
 
 def _stack_specs(specs) -> _Stack:
@@ -282,11 +286,6 @@ def circuit_forward_batch(spec: CircuitSpec, theta, xs) -> np.ndarray:
     return circuit_forward_encoded(spec, theta[None, :], encode_inputs(spec, xs))[0]
 
 
-def circuit_forward(spec: CircuitSpec, theta, x: float) -> float:
-    """Expectation value for a single parameter vector and input."""
-    return float(circuit_forward_batch(spec, theta, [float(x)])[0])
-
-
 def _fd_forward(stack: _Stack, theta: np.ndarray, encoded: np.ndarray,
                 step: float, work=None) -> tuple[np.ndarray, np.ndarray]:
     """Centre values, shape (R, B), and central differences, shape (R, L, B).
@@ -322,18 +321,19 @@ def grad_fd(spec: CircuitSpec, theta, x: float, step: float = FD_STEP) -> np.nda
 
 
 def _eigen_gram(h, state, obs) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues lam of H and G = diag(conj(a)) V^dag O V diag(a), a = V^dag |state>:
-    <state| e^{itH} O e^{-itH} |state> = z^dag G z with z_p = e^{-i t lam_p}.
-    DimMismatch for a state or observable of the wrong size or a
-    non-Hermitian observable."""
-    lam, vecs = eig_hermitian(h)
+    """Eigenvalues lam of H - (Tr H / N) I and G = diag(conj(a)) V^dag O V diag(a),
+    a = V^dag |state>: <state| e^{itH} O e^{-itH} |state> = z^dag G z with
+    z_p = e^{-i t lam_p}. Removing the trace changes no gap and keeps a
+    large identity part from rounding small gaps away: eigenvalues 1 +- w
+    lose the low digits of w, +- w keep them. DimMismatch for a state or
+    observable of the wrong size or a non-Hermitian observable."""
+    h = require_square(h)
+    dim = h.shape[0]
+    lam, vecs = eig_hermitian(h - np.sum(np.diagonal(h).real / dim) * np.eye(dim))
     state = np.asarray(state, dtype=complex).ravel()
-    obs = require_square(obs)
-    if state.shape[0] != lam.shape[0] or obs.shape[0] != lam.shape[0]:
-        raise DimMismatch(f"state length {state.shape[0]} and observable shape {obs.shape} "
-                          f"must match the generator dimension {lam.shape[0]}")
-    if not is_hermitian(obs):
-        raise DimMismatch("observable must be Hermitian")
+    if state.shape[0] != dim:
+        raise DimMismatch(f"state length {state.shape[0]} != generator dimension {dim}")
+    obs = _observable(obs, dim)
     amps = vecs.conj().T @ state
     return lam, amps.conj()[:, None] * (vecs.conj().T @ obs @ vecs) * amps[None, :]
 
@@ -349,18 +349,17 @@ def _gap_coeffs(h, state, obs, tol: float) -> tuple[np.ndarray, np.ndarray]:
     return means, np.add.reduceat(gram.ravel()[order], starts)
 
 
-def trig_poly_coeffs(h, phi, obs, tol: float = DEDUP_TOL) -> dict:
+def trig_poly_coeffs(h, phi, obs) -> dict:
     """Fourier coefficients of f(t) = <phi| e^{itH} O e^{-itH} |phi>.
 
     The accessible modes are eigenvalue gaps w = lam_q - lam_p of H; the
     coefficient of e^{-i t w} is the sum over pairs at that gap of
-    conj(<p|phi>) <q|phi> O_pq in the eigenbasis. Gaps within tol are
-    merged. Returns a dict mapping the real gap to its complex
+    conj(<p|phi>) <q|phi> O_pq in the eigenbasis. Gaps within DEDUP_TOL
+    are merged. Returns a dict mapping the real gap to its complex
     coefficient; conjugate symmetry a_{-w} = conj(a_w) holds for
     Hermitian O and the coefficients reconstruct direct simulation.
     """
-    _check_tol(tol)
-    gaps, coeffs = _gap_coeffs(h, phi, obs, tol)
+    gaps, coeffs = _gap_coeffs(h, phi, obs, DEDUP_TOL)
     return dict(zip(gaps.tolist(), coeffs.tolist()))
 
 

@@ -22,6 +22,8 @@ def test_normalize_argv_glues_merge_flags():
     assert normalize_argv(["spectrum", "--eigs", "-1,1"]) == ["spectrum", "--eigs=-1,1"]
     assert normalize_argv(["bounds", "lower", "--K", "4,8", "--d", "1"]) == [
         "bounds", "lower", "--K=4,8", "--d", "1"]
+    assert normalize_argv(["train", "--seeds", "-1,2", "--fast"]) == [
+        "train", "--seeds=-1,2", "--fast"]
     # already-glued and non-merge flags pass through
     assert normalize_argv(["spectrum", "--eigs=-1,1"]) == ["spectrum", "--eigs=-1,1"]
     assert normalize_argv(["variance", "--samples", "50"]) == ["variance", "--samples", "50"]
@@ -461,6 +463,17 @@ def test_train_tiny_with_config_and_seed_override(tmp_path, capsys):
     assert len(res["rmse"]["1.0"]) == 2
     assert res["wilcoxon_p"] is not None
     assert doc["manifest"]["options"]["config"] == str(cfg)
+
+
+def test_train_negative_seeds_in_either_spelling(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 1, "depth": 1, "dataset_size": 4, "epochs": 1,
+                               "batch_size": 4, "b_models": [1.0, 10.0]}))
+    spaced = run_json(capsys, ["train", "--config", str(cfg), "--seeds", "-1,2"])
+    glued = run_json(capsys, ["train", "--config", str(cfg), "--seeds=-1,2"])
+    assert spaced["result"]["seeds"] == [-1, 2]
+    assert spaced["result"] == glued["result"]
+    assert spaced["manifest"]["options"] == glued["manifest"]["options"]
 
 
 def test_train_csv_rows(tmp_path, capsys):

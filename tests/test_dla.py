@@ -49,9 +49,10 @@ def test_closure_random_generators_fill_u4():
     assert len(lie_closure(gens)) == 16
 
 
-def test_closure_dim_cap():
-    with pytest.raises(DimCap):
-        lie_closure([pauli_matrix("X"), pauli_matrix("Y")], max_dim=2)
+def test_closure_dim_cap(monkeypatch):
+    monkeypatch.setattr(dla, "MAX_DLA_DIM", 2)
+    with pytest.raises(DimCap, match="exceeds cap 2"):
+        lie_closure([pauli_matrix("X"), pauli_matrix("Y")])
 
 
 def test_center_and_derived_u2():

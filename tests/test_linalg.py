@@ -6,7 +6,7 @@ from scipy import stats
 
 from qspec.linalg import (DimMismatch, NotHermitian, commutator,
                           complex_gaussians, derive_seed, eig_hermitian,
-                          frob_trace, haar_unitary, is_hermitian, rng_stream,
+                          haar_unitary, is_hermitian, rng_stream,
                           unitary_from_generator)
 
 PAULI_Y = np.array([[0, -1j], [1j, 0]])
@@ -146,10 +146,3 @@ def test_commutator_dim_mismatch():
     with pytest.raises(DimMismatch):
         commutator(np.eye(2), np.eye(3))
 
-
-def test_frob_trace_examples():
-    fro, tr = frob_trace(np.eye(4))
-    assert fro == 2.0 and tr == 4.0 + 0j
-    fro_y, tr_y = frob_trace(PAULI_Y)
-    assert abs(fro_y - np.sqrt(2)) <= 1e-15
-    assert tr_y == 0j
