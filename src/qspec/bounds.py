@@ -6,12 +6,13 @@ the minimax lower bound, log-log rate fitting, the Jackson-type upper
 bound, and the large-d limit probe.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .linalg import QspecError, complex_gaussians, rng_stream
+from .linalg import QspecError, box_muller, rng_stream
 
 # coefficients below this magnitude are dropped at construction
 PRUNE_FLOOR = 1e-300
@@ -133,6 +134,22 @@ def _scan_half_side(d: int, k: float) -> int:
     return int(m)
 
 
+def _annulus_shells(d: int, k: float) -> tuple[np.ndarray, np.ndarray]:
+    """|s|^2 and sign multiplicity 2^(nonzero entries of s), int64 (B,) arrays,
+    of the integer points s with k < |s| <= 2k in the nonnegative orthant.
+
+    Sign flips of a point's nonzero entries give its multiplicity of
+    distinct annulus_points, and each annulus point comes from one orthant
+    point. The scan covers [0, m]^d, m = floor(2k), under annulus_points'
+    cap check on the box [-m, m]^d.
+    """
+    axis = np.arange(_scan_half_side(d, k) + 1)
+    q = sum(np.ix_(*[axis ** 2] * d))
+    inside = (q > k * k) & (q <= 4.0 * k * k)
+    mult = math.prod(np.ix_(*[np.where(axis > 0, 2, 1)] * d))
+    return q[inside], mult[inside]
+
+
 def annulus_witness(p: SobolevParams, k: float) -> FourierSeries:
     """Unit-Sobolev-norm series supported on the annulus k < |s| <= 2k.
 
@@ -153,10 +170,15 @@ def minimax_lower_curve(p: SobolevParams, k_list) -> tuple[np.ndarray, float, fl
     Returns (errors, fitted_slope, reference_exponent) where the slope is
     the ordinary least-squares line through (log k, log error) and the
     reference exponent d/2 - r is reported alongside for comparison; the
-    measured decay follows -r, not the reference exponent. DomainError,
-    before any witness is built, if the largest radius's scan is over
-    MAX_ANNULUS_SCAN, or if a witness error would be 0 because every
-    squared coefficient underflows (its logarithm would make the slope nan).
+    measured decay follows -r, not the reference exponent.
+
+    The error at k is truncation_error(annulus_witness(p, k), k) without
+    building the witness: a sum over the annulus points in one orthant,
+    each weighted by its sign multiplicity, of the witness's own squared
+    coefficient. Radii go largest first, so DomainError comes before any
+    other work if that radius's scan is over MAX_ANNULUS_SCAN. DomainError
+    too if an error is 0 because every squared coefficient underflows (its
+    logarithm would make the slope nan).
     """
     ks = [float(k) for k in k_list]
     if len(ks) < 3:
@@ -164,32 +186,16 @@ def minimax_lower_curve(p: SobolevParams, k_list) -> tuple[np.ndarray, float, fl
     # stated positively so that a nan radius fails it
     if not (ks[0] >= 1 and all(a < b for a, b in zip(ks, ks[1:]))):
         raise DomainError("radii must be strictly increasing and at least 1")
-    for k in ks[::-1]:   # the largest scan first, so an oversized one fails first
-        if _witness_underflows(p, k):
-            raise DomainError(f"every squared coefficient of the K = {k:g} witness underflows "
+    errors = np.empty(len(ks))
+    for j in reversed(range(len(ks))):   # the largest scan first, so an oversized one fails first
+        q, mult = _annulus_shells(p.d, ks[j])
+        coeffs = 1.0 / np.sqrt(mult.sum()) * (1.0 + q) ** (-p.r / 2)   # as in annulus_witness
+        errors[j] = np.sqrt(np.sum(mult * (coeffs * coeffs)))
+        if errors[j] == 0.0:
+            raise DomainError(f"every squared coefficient of the K = {ks[j]:g} witness underflows "
                               f"at r = {p.r:g}, so its error is 0; use a smaller r or K")
-    errors = np.array([truncation_error(annulus_witness(p, k), k) for k in ks])
     slope = float(np.polyfit(np.log(ks), np.log(errors), 1)[0])
     return errors, slope, p.d / 2 - p.r
-
-
-def _witness_underflows(p: SobolevParams, k: float) -> bool:
-    """True when every coefficient of annulus_witness(p, k) squares to 0.0.
-
-    The largest, c0 (1 + q0)^{-r/2}, sits at the annulus point nearest the
-    origin: k^2 < q0 <= (floor(k) + 1)^2 and (box points)^{-1/2} <= c0 =
-    |A|^{-1/2} <= 1. The annulus is scanned for q0 and |A| only when those
-    brackets leave the answer open. Same float expressions as the witness.
-    """
-    def peak_squares(c0, q0):
-        peak = c0 * (1.0 + np.asarray(q0, dtype=float)) ** (-p.r / 2)
-        return peak * peak
-    c0_low = 1.0 / np.sqrt((2 * _scan_half_side(p.d, k) + 1) ** p.d)
-    high, low = peak_squares([1.0, c0_low], [np.floor(k * k) + 1, (np.floor(k) + 1) ** 2])
-    if high == 0.0 or low > 0.0:
-        return bool(high == 0.0)
-    pts = annulus_points(p.d, k)
-    return bool(peak_squares(1.0 / np.sqrt(len(pts)), np.einsum("ij,ij->i", pts, pts).min()) == 0.0)
 
 
 def jackson_upper(h: FourierSeries, p: SobolevParams, ks) -> list[tuple[float, float]]:
@@ -249,21 +255,26 @@ def _draw_unit_ball(p: SobolevParams, max_freq: int, modes: int, seeds):
     packed as (freqs, coeffs, norm_sq, lengths): series i is the next
     lengths[i] rows of the (T, d) freqs and the (T,) coeffs and norm_sq.
 
-    Each series draws from its own rng_stream(s). One stable lexsort by
+    Each series draws its integers and then complex_gaussians' uniforms from
+    its own rng_stream(s); one box_muller call maps the uniforms of all
+    series, elementwise as per-series calls would. One stable lexsort by
     (series, frequency row) keeps repeats in draw order, so the one
     np.add.at sums each as a per-series np.add.at would. Coefficients
     below PRUNE_FLOOR are dropped before and after the rescaling, as the
     two FourierSeries builds of the series would drop them.
     """
-    if max_freq < 0 or modes < 1:
-        raise DomainError("need max_freq >= 0 and modes >= 1")
+    if not 0 <= max_freq <= np.iinfo(np.int64).max:
+        raise DomainError(f"need 0 <= max_freq <= {np.iinfo(np.int64).max}, got {max_freq}")
+    if modes < 1:
+        raise DomainError("need modes >= 1")
     count = len(seeds)
     draws = np.empty((count, modes, p.d), dtype=np.int64)
-    amps = np.empty((count, modes), dtype=complex)
+    uniforms = np.empty((2, count, modes))   # (modulus, phase) rows, each contiguous
     for i, seed in enumerate(seeds):
         gen = rng_stream(seed)
         draws[i] = gen.integers(-max_freq, max_freq + 1, size=(modes, p.d))
-        amps[i] = complex_gaussians(gen, modes)
+        uniforms[:, i] = gen.random((2, modes))   # complex_gaussians(gen, modes)'s draws
+    amps = box_muller(*uniforms)
     draws, series = draws.reshape(-1, p.d), np.repeat(np.arange(count), modes)
     order = np.lexsort([*draws.T[::-1], series])
     draws, series = draws[order], series[order]

@@ -61,9 +61,14 @@ def derive_seed(seed: int, *stream: int) -> int:
 
 def complex_gaussians(gen: np.random.Generator, shape) -> np.ndarray:
     """Standard complex Gaussians via the Box-Muller map on uniforms."""
+    return box_muller(gen.random(shape), gen.random(shape))
+
+
+def box_muller(radial, phase) -> np.ndarray:
+    """Standard complex Gaussians from two same-shape arrays of uniforms on
+    [0, 1): the first sets the modulus, the second the phase."""
     # 1 - U keeps the log argument inside (0, 1]
-    radial = np.sqrt(-np.log(1.0 - gen.random(shape)))
-    return radial * np.exp(2j * np.pi * gen.random(shape))
+    return np.sqrt(-np.log(1.0 - radial)) * np.exp(2j * np.pi * phase)
 
 
 def require_square(m) -> np.ndarray:

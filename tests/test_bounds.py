@@ -11,7 +11,7 @@ from qspec.bounds import (MAX_ANNULUS_SCAN, MAX_SWEEP_DRAWS, MAX_SWEEP_RADII,
                           annulus_witness, jackson_upper, limit_probe,
                           minimax_lower_curve, random_unit_ball_series,
                           sobolev_norm, truncation_error, unit_ball_sweep)
-from qspec.linalg import complex_gaussians, rng_stream
+from qspec.linalg import box_muller, complex_gaussians, rng_stream
 
 
 def series_from_dict(d, coeffs):
@@ -127,12 +127,43 @@ def test_annulus_scan_cap_checked_before_allocating():
 
 
 def test_lower_curve_checks_largest_scan_first(monkeypatch):
-    def never(*args):
-        raise AssertionError("a witness was built")
-    monkeypatch.setattr(bounds, "truncation_error", never)
+    shells, scans = bounds._annulus_shells, []
+    monkeypatch.setattr(bounds, "_annulus_shells", lambda d, k: scans.append(k) or shells(d, k))
     for ks in ([1.0, 2.0, 300000.0], [4.0, 8.0, 1e308], [4.0, 8.0, float("inf")]):
-        with pytest.raises(DomainError):
+        scans.clear()
+        with pytest.raises(DomainError, match="box points"):
             minimax_lower_curve(SobolevParams(3, 2.0), ks)
+        assert scans == ks[-1:]   # the one scan attempted is the oversized one
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_lower_curve_matches_the_witness_oracle(d):
+    # radii whose box fits, 2.5 among them: |(5, 0)| = |(3, 4)| = 2K on the closed boundary
+    ks = [k for k in (1.0, 1.3, 2.5, 2.75, 4.0, 8.0) if (2 * np.floor(2 * k) + 1) ** d <= 10 ** 5]
+    q = np.sum(annulus_points(d, ks[-1]) ** 2, axis=1)
+    # a square below about 2^-1075 rounds to 0; aim that at the middle of the largest annulus
+    edge = 1075 * np.log(2.0) / np.log(1.0 + (q.min() + q.max()) / 2)
+    # the largest witness's coefficients before it prunes: some square to 0, not all
+    coeffs = 1.0 / np.sqrt(len(q)) * (1.0 + q) ** (-edge / 2)
+    assert 0 < np.count_nonzero(coeffs * coeffs == 0.0) < len(q)
+    for r in (d / 2 + 0.01, 2.0, edge):
+        if r <= d / 2:
+            continue
+        p = SobolevParams(d, r)
+        errors, _, _ = minimax_lower_curve(p, ks)
+        exact = [truncation_error(annulus_witness(p, k), k) for k in ks]
+        assert np.allclose(errors, exact, rtol=1e-14, atol=0.0), (d, r)
+
+
+def test_lower_curve_memory_stays_small():
+    # the dense scan of the box [-128, 128]^3 behind K = 64 peaked at 755 MiB
+    tracemalloc.start()
+    try:
+        minimax_lower_curve(SobolevParams(3, 2.0), [4.0, 8.0, 16.0, 32.0, 64.0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 << 20, peak
 
 
 def test_annulus_counts_scale_with_volume():
@@ -311,11 +342,8 @@ def test_series_rejects_bad_shape_and_order():
             FourierSeries(2, freqs, coeffs)
 
 
-def test_lower_curve_rejects_underflow_exactly_when_a_witness_error_is_zero(monkeypatch):
+def test_lower_curve_rejects_underflow_exactly_when_a_witness_error_is_zero():
     # oracle: build every witness and look for a zero truncation error
-    scans = []
-    monkeypatch.setattr(bounds, "annulus_points",
-                        lambda d, k: scans.append(k) or annulus_points(d, k))
     gen = rng_stream(2024)
     outcomes = set()
     for _ in range(300):
@@ -326,7 +354,6 @@ def test_lower_curve_rejects_underflow_exactly_when_a_witness_error_is_zero(monk
         if len(ks) < 3:
             continue
         brute = any(truncation_error(annulus_witness(p, k), k) == 0.0 for k in ks)
-        scans.clear()
         try:
             minimax_lower_curve(p, ks)
             rejected = False
@@ -334,19 +361,19 @@ def test_lower_curve_rejects_underflow_exactly_when_a_witness_error_is_zero(monk
             assert "underflows" in str(exc)
             rejected = True
         assert rejected == brute, (d, p.r, ks)
-        outcomes.add((brute, len(scans) > (0 if rejected else len(ks))))
-    # both verdicts, each reached with and without the exact scan
-    assert outcomes == {(False, False), (False, True), (True, False), (True, True)}
+        outcomes.add(brute)
+    assert outcomes == {False, True}   # both verdicts occur
 
 
 def reference_unit_ball_series(p, max_freq, modes, seed):
     """The draw one series at a time: np.unique merges the repeats and two
     FourierSeries builds prune. Returns the series and its term counts as
-    drawn, after the first prune and after the second. complex_gaussians
-    is read from qspec.bounds, so a patched one serves both sides."""
+    drawn, after the first prune and after the second. The amplitudes are
+    complex_gaussians' draws mapped by box_muller as read from qspec.bounds,
+    so a patched one serves both sides."""
     gen = rng_stream(seed)
     draws = gen.integers(-max_freq, max_freq + 1, size=(modes, p.d))
-    amps = bounds.complex_gaussians(gen, modes)
+    amps = bounds.box_muller(gen.random(modes), gen.random(modes))
     freqs, slot = np.unique(draws, axis=0, return_inverse=True)
     coeffs = np.zeros(len(freqs), dtype=complex)
     np.add.at(coeffs, slot.ravel(), amps)
@@ -355,13 +382,23 @@ def reference_unit_ball_series(p, max_freq, modes, seed):
     return g, (len(freqs), len(h.freqs), len(g.freqs))
 
 
-def tiny_gaussians(gen, shape):
-    """complex_gaussians with every fourth draw below PRUNE_FLOOR and the
-    next one just above it, so that rescaling by a norm above 3 prunes it."""
-    amps = complex_gaussians(gen, shape)
-    amps[::4] *= 1e-301
-    amps[1::4] *= 3e-300 / np.abs(amps[1::4])
+def tiny_box_muller(radial, phase):
+    """box_muller with every fourth mode of a series below PRUNE_FLOOR and
+    the next one just above it, so that rescaling by a norm above 3 prunes it."""
+    amps = box_muller(radial, phase)
+    amps[..., ::4] *= 1e-301
+    amps[..., 1::4] *= 3e-300 / np.abs(amps[..., 1::4])
     return amps
+
+
+def test_box_muller_on_stacked_uniforms_matches_per_series_draws():
+    # _draw_unit_ball's layout: one row of each series' uniforms per role
+    for modes in (12, 37):
+        uniforms = np.empty((2, 1000, modes))
+        for i in range(1000):
+            uniforms[:, i] = rng_stream(70 + i).random((2, modes))
+        want = [complex_gaussians(rng_stream(70 + i), modes) for i in range(1000)]
+        assert np.array_equal(box_muller(*uniforms), want)
 
 
 @pytest.mark.parametrize("d, max_freq, modes, tiny", [
@@ -370,7 +407,7 @@ def tiny_gaussians(gen, shape):
         "d2-modes40-pruned"])
 def test_unit_ball_sweep_matches_per_series_calls(monkeypatch, d, max_freq, modes, tiny):
     if tiny:
-        monkeypatch.setattr(bounds, "complex_gaussians", tiny_gaussians)
+        monkeypatch.setattr(bounds, "box_muller", tiny_box_muller)
     p = SobolevParams(d, 2.0)
     ks = [1.0, 2.5, 4.0, 9.0]
     errors, rigorous, reference = unit_ball_sweep(p, ks, 6, max_freq, modes, seed=31)
@@ -392,7 +429,7 @@ def test_unit_ball_sweep_matches_per_series_calls(monkeypatch, d, max_freq, mode
 
 
 def test_unit_ball_sweep_rejects_a_degenerate_draw(monkeypatch):
-    monkeypatch.setattr(bounds, "complex_gaussians", lambda gen, shape: np.zeros(shape, complex))
+    monkeypatch.setattr(bounds, "box_muller", lambda radial, phase: np.zeros(radial.shape, complex))
     with pytest.raises(DomainError, match="degenerate draw"):
         unit_ball_sweep(SobolevParams(2, 2.0), [1.0, 2.0], 3, 8, 12, seed=0)
     with pytest.raises(DomainError, match="degenerate draw"):

@@ -293,6 +293,24 @@ def test_bounds_upper_rejects_vacuous_runs(capsys, argv):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("max_freq", ["-1", str(2 ** 63), str(10 ** 21)])
+def test_bounds_upper_max_freq_beyond_int64_exits_one_before_work(capsys, monkeypatch, max_freq):
+    import qspec.bounds as bounds
+
+    def never(*args):
+        raise AssertionError("a series was drawn")
+    monkeypatch.setattr(bounds, "rng_stream", never)
+    rc = dispatch(["bounds", "upper", "--max-freq", max_freq])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert f"max_freq <= {2 ** 63 - 1}, got {max_freq}" in error_line(captured)
+
+
+def test_bounds_upper_max_freq_at_int64_max_runs(capsys):
+    doc = run_json(capsys, ["bounds", "upper", "--max-freq", str(2 ** 63 - 1), "--count", "3"])
+    assert doc["result"]["bound_holds"] is True
+
+
 @pytest.mark.parametrize("argv, cap", [
     (["--modes", str(10 ** 12), "--count", "1"], "drawn integers"),
     (["--count", str(10 ** 8)], "series"),
