@@ -3,12 +3,12 @@
 Closure of {i * H_j} under commutators, center (commutant within the
 algebra), derived subalgebra, and the trace-concentration metric
 eta(G) = |Tr G| / ||G||_F that separates identity-like generators from
-traceless ones. The center and the derived algebra are both read from
-the structure constants, which a LieBasis builds at most once.
+traceless ones. Every algebra here lies in u(N), whose inner product
+Re Tr(A^dag B) is ad-invariant, so g = center + [g, g] orthogonally: both
+halves come from one SVD of the generators' adjoint action on g.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -20,14 +20,15 @@ CLOSURE_TOL = 1e-8
 # Frobenius norms at or below this count as the zero matrix
 ZERO_FLOOR = 1e-300
 
-# Largest algebra the dense path takes on, u(16); f then holds 128 MiB
+# Largest algebra the dense path takes on, u(16); the generators' adjoint
+# matrix then holds G m^2 floats for G generators, 128 MiB only if G = m
 MAX_DLA_DIM = 256
 
 # Largest matrix side N the dense path takes on, 6 qubits: each qubit more
 # multiplies the work about tenfold below the dimension cap
 MAX_DLA_SIDE = 64
 
-_CHUNK = 1 << 21   # complex entries per chunk of products in _structure_constants
+_CHUNK = 1 << 21   # complex entries per chunk of products in _split
 
 
 class ZeroMatrix(QspecError):
@@ -41,18 +42,16 @@ class DimCap(QspecError):
 @dataclass(frozen=True, eq=False)
 class LieBasis:
     """Orthonormal basis (real inner product Re Tr(A^dag B)) of a matrix
-    Lie algebra; elements are anti-Hermitian N x N arrays."""
+    Lie algebra: elements is a C-contiguous complex (m, N, N) array of
+    anti-Hermitian matrices, whose first generator_count span the
+    generators."""
 
     dim_matrix: int
-    elements: tuple
+    elements: np.ndarray
+    generator_count: int
 
     def __len__(self):
         return len(self.elements)
-
-    @cached_property
-    def structure_constants(self) -> np.ndarray:
-        """f of _structure_constants, built on first use and kept."""
-        return _structure_constants(self)
 
 
 @dataclass(frozen=True)
@@ -69,11 +68,6 @@ def _rows(stack: np.ndarray) -> np.ndarray:
     """Real (m, 2 N^2) view of a C-contiguous complex (m, N, N) stack, in
     which Re Tr(A^dag B) is a dot product and projections are matmuls."""
     return stack.reshape(len(stack), -1).view(np.float64)
-
-
-def _elements(rows: np.ndarray, n: int) -> list:
-    """Complex N x N matrices from real rows; inverse of _rows."""
-    return list(np.ascontiguousarray(rows).view(complex).reshape(-1, n, n))
 
 
 def _extend(basis: np.ndarray, m: int, cands: np.ndarray, tol: float) -> int:
@@ -114,56 +108,59 @@ def lie_closure(generators, tol: float = CLOSURE_TOL) -> LieBasis:
 
     basis = np.empty((min(n * n, MAX_DLA_DIM), 2 * n * n))
     cube = basis.view(complex).reshape(-1, n, n)
-    m = _extend(basis, 0, _rows(1j * _peak_scaled(np.array(gens))[0]), tol)
+    m = spanned = _extend(basis, 0, _rows(1j * _peak_scaled(np.array(gens))[0]), tol)
     j = 1
     while j < m:
         m = _extend(basis, m, _rows(cube[:j] @ cube[j] - cube[j] @ cube[:j]), tol)
         j += 1
-    return LieBasis(dim_matrix=n, elements=tuple(_elements(basis[:m], n)))
+    return LieBasis(dim_matrix=n, elements=cube[:m].copy(), generator_count=spanned)
 
 
-def _structure_constants(g: LieBasis) -> np.ndarray:
-    """f[i, j, k] = Re Tr(X_k^dag [X_i, X_j]), in chunks of j. For
-    anti-Hermitian X, Re Tr(X_k^dag X_j X_i) = -Re Tr(X_k^dag X_i X_j), so
-    the bracket's coordinates are twice those of the product X_i X_j."""
-    m, n = len(g), g.dim_matrix
+def _split(g: LieBasis, tol: float) -> tuple:
+    """(center, derived algebra) of g as (k, N, N) arrays: the right singular
+    vectors of the generators' adjoint matrix with singular value <= tol and
+    > tol. Its rows are (a, k) and its columns i, the X_k coordinate of
+    [X_i, X_a] for the G basis elements X_a that span the generators, built
+    in chunks of a. As the generators generate g, its null space is the
+    center and its row space the orthogonal complement, [g, g]. For
+    anti-Hermitian X, Re Tr(X_k^dag X_a X_i) = -Re Tr(X_k^dag X_i X_a), so a
+    bracket's coordinates are twice those of the product X_i X_a. The SVD
+    is of the m x m triangular factor of the nonzero rows (zero rows change
+    nothing), so no (G m) x m left factor is built."""
+    m, n, els = len(g), g.dim_matrix, g.elements
     if m > MAX_DLA_DIM:
         raise DimCap(f"algebra dimension {m} exceeds {MAX_DLA_DIM}")
-    els = np.array(g.elements, dtype=complex)
-    f = np.empty((m, m, m))
+    if not m:
+        return els, els
+    gens = els[:g.generator_count]
+    adj = np.empty((len(gens), m, m))
     step = max(1, _CHUNK // (m * n * n))
-    for j in range(0, m, step):
-        # stacked [X_0; X_1; ...] times X_j: X_i X_j for every i, j-major
-        prods = (els.reshape(m * n, n) @ els[j:j + step]).reshape(-1, n, n)
+    for a in range(0, len(gens), step):
+        # stacked [X_0; X_1; ...] times X_a: X_i X_a for every i, a-major
+        prods = (els.reshape(m * n, n) @ gens[a:a + step]).reshape(-1, n, n)
         coords = (_rows(prods) @ _rows(els).T).reshape(-1, m, m)
-        f[:, j:j + step] = 2.0 * coords.transpose(1, 0, 2)
-    return f
-
-
-def _split(g: LieBasis, a: np.ndarray, tol: float) -> tuple:
-    """Right singular vectors of a, an (m^2, m) reshape of f, as elements of
-    g: (singular value <= tol, > tol). From the m x m triangular factor of
-    the nonzero rows (zero rows change nothing): no m^2 x m left factor."""
-    keep = np.any(a != 0.0, axis=1)
-    keep[:a.shape[1]] = True   # at least m rows, so m singular values
-    _, svals, vh = np.linalg.svd(np.linalg.qr(a[keep], mode="r"), full_matrices=False)
-    coords = vh @ _rows(np.array(g.elements, dtype=complex))
+        adj[a:a + step] = 2.0 * coords.transpose(0, 2, 1)
+    adj = adj.reshape(-1, m)
+    keep = np.any(adj != 0.0, axis=1)
+    keep[:m] = True   # at least m rows, so m singular values
+    _, svals, vh = np.linalg.svd(np.linalg.qr(adj[keep], mode="r"), full_matrices=False)
+    coords = (vh @ _rows(els)).view(complex).reshape(m, n, n)
     small = svals <= tol
-    return _elements(coords[small], g.dim_matrix), _elements(coords[~small], g.dim_matrix)
+    return coords[small], coords[~small]
 
 
-def center_basis(g: LieBasis, tol: float = CLOSURE_TOL) -> list:
+def center_basis(g: LieBasis, tol: float = CLOSURE_TOL) -> np.ndarray:
     """Orthonormal basis of the center {X in g : [X, Y] = 0 for all Y}: the
-    null space of the adjoint action, f with rows (j, k) and columns i."""
+    null space of the generators' adjoint action."""
     _check_tol(tol)
-    return _split(g, g.structure_constants.reshape(len(g), -1).T, tol)[0] if len(g) else []
+    return _split(g, tol)[0]
 
 
-def derived_algebra(g: LieBasis, tol: float = CLOSURE_TOL) -> list:
-    """Orthonormal basis of span{[X, Y] : X, Y in g} inside g: the row
-    space of f with rows (i, j) and columns k."""
+def derived_algebra(g: LieBasis, tol: float = CLOSURE_TOL) -> np.ndarray:
+    """Orthonormal basis of span{[X, Y] : X, Y in g} inside g: the
+    orthogonal complement of the center."""
     _check_tol(tol)
-    return _split(g, g.structure_constants.reshape(-1, len(g)), tol)[1] if len(g) else []
+    return _split(g, tol)[1]
 
 
 def eta(g) -> float:
@@ -188,9 +185,8 @@ def eta(g) -> float:
 
 
 def dla_report(generators, tol: float = CLOSURE_TOL) -> DlaReport:
-    """Closure, center, derived dimensions plus eta per generator; the
-    center and the derived algebra share the basis's structure constants.
-    eta comes first, so a zero generator fails before the closure runs."""
+    """Closure, center, derived dimensions plus eta per generator. eta
+    comes first, so a zero generator fails before the closure runs."""
     generators = list(generators)
     etas = tuple(eta(g) for g in generators)
     basis = lie_closure(generators, tol=tol)

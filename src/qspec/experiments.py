@@ -53,10 +53,11 @@ MAX_TRAIN_MULADDS = 10 ** 11
 # microseconds, whatever its arithmetic; TrainConfig() takes 16,000
 MAX_TRAIN_STEPS = 1 << 20
 
-# How far one Adam step moves a parameter, in units of lr: Kingma & Ba's
-# bound (1 - beta1) / sqrt(1 - beta2) = 3.16 for the betas of _train_runs.
-# Gradients that grow by beta2 / beta1 every step can move it up to 7.27 lr
-ADAM_STEP_BOUND = 3.2
+# How far one Adam step moves a parameter, in units of lr, for the betas of
+# _train_runs: by Cauchy-Schwarz at most (1 - beta1) / sqrt((1 - beta2)
+# (1 - beta1^2 / beta2)) = 7.27, approached by gradients that grow by
+# beta2 / beta1 every step; bias correction and eps only lower it
+ADAM_STEP_BOUND = 7.3
 
 
 @dataclass(frozen=True)

@@ -50,8 +50,9 @@ GRAD_BLOCK_ELEMENTS = 1 << 20
 
 # Largest b_max of make_generator: its eigenvalues' span 2 b_max and the
 # entries of H + H^dag, at most 2 b_max up to rounding, stay finite with a
-# factor 2 to spare
-MAX_EIGEN_BOUND = np.finfo(float).max / 4
+# factor 4 to spare, and so do the default study's eigenphases, whose angle
+# reach is about 4.31
+MAX_EIGEN_BOUND = np.finfo(float).max / 8
 
 PAULI_1Q = {
     "I": np.eye(2, dtype=complex),

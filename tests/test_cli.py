@@ -461,7 +461,7 @@ def test_train_overflowing_eigenphase_exits_one_before_training(tmp_path, capsys
         raise AssertionError("training started")
     monkeypatch.setattr(experiments, "_train_runs", never)
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"b_models": [4.4e307], "lr": 1, "epochs": 5, "seeds": [0],
+    path.write_text(json.dumps({"b_models": [2e307], "lr": 1, "epochs": 5, "seeds": [0],
                                 "dataset_size": 20}))
     rc = dispatch(["train", "--config", str(path)])
     captured = capsys.readouterr()

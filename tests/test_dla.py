@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -98,41 +99,21 @@ def test_derived_lies_inside_algebra():
 
 def test_dla_report_reads_the_public_center_and_derived_algebra(monkeypatch):
     # spies: the report's dimensions come from center_basis and
-    # derived_algebra, on the closure's basis, and f is built once per report
-    calls, built = [], []
+    # derived_algebra, on the closure's basis
+    calls = []
     for name in ("center_basis", "derived_algebra"):
         def spy(g, tol, _fn=getattr(dla, name), _name=name):
             out = _fn(g, tol)
             calls.append((_name, len(g), tol, len(out)))
             return out
         monkeypatch.setattr(dla, name, spy)
-    structure_constants = dla._structure_constants
-
-    def counted(g):
-        built.append(len(g))
-        return structure_constants(g)
-    monkeypatch.setattr(dla, "_structure_constants", counted)
     for gens, dims in (([np.eye(2), pauli_matrix("X"), pauli_matrix("Y")], (4, 1, 3)),
                        ([pauli_matrix("ZI"), pauli_matrix("IZ")], (2, 2, 0))):
         calls.clear()
-        built.clear()
         rep = dla_report(gens, tol=1e-9)
         assert (rep.dim, rep.center_dim, rep.derived_dim) == dims
         assert calls == [("center_basis", dims[0], 1e-9, dims[1]),
                          ("derived_algebra", dims[0], 1e-9, dims[2])]
-        assert built == [dims[0]]
-
-
-def test_structure_constants_built_once_per_basis(monkeypatch):
-    basis = lie_closure([pauli_matrix("X"), pauli_matrix("Y")])
-    built = []
-    structure_constants = dla._structure_constants
-    monkeypatch.setattr(dla, "_structure_constants",
-                        lambda g: built.append(1) or structure_constants(g))
-    for _ in range(2):
-        assert (len(center_basis(basis)), len(derived_algebra(basis))) == (0, 3)
-    assert len(built) == 1
-    assert np.array_equal(basis.structure_constants, structure_constants(basis))
 
 
 def test_eta_identity_and_traceless_exact():
@@ -250,11 +231,9 @@ def test_dense_dims_match_pauli_oracle(labels, dims):
     assert dense_dims(labels) == dims
 
 
-@pytest.mark.parametrize("blocks, dims", [
-    ((4,), (16, 1, 15)), ((2, 2), (8, 2, 6)), ((3, 1), (10, 2, 8))])
-def test_random_block_diagonal_generators(blocks, dims):
-    # two generic Hermitian generators on each block generate u(b1) + u(b2):
-    # one center direction per block, derived algebra su(b1) + su(b2)
+def block_generators(blocks):
+    """Two generic Hermitian generators on each diagonal block: they
+    generate u(b1) + u(b2) + ..."""
     gens = []
     for seed in (41, 42):
         g = np.zeros((sum(blocks), sum(blocks)), dtype=complex)
@@ -263,6 +242,14 @@ def test_random_block_diagonal_generators(blocks, dims):
             g[at:at + b, at:at + b] = random_hermitian(b, seed=100 * seed + k)
             at += b
         gens.append(g)
+    return gens
+
+
+@pytest.mark.parametrize("blocks, dims", [
+    ((4,), (16, 1, 15)), ((2, 2), (8, 2, 6)), ((3, 1), (10, 2, 8))])
+def test_random_block_diagonal_generators(blocks, dims):
+    # one center direction per block, derived algebra su(b1) + su(b2)
+    gens = block_generators(blocks)
     rep = dla_report(gens)
     assert (rep.dim, rep.center_dim, rep.derived_dim) == dims
     basis = lie_closure(gens)
@@ -275,19 +262,91 @@ def test_random_block_diagonal_generators(blocks, dims):
             assert abs(np.trace(d[lo:hi, lo:hi])) <= 1e-10
 
 
+# ------------------------------------------ brute-force center and derived
+
+def real_rows(mats):
+    """Real (k, 2 N^2) rows of N x N complex matrices."""
+    mats = np.ascontiguousarray(mats, dtype=complex)
+    return mats.reshape(-1, mats.shape[-1] ** 2).view(np.float64)
+
+
+def projector(mats):
+    """Orthogonal projector onto the real span of orthonormal N x N matrices."""
+    rows = real_rows(mats)
+    return rows.T @ rows
+
+
+def brute_force_center(basis, tol=1e-8):
+    """Common null space of ad over every basis element: the coordinates v
+    with sum_i v_i [X_i, X_j] = 0 for all j, from brackets taken one by one."""
+    els = basis.elements
+    cols = [real_rows([a @ b - b @ a for b in els]).ravel() for a in els]
+    _, svals, vh = np.linalg.svd(np.array(cols).T, full_matrices=False)
+    return np.tensordot(vh[svals <= tol], els, axes=1)
+
+
+def brute_force_derived(basis, tol=1e-8):
+    """Orthonormal basis of the span of all pairwise brackets of the basis."""
+    els, n = basis.elements, basis.dim_matrix
+    brackets = real_rows([a @ b - b @ a for a in els for b in els])
+    _, svals, vh = np.linalg.svd(brackets, full_matrices=False)
+    return np.ascontiguousarray(vh[svals > tol]).view(complex).reshape(-1, n, n)
+
+
+def pauli_set(labels):
+    return [pauli_matrix(s) for s in labels.split(";")]
+
+
+def free_fermions(n):
+    return pauli_set(";".join(["I" * q + "Z" + "I" * (n - q - 1) for q in range(n)]
+                              + ["I" * q + "XX" + "I" * (n - q - 2) for q in range(n - 1)]))
+
+
+ORACLE_SETS = {
+    **{f"random_pair_{n}": [random_hermitian(n, seed=600 + n), random_hermitian(n, seed=700 + n)]
+       for n in (2, 4, 8)},
+    **{f"blocks_{blocks}": block_generators(blocks) for blocks in ((4,), (2, 2), (3, 1))},
+    "shifted_su2": [pauli_matrix("X") + 3 * np.eye(2), pauli_matrix("Y") + 3 * np.eye(2)],
+    **{f"free_fermions_{n}": free_fermions(n) for n in (2, 3, 4)},
+    "su8": pauli_set("XII;YII;IXI;IYI;IIX;IIY;ZZI;IZZ"),
+    "ring_ising": pauli_set("XII;IXI;IIX;ZZI;IZZ;ZIZ"),
+    "u4": pauli_set("XI;YI;IX;IY;ZZ;II"),
+}
+
+
+@pytest.mark.parametrize("name", list(ORACLE_SETS))
+def test_center_and_derived_match_brute_force(name):
+    basis = lie_closure(ORACLE_SETS[name])
+    center, derived = center_basis(basis), derived_algebra(basis)
+    want_center, want_derived = brute_force_center(basis), brute_force_derived(basis)
+    assert center.shape == want_center.shape and derived.shape == want_derived.shape
+    assert len(center) + len(derived) == len(basis)
+    assert np.max(np.abs(projector(center) - projector(want_center)), initial=0.0) <= 1e-10
+    assert np.max(np.abs(projector(derived) - projector(want_derived)), initial=0.0) <= 1e-10
+    assert np.max(np.abs(real_rows(center) @ real_rows(derived).T), initial=0.0) <= 1e-10
+
+
 def test_su16_matches_oracle_within_budget():
-    # X_q and Y_q on every qubit plus Z_q Z_{q+1} generate su(16)
+    # X_q and Y_q on every qubit plus Z_q Z_{q+1} generate su(16); the report
+    # must stay far below the 128 MiB of su(16)'s structure-constant tensor
     labels = ["I" * q + p + "I" * (4 - q - len(p))
               for p in ("X", "Y", "ZZ") for q in range(5 - len(p))]
-    t0 = time.perf_counter()
-    dims = dense_dims(labels)
-    elapsed = time.perf_counter() - t0
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        dims = dense_dims(labels)
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert dims == pauli_closure_dims(labels) == (255, 0, 255)
     assert elapsed <= 10.0, elapsed
+    assert peak < 64 * 2 ** 20, peak
 
 
 def test_center_and_derived_refuse_oversized_algebra():
-    big = LieBasis(dim_matrix=2, elements=(np.zeros((2, 2)),) * (MAX_DLA_DIM + 1))
+    big = LieBasis(dim_matrix=2, elements=np.zeros((MAX_DLA_DIM + 1, 2, 2), dtype=complex),
+                   generator_count=MAX_DLA_DIM + 1)
     with pytest.raises(DimCap):
         center_basis(big)
     with pytest.raises(DimCap):

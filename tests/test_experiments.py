@@ -83,14 +83,30 @@ def test_train_config_rejects_overflowing_eigenvalue_bounds():
 
 def test_train_config_bounds_the_eigenphases():
     # b * (pi + ADAM_STEP_BOUND * lr * steps + fd_step) must stay finite; here
-    # steps = 5, so the reach is pi + 16 + fd_step
+    # steps = 5, so the reach is pi + 36.5 + fd_step
     big = dict(lr=1.0, epochs=5, seeds=(0,), dataset_size=20)
     reach = np.pi + ADAM_STEP_BOUND * 5 + 1e-4
     with pytest.raises(ValueError, match="eigenphases could overflow"):
-        TrainConfig(b_models=(1.0, 4.4e307), **big)
+        TrainConfig(b_models=(1.0, 2e307), **big)
     with pytest.raises(ValueError, match="eigenphases could overflow"):
         TrainConfig(b_models=(np.finfo(float).max / reach * 1.01,), **big)
     TrainConfig(b_models=(np.finfo(float).max / reach * 0.99,), **big)
+
+
+def test_adam_step_bound_covers_growing_gradients():
+    # the update rule of _train_runs on gradients that grow by beta2 / beta1
+    # per step, the worst case; they start at 1e-120 so g^2 stays finite for
+    # 6,000 steps. Kingma & Ba's single-gradient bound, 3.16 lr, is exceeded
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    m = v = largest = 0.0
+    for step_count in range(1, 6001):
+        grad = 1e-120 * (beta2 / beta1) ** step_count
+        m = beta1 * m + (1.0 - beta1) * grad
+        v = beta2 * v + (1.0 - beta2) * grad * grad
+        move = (m / (1.0 - beta1 ** step_count)) / (np.sqrt(v / (1.0 - beta2 ** step_count)) + eps)
+        largest = max(largest, move)
+    limit = (1.0 - beta1) / np.sqrt((1.0 - beta2) * (1.0 - beta1 ** 2 / beta2))
+    assert 7.2 < largest <= limit <= ADAM_STEP_BOUND
 
 
 def test_train_work_caps():
