@@ -17,9 +17,11 @@ from .linalg import QspecError, box_muller, rng_stream
 # coefficients below this magnitude are dropped at construction
 PRUNE_FLOOR = 1e-300
 
-# Most integer points an annulus scan may visit: the box [-m, m]^d holding
-# the annulus K < |s| <= 2K, m = floor(2K), has (2m + 1)^d of them
+# Most integer points an annulus scan may visit: (2m + 1)^d in the box
+# [-m, m]^d holding the annulus K < |s| <= 2K, m = floor(2K), and (m + 1)^d
+# in its orthant [0, m]^d, the most an orthant reaches under the box cap (d = 1)
 MAX_ANNULUS_SCAN = 2 ** 25
+MAX_ORTHANT_SCAN = 2 ** 24
 
 # Caps of unit_ball_sweep, each sized so that a sweep at it takes at most
 # about 10 s and 180 MiB on one core: series (about 60 us each, nearly all
@@ -114,23 +116,25 @@ def annulus_points(d: int, k: float) -> np.ndarray:
     d, k = int(d), float(k)
     if d < 1:
         raise DomainError("dimension d must be at least 1")
-    m = _scan_half_side(d, k)
+    m = _scan_half_side(d, k, orthant=False)
     if m < 1:   # the box holds at most the origin, which lies in no annulus
         return np.empty((0, d), dtype=np.int64)
     q = sum(np.ix_(*[np.arange(-m, m + 1) ** 2] * d))
     return np.argwhere((q > k * k) & (q <= 4.0 * k * k)) - m
 
 
-def _scan_half_side(d: int, k: float) -> int:
-    """Half side floor(2k) of an annulus scan's box; DomainError past MAX_ANNULUS_SCAN."""
+def _scan_half_side(d: int, k: float, orthant: bool) -> int:
+    """Half side m = floor(2k) of an annulus scan over the box [-m, m]^d, or
+    over the orthant [0, m]^d; DomainError past that scan's cap."""
     m = np.floor(2.0 * k)
     if m < 1:
         return 0
-    # the side 2m + 1 is odd, so side^d never equals the power-of-two cap and
-    # comparing logarithms decides exactly; nan and inf fail the test
-    if not d * np.log2(2.0 * m + 1.0) < np.log2(MAX_ANNULUS_SCAN):
+    side, cap = (m + 1.0, MAX_ORTHANT_SCAN) if orthant else (2.0 * m + 1.0, MAX_ANNULUS_SCAN)
+    # side^d equals the power-of-two cap only if side is a power of two, whose
+    # log2 is exact, so comparing logarithms decides exactly; nan and inf fail
+    if not d * np.log2(side) <= np.log2(cap):
         raise DomainError(f"the annulus scan for d = {d}, K = {k:g} would visit more "
-                          f"than {MAX_ANNULUS_SCAN} box points")
+                          f"than {cap} {'orthant' if orthant else 'box'} points")
     return int(m)
 
 
@@ -140,10 +144,10 @@ def _annulus_shells(d: int, k: float) -> tuple[np.ndarray, np.ndarray]:
 
     Sign flips of a point's nonzero entries give its multiplicity of
     distinct annulus_points, and each annulus point comes from one orthant
-    point. The scan covers [0, m]^d, m = floor(2k), under annulus_points'
-    cap check on the box [-m, m]^d.
+    point. The scan covers [0, m]^d, m = floor(2k), capped at
+    MAX_ORTHANT_SCAN points.
     """
-    axis = np.arange(_scan_half_side(d, k) + 1)
+    axis = np.arange(_scan_half_side(d, k, orthant=True) + 1)
     q = sum(np.ix_(*[axis ** 2] * d))
     inside = (q > k * k) & (q <= 4.0 * k * k)
     mult = math.prod(np.ix_(*[np.where(axis > 0, 2, 1)] * d))
@@ -176,7 +180,7 @@ def minimax_lower_curve(p: SobolevParams, k_list) -> tuple[np.ndarray, float, fl
     building the witness: a sum over the annulus points in one orthant,
     each weighted by its sign multiplicity, of the witness's own squared
     coefficient. Radii go largest first, so DomainError comes before any
-    other work if that radius's scan is over MAX_ANNULUS_SCAN. DomainError
+    other work if that radius's scan is over MAX_ORTHANT_SCAN. DomainError
     too if an error is 0 because every squared coefficient underflows (its
     logarithm would make the slope nan).
     """

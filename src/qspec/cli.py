@@ -30,7 +30,7 @@ from .qsim import pauli_matrix
 from .spectrum import DEDUP_TOL, NonCommensurate, envelope, gap_set, normalize_gaps
 
 # flags whose values may start with a minus sign; argparse needs them glued
-_MERGE_FLAGS = ("--eigs", "--weights", "--K", "--pairs", "--seeds")
+_MERGE_FLAGS = ("--eigs", "--weights", "--K", "--pairs", "--seeds", "--paulis")
 
 
 # ---------------------------------------------------------------- rendering

@@ -93,8 +93,10 @@ def lie_closure(generators, tol: float = CLOSURE_TOL) -> LieBasis:
     """Orthonormal basis of the real Lie algebra generated by {i * H_j}.
 
     Breadth-first bracket search: each accepted element is bracketed with
-    everything accepted before it, so the basis is independent of how the
-    span is presented. The span does not depend on the generators' scale,
+    the generators only. The final span holds the generators and the
+    brackets of each of its rows with them, so it is closed under their
+    adjoint action and holds every nested bracket; every accepted row is
+    such a bracket. The span does not depend on the generators' scale,
     so each is peak-rescaled first: brackets cannot overflow, and tol is
     relative to each generator. A dimension above min(N^2, MAX_DLA_DIM),
     N^2 being the ambient u(N) bound, raises DimCap, as does a side N
@@ -109,9 +111,9 @@ def lie_closure(generators, tol: float = CLOSURE_TOL) -> LieBasis:
     basis = np.empty((min(n * n, MAX_DLA_DIM), 2 * n * n))
     cube = basis.view(complex).reshape(-1, n, n)
     m = spanned = _extend(basis, 0, _rows(1j * _peak_scaled(np.array(gens))[0]), tol)
-    j = 1
+    j = 1   # row 0 is a generator row: the others' brackets with it cover its own
     while j < m:
-        m = _extend(basis, m, _rows(cube[:j] @ cube[j] - cube[j] @ cube[:j]), tol)
+        m = _extend(basis, m, _rows(cube[:spanned] @ cube[j] - cube[j] @ cube[:spanned]), tol)
         j += 1
     return LieBasis(dim_matrix=n, elements=cube[:m].copy(), generator_count=spanned)
 
@@ -190,9 +192,6 @@ def dla_report(generators, tol: float = CLOSURE_TOL) -> DlaReport:
     generators = list(generators)
     etas = tuple(eta(g) for g in generators)
     basis = lie_closure(generators, tol=tol)
-    return DlaReport(
-        dim=len(basis),
-        center_dim=len(center_basis(basis, tol)),
-        derived_dim=len(derived_algebra(basis, tol)),
-        eta_per_generator=etas,
-    )
+    center, derived = _split(basis, tol)
+    return DlaReport(dim=len(basis), center_dim=len(center), derived_dim=len(derived),
+                     eta_per_generator=etas)

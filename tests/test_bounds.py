@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qspec import bounds
-from qspec.bounds import (MAX_ANNULUS_SCAN, MAX_SWEEP_DRAWS, MAX_SWEEP_RADII,
+from qspec.bounds import (MAX_ANNULUS_SCAN, MAX_ORTHANT_SCAN, MAX_SWEEP_DRAWS, MAX_SWEEP_RADII,
                           MAX_SWEEP_SERIES, MAX_SWEEP_TERMS, PRUNE_FLOOR, DomainError,
                           FourierSeries, SobolevParams, annulus_points,
                           annulus_witness, jackson_upper, limit_probe,
@@ -126,12 +126,26 @@ def test_annulus_scan_cap_checked_before_allocating():
     assert (2 * 128 + 1) ** 3 <= MAX_ANNULUS_SCAN
 
 
+def test_orthant_scan_cap_is_exact():
+    # the orthant [0, m]^d has (m + 1)^d points; a power-of-two count equal
+    # to the cap is admitted, one more point is not
+    assert MAX_ORTHANT_SCAN == 2 ** 24
+    assert bounds._scan_half_side(1, (2 ** 24 - 1) / 2, orthant=True) == 2 ** 24 - 1
+    assert bounds._scan_half_side(24, 0.5, orthant=True) == 1
+    for d, k in ((1, 2.0 ** 23), (25, 0.5), (3, 150.0)):
+        with pytest.raises(DomainError, match=f"more than {MAX_ORTHANT_SCAN} orthant points"):
+            bounds._scan_half_side(d, k, orthant=True)
+    # the orthant admits scans whose box is past the box cap: 201^3 against 401^3
+    assert bounds._scan_half_side(3, 100.0, orthant=True) == 200
+    assert 201 ** 3 <= MAX_ORTHANT_SCAN < MAX_ANNULUS_SCAN < 401 ** 3
+
+
 def test_lower_curve_checks_largest_scan_first(monkeypatch):
     shells, scans = bounds._annulus_shells, []
     monkeypatch.setattr(bounds, "_annulus_shells", lambda d, k: scans.append(k) or shells(d, k))
     for ks in ([1.0, 2.0, 300000.0], [4.0, 8.0, 1e308], [4.0, 8.0, float("inf")]):
         scans.clear()
-        with pytest.raises(DomainError, match="box points"):
+        with pytest.raises(DomainError, match="orthant points"):
             minimax_lower_curve(SobolevParams(3, 2.0), ks)
         assert scans == ks[-1:]   # the one scan attempted is the oversized one
 

@@ -24,6 +24,8 @@ def test_normalize_argv_glues_merge_flags():
         "bounds", "lower", "--K=4,8", "--d", "1"]
     assert normalize_argv(["train", "--seeds", "-1,2", "--fast"]) == [
         "train", "--seeds=-1,2", "--fast"]
+    assert normalize_argv(["dla", "--paulis", "-0.5*IZ+XX;YY"]) == [
+        "dla", "--paulis=-0.5*IZ+XX;YY"]
     # already-glued and non-merge flags pass through
     assert normalize_argv(["spectrum", "--eigs=-1,1"]) == ["spectrum", "--eigs=-1,1"]
     assert normalize_argv(["variance", "--samples", "50"]) == ["variance", "--samples", "50"]
@@ -216,6 +218,11 @@ def test_dla_multiple_generators(capsys):
     assert res["eta_per_generator"] == [0, 0]
 
 
+def test_dla_leading_sign(capsys):
+    res = run_json(capsys, ["dla", "--paulis", "-X;Y"])["result"]
+    assert (res["dim"], res["center_dim"], res["derived_dim"]) == (3, 0, 3)
+
+
 def test_dla_bad_label_exits_one(capsys):
     rc = dispatch(["dla", "--paulis", "0.5*QQ"])
     captured = capsys.readouterr()
@@ -279,9 +286,16 @@ def test_bounds_lower_beyond_scan_cap_exits_one_before_work(capsys, ks):
     elapsed = time.perf_counter() - t0
     captured = capsys.readouterr()
     assert rc == 1
-    assert "box points" in error_line(captured)
+    assert "orthant points" in error_line(captured)
     assert captured.out == ""
     assert elapsed <= 1.0, elapsed
+
+
+def test_bounds_lower_caps_the_orthant_not_the_box(capsys):
+    # the K = 100 box at d = 3 has 401^3 points, past the box cap, but the
+    # scan visits only the 201^3 orthant points
+    res = run_json(capsys, ["bounds", "lower", "--d", "3", "--r", "2", "--K", "1,2,100"])["result"]
+    assert len(res["witness_errors"]) == 3
 
 
 @pytest.mark.parametrize("argv", [["--count", "0"], ["--count", "-1"], ["--K", ","]])

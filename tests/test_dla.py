@@ -97,23 +97,26 @@ def test_derived_lies_inside_algebra():
         assert np.max(np.abs(proj - el)) <= 1e-10
 
 
-def test_dla_report_reads_the_public_center_and_derived_algebra(monkeypatch):
-    # spies: the report's dimensions come from center_basis and
-    # derived_algebra, on the closure's basis
+def test_dla_report_splits_once(monkeypatch):
+    # spy: the report takes both dimensions from one _split of the closure's
+    # basis, and they agree with the public center_basis and derived_algebra
     calls = []
-    for name in ("center_basis", "derived_algebra"):
-        def spy(g, tol, _fn=getattr(dla, name), _name=name):
-            out = _fn(g, tol)
-            calls.append((_name, len(g), tol, len(out)))
-            return out
-        monkeypatch.setattr(dla, name, spy)
+
+    def spy(g, tol, _split=dla._split):
+        calls.append((g, tol))
+        return _split(g, tol)
+    monkeypatch.setattr(dla, "_split", spy)
     for gens, dims in (([np.eye(2), pauli_matrix("X"), pauli_matrix("Y")], (4, 1, 3)),
                        ([pauli_matrix("ZI"), pauli_matrix("IZ")], (2, 2, 0))):
         calls.clear()
         rep = dla_report(gens, tol=1e-9)
         assert (rep.dim, rep.center_dim, rep.derived_dim) == dims
-        assert calls == [("center_basis", dims[0], 1e-9, dims[1]),
-                         ("derived_algebra", dims[0], 1e-9, dims[2])]
+        assert len(calls) == 1 and calls[0][1] == 1e-9
+        basis = lie_closure(gens, tol=1e-9)
+        assert np.array_equal(calls[0][0].elements, basis.elements)
+        assert calls[0][0].generator_count == basis.generator_count
+        assert (rep.center_dim, rep.derived_dim) == (len(center_basis(basis, 1e-9)),
+                                                     len(derived_algebra(basis, 1e-9)))
 
 
 def test_eta_identity_and_traceless_exact():
@@ -326,11 +329,15 @@ def test_center_and_derived_match_brute_force(name):
     assert np.max(np.abs(real_rows(center) @ real_rows(derived).T), initial=0.0) <= 1e-10
 
 
+def su16_labels():
+    """X_q and Y_q on every qubit plus Z_q Z_{q+1}: they generate su(16)."""
+    return ["I" * q + p + "I" * (4 - q - len(p)) for p in ("X", "Y", "ZZ") for q in range(5 - len(p))]
+
+
 def test_su16_matches_oracle_within_budget():
-    # X_q and Y_q on every qubit plus Z_q Z_{q+1} generate su(16); the report
-    # must stay far below the 128 MiB of su(16)'s structure-constant tensor
-    labels = ["I" * q + p + "I" * (4 - q - len(p))
-              for p in ("X", "Y", "ZZ") for q in range(5 - len(p))]
+    # the report's traced peak, about 29 MiB, is _split's chunked products and
+    # its (G m, m) adjoint matrix; the closure's basis is 1 MiB
+    labels = su16_labels()
     tracemalloc.start()
     try:
         t0 = time.perf_counter()
@@ -342,6 +349,43 @@ def test_su16_matches_oracle_within_budget():
     assert dims == pauli_closure_dims(labels) == (255, 0, 255)
     assert elapsed <= 10.0, elapsed
     assert peak < 64 * 2 ** 20, peak
+
+
+def brute_force_closure_dim(gens, tol=1e-8):
+    """Rank of the span reached by adding every pairwise bracket of an
+    orthonormal basis of the span until the rank stops growing."""
+    n = gens[0].shape[0]
+    rows = real_rows([1j * g / np.linalg.norm(g) for g in gens])
+    while True:
+        _, svals, vh = np.linalg.svd(rows, full_matrices=False)
+        els = np.ascontiguousarray(vh[svals > tol * svals[0]]).view(complex).reshape(-1, n, n)
+        rows = np.vstack([real_rows(els), real_rows([a @ b - b @ a for a in els for b in els])])
+        if np.linalg.matrix_rank(rows, tol=tol) == len(els):
+            return len(els)
+
+
+@pytest.mark.parametrize("name", list(ORACLE_SETS))
+def test_closure_is_closed_under_every_bracket(name):
+    gens = ORACLE_SETS[name]
+    basis = lie_closure(gens)
+    els, rows = basis.elements, real_rows(basis.elements)
+    assert len(basis) == brute_force_closure_dim(gens)
+    # the generators lie in the span, and so does every pairwise bracket
+    brackets = real_rows([1j * g / np.linalg.norm(g) for g in gens]
+                         + [a @ b - b @ a for a in els for b in els])
+    assert np.max(np.abs(brackets - (brackets @ rows.T) @ rows)) <= 1e-10
+
+
+def test_su16_closure_brackets_with_the_generators_only(monkeypatch):
+    # each accepted row after the first is bracketed with the G generator
+    # rows, so _extend sees G_in + (m - 1) G candidate rows, not about m^2 / 2
+    seen, extend = [], dla._extend
+    monkeypatch.setattr(dla, "_extend", lambda basis, m, cands, tol: seen.append(len(cands))
+                        or extend(basis, m, cands, tol))
+    labels = su16_labels()
+    basis = lie_closure([pauli_matrix(s) for s in labels])
+    assert (len(basis), basis.generator_count) == (255, 11)
+    assert sum(seen) <= len(labels) + (len(basis) - 1) * basis.generator_count == 2805
 
 
 def test_center_and_derived_refuse_oversized_algebra():
