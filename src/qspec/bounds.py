@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .linalg import QspecError, box_muller, rng_stream
+from .linalg import QspecError, box_muller, rng_streams
 
 # coefficients below this magnitude are dropped at construction
 PRUNE_FLOOR = 1e-300
@@ -260,8 +260,9 @@ def _draw_unit_ball(p: SobolevParams, max_freq: int, modes: int, seeds):
     lengths[i] rows of the (T, d) freqs and the (T,) coeffs and norm_sq.
 
     Each series draws its integers and then complex_gaussians' uniforms from
-    its own rng_stream(s); one box_muller call maps the uniforms of all
-    series, elementwise as per-series calls would. One stable lexsort by
+    the stream of rng_stream(s), reached through rng_streams; one box_muller
+    call maps the uniforms of all series, elementwise as per-series calls
+    would. One stable lexsort by
     (series, frequency row) keeps repeats in draw order, so the one
     np.add.at sums each as a per-series np.add.at would. Coefficients
     below PRUNE_FLOOR are dropped before and after the rescaling, as the
@@ -274,8 +275,7 @@ def _draw_unit_ball(p: SobolevParams, max_freq: int, modes: int, seeds):
     count = len(seeds)
     draws = np.empty((count, modes, p.d), dtype=np.int64)
     uniforms = np.empty((2, count, modes))   # (modulus, phase) rows, each contiguous
-    for i, seed in enumerate(seeds):
-        gen = rng_stream(seed)
+    for i, gen in enumerate(rng_streams(seeds)):
         draws[i] = gen.integers(-max_freq, max_freq + 1, size=(modes, p.d))
         uniforms[:, i] = gen.random((2, modes))   # complex_gaussians(gen, modes)'s draws
     amps = box_muller(*uniforms)

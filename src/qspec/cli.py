@@ -9,6 +9,7 @@ equal bytes.
 """
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -309,6 +310,7 @@ def _cmd_selftest(ns) -> tuple[dict, object]:
 
 # ------------------------------------------------------------------ driver
 
+@functools.cache   # one parser per process; parsing leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qspec", allow_abbrev=False,

@@ -4,7 +4,9 @@ Hermitian eigensolves, generator exponentials, Haar-random unitaries,
 and commutators. All randomness in the package flows through
 counter-based Philox generators addressed by an explicit 64-bit seed
 plus an integer stream path, so every stochastic result is reproducible
-from its arguments alone.
+from its arguments alone. rng_streams walks many seeds' streams with one
+generator: a Philox stream is fixed by its 128-bit key, and the keys of
+all seeds come from one vectorized pass of numpy's SeedSequence hash.
 """
 
 from typing import NamedTuple
@@ -12,6 +14,13 @@ from typing import NamedTuple
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
+_MASK32 = (1 << 32) - 1
+
+# numpy's SeedSequence constants (pool of 4 uint32 words)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
 
 # Hermiticity check: max |M_ij - conj(M_ji)| <= tol * (1 + ||M||_F)
 HERMITIAN_TOL = 1e-12
@@ -49,6 +58,52 @@ def rng_stream(seed: int, *stream: int) -> np.random.Generator:
     key = np.random.SeedSequence(entropy=int(seed) & _MASK64,
                                  spawn_key=tuple(int(s) for s in stream))
     return np.random.Generator(np.random.Philox(key))
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's hashmix on uint32 arrays; each call moves the constant on."""
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> _XSHIFT)
+    return hashmix
+
+
+def _philox_keys(seeds) -> np.ndarray:
+    """uint64 (n, 2) Philox keys: row i equals
+    SeedSequence(entropy=seeds[i] & _MASK64).generate_state(2, np.uint64).
+
+    The SeedSequence hash runs once on uint32 arrays holding every seed. An
+    entropy of one word hashes as its zero-padded two words would: the pool
+    of 4 hashes a missing word as 0.
+    """
+    words = np.array([int(s) & _MASK64 for s in seeds], dtype=np.uint64)
+    lo, hi = (words & _MASK32).astype(np.uint32), (words >> np.uint64(32)).astype(np.uint32)
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(w) for w in (lo, hi, np.zeros_like(lo), np.zeros_like(lo))]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed = (np.uint32(_MIX_MULT_L) * pool[dst]
+                         - np.uint32(_MIX_MULT_R) * hashmix(pool[src]))
+                pool[dst] = mixed ^ (mixed >> _XSHIFT)
+    out = [w.astype(np.uint64) for w in map(_hasher(_INIT_B, _MULT_B), pool)]
+    return np.stack([out[0] | out[1] << np.uint64(32), out[2] | out[3] << np.uint64(32)], axis=1)
+
+
+def rng_streams(seeds):
+    """Yield, for each s in seeds, a Generator that draws what rng_stream(s)
+    draws. It is one Generator, reseated at counter 0 of the next seed's key
+    before each yield, so finish with one stream before taking the next."""
+    bitgen = np.random.Philox(0)
+    gen = np.random.Generator(bitgen)
+    fresh = np.zeros(4, np.uint64)   # counter 0 and an empty buffer, as a new Philox has
+    for key in _philox_keys(seeds):
+        bitgen.state = {"bit_generator": "Philox", "state": {"counter": fresh, "key": key},
+                        "buffer": fresh, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        yield gen
 
 
 def derive_seed(seed: int, *stream: int) -> int:

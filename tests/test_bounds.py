@@ -442,6 +442,16 @@ def test_unit_ball_sweep_matches_per_series_calls(monkeypatch, d, max_freq, mode
     assert (np.any(first < drawn), np.any(second < first)) == (tiny, tiny)
 
 
+@pytest.mark.parametrize("seed", [2 ** 64 - 3, -2], ids=["across-2^64", "negative"])
+def test_unit_ball_sweep_wraps_seeds_as_rng_stream_does(seed):
+    p, ks = SobolevParams(2, 2.0), [1.0, 2.5, 4.0, 9.0]
+    errors, rigorous, reference = unit_ball_sweep(p, ks, 6, 8, 12, seed=seed)
+    for i in range(6):
+        want, _ = reference_unit_ball_series(p, 8, 12, seed + i)
+        assert errors[i].tolist() == [truncation_error(want, k) for k in ks]
+        assert list(zip(rigorous[i], reference[i])) == jackson_upper(want, p, ks)
+
+
 def test_unit_ball_sweep_rejects_a_degenerate_draw(monkeypatch):
     monkeypatch.setattr(bounds, "box_muller", lambda radial, phase: np.zeros(radial.shape, complex))
     with pytest.raises(DomainError, match="degenerate draw"):
@@ -461,7 +471,7 @@ def test_unit_ball_sweep_rejects_a_degenerate_draw(monkeypatch):
 def test_unit_ball_sweep_caps_reject_before_drawing(monkeypatch, count, ks, modes, d):
     def never(*args):
         raise AssertionError("a series was drawn")
-    monkeypatch.setattr(bounds, "rng_stream", never)
+    monkeypatch.setattr(bounds, "rng_streams", never)
     with pytest.raises(DomainError):
         unit_ball_sweep(SobolevParams(d, 2.0), ks, count, 8, modes, seed=0)
 
@@ -472,7 +482,7 @@ def test_unit_ball_sweep_caps_admit_their_limits(monkeypatch):
 
     def drawn(*args):
         raise Drawn
-    monkeypatch.setattr(bounds, "rng_stream", drawn)
+    monkeypatch.setattr(bounds, "rng_streams", drawn)
     for count, ks, modes, d in ((MAX_SWEEP_SERIES, [1.0], 1, 1),
                                 (1, [1.0], MAX_SWEEP_DRAWS // 2, 2),
                                 (1, [1.0] * 1000, MAX_SWEEP_TERMS // 1000, 1)):

@@ -313,7 +313,7 @@ def test_bounds_upper_max_freq_beyond_int64_exits_one_before_work(capsys, monkey
 
     def never(*args):
         raise AssertionError("a series was drawn")
-    monkeypatch.setattr(bounds, "rng_stream", never)
+    monkeypatch.setattr(bounds, "rng_streams", never)
     rc = dispatch(["bounds", "upper", "--max-freq", max_freq])
     captured = capsys.readouterr()
     assert rc == 1 and captured.out == ""
@@ -553,3 +553,43 @@ def test_help_exits_zero(capsys):
     capsys.readouterr()
     assert dispatch(["train", "--help"]) == 0
     capsys.readouterr()
+
+
+# each subcommand on its defaults, with the required options at small values
+DEFAULT_RUNS = [["spectrum", "--eigs", "-1,1"],
+                ["bounds", "lower", "--d", "1", "--r", "2"],
+                ["bounds", "upper"],
+                ["bounds", "limit", "--pairs", "2:2"],
+                ["dla", "--paulis", "X;Y"],
+                ["train", "--fast", "--seeds", "0"],
+                ["variance"],
+                ["selftest"]]
+
+
+@pytest.mark.parametrize("argv", DEFAULT_RUNS, ids=lambda argv: " ".join(a for a in argv[:2] if a[0] != "-"))
+def test_cached_parser_repeats_every_subcommand(capsys, monkeypatch, tmp_path, argv):
+    def parsed():
+        return vars(cli._build_parser().parse_args(normalize_argv(argv)))
+
+    def run():
+        rc = dispatch(argv)
+        out = capsys.readouterr().out
+        assert rc == 0
+        return re.sub(r'"duration_s": [0-9eE.+-]+', '"duration_s": X', out)
+
+    defaults = json.dumps(parsed())
+    first = run()
+
+    class NoNewParser:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("dispatch built a second parser")
+    monkeypatch.setattr(cli.argparse, "ArgumentParser", NoNewParser)
+    assert run() == first
+    assert dispatch(argv + ["--no-such-flag"]) == 2
+    capsys.readouterr()
+    assert run() == first
+    assert dispatch(argv + ["--out", str(tmp_path / "missing" / "x")]) == 1
+    capsys.readouterr()
+    assert run() == first
+    # no handler changed a parsed default (argparse shares the default lists)
+    assert json.dumps(parsed()) == defaults

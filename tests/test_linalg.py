@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from qspec.linalg import (DimMismatch, NotHermitian, commutator,
+from qspec.linalg import (DimMismatch, NotHermitian, _philox_keys, commutator,
                           complex_gaussians, derive_seed, eig_hermitian,
-                          haar_unitary, is_hermitian, rng_stream,
+                          haar_unitary, is_hermitian, rng_stream, rng_streams,
                           unitary_from_generator)
 
 PAULI_Y = np.array([[0, -1j], [1j, 0]])
@@ -119,6 +119,56 @@ def test_rng_stream_splitting():
     assert np.array_equal(base, again)
     assert not np.array_equal(base, other_stream)
     assert not np.array_equal(base, other_seed)
+
+
+@pytest.mark.parametrize("seeds", [
+    [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63, 2 ** 64 - 1],
+    [-1, 10 ** 30],
+    range(2 ** 40 - 1000, 2 ** 40 + 1000),
+], ids=["word-edges", "masked", "2000-consecutive"])
+def test_philox_keys_match_seed_sequence(seeds):
+    want = [np.random.SeedSequence(entropy=s & (2 ** 64 - 1)).generate_state(2, np.uint64)
+            for s in seeds]
+    keys = _philox_keys(seeds)
+    assert keys.dtype == np.uint64
+    assert np.array_equal(keys, np.array(want).reshape(-1, 2))
+
+
+def test_philox_keys_of_no_seeds():
+    assert _philox_keys([]).shape == (0, 2)
+    assert list(rng_streams([])) == []
+
+
+def assert_stream_of(gen, seed):
+    """gen stands where a new rng_stream(seed) stands, and draws what it
+    draws. The states are compared too: a zero word left pending or in the
+    buffer would hide from integers(-8, 9), whose rejection step drops a
+    32-bit zero."""
+    fresh = rng_stream(seed)
+    assert plain(gen.bit_generator.state) == plain(fresh.bit_generator.state), seed
+    got, want = ((g.integers(-8, 9, (12, 2)), g.random((2, 12))) for g in (gen, fresh))
+    assert all(np.array_equal(a, b) for a, b in zip(got, want)), seed
+
+
+def plain(state):
+    return {k: plain(v) if isinstance(v, dict) else np.asarray(v).tolist()
+            for k, v in state.items()}
+
+
+def test_rng_streams_draw_what_rng_stream_draws():
+    seeds = [0, 1, 7, 2 ** 32, 2 ** 64 - 1, -3, 10 ** 30]
+    for seed, gen in zip(seeds, rng_streams(seeds)):
+        assert_stream_of(gen, seed)
+
+
+def test_rng_streams_reseat_drops_a_pending_uint32():
+    streams = rng_streams([5, 6, 7])
+    gen = next(streams)
+    gen.integers(-8, 9, 3)   # three 32-bit draws: half of a 64-bit word is left
+    for seed, gen in zip([6, 7], streams):
+        assert_stream_of(gen, seed)
+        gen.integers(0, 5, 1)   # a pending uint32 again before the next seed
+        assert gen.bit_generator.state["has_uint32"] == 1
 
 
 def test_derive_seed_is_stable_and_64bit():
