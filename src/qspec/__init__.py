@@ -10,11 +10,10 @@ from .spectrum import (CommutingReport, FrequencyEnvelope, GapSet,
                        NonCommensurate, NormalizedGapSet, commuting_report,
                        coverage_radius, coverage_radius_box, envelope, gap_set,
                        normalize_gaps)
-from .bounds import (DomainError, FourierSeries, SobolevParams, annulus_points,
-                     annulus_witness, jackson_upper, limit_probe, minimax_lower_curve,
-                     random_unit_ball_series, sobolev_norm, truncation_error, unit_ball_sweep)
-from .dla import (DimCap, DlaReport, LieBasis, ZeroMatrix, center_basis,
-                  derived_algebra, dla_report, eta, lie_closure)
+from .bounds import (DomainError, FourierSeries, SobolevParams, limit_probe,
+                     minimax_lower_curve, sobolev_norm, truncation_error, unit_ball_sweep)
+from .dla import (DimCap, DlaReport, LieBasis, ZeroMatrix, center_and_derived, dla_report,
+                  eta, lie_closure)
 from .qsim import (CircuitSpec, circuit_forward_batch, circuit_forward_encoded,
                    default_entangler, encode_inputs, grad_analytic_1p_batch, grad_fd,
                    make_generator, pauli_matrix, trig_poly_coeffs)

@@ -1,9 +1,9 @@
 """Sobolev machinery on the d-torus for approximation bounds.
 
 Finite Fourier series with coefficients indexed by integer frequency
-vectors, Sobolev norms, truncation errors, annulus witnesses that realize
-the minimax lower bound, log-log rate fitting, the Jackson-type upper
-bound, and the large-d limit probe.
+vectors, Sobolev norms, truncation errors, the minimax lower bound from
+annulus witnesses with its log-log rate fit, the Jackson-type upper bound
+over random unit-ball series, and the large-d limit probe.
 """
 
 import math
@@ -17,10 +17,8 @@ from .linalg import QspecError, box_muller, rng_streams
 # coefficients below this magnitude are dropped at construction
 PRUNE_FLOOR = 1e-300
 
-# Most integer points an annulus scan may visit: (2m + 1)^d in the box
-# [-m, m]^d holding the annulus K < |s| <= 2K, m = floor(2K), and (m + 1)^d
-# in its orthant [0, m]^d, the most an orthant reaches under the box cap (d = 1)
-MAX_ANNULUS_SCAN = 2 ** 25
+# Most integer points an annulus scan may visit: (m + 1)^d in the orthant
+# [0, m]^d, m = floor(2K), of the box [-m, m]^d holding the annulus K < |s| <= 2K
 MAX_ORTHANT_SCAN = 2 ** 24
 
 # Caps of unit_ball_sweep, each sized so that a sweep at it takes at most
@@ -106,35 +104,17 @@ def truncation_error(h: FourierSeries, k: float) -> float:
     return float(np.sqrt(np.sum(np.abs(h.coeffs[h.norm_sq > k * k]) ** 2)))
 
 
-def annulus_points(d: int, k: float) -> np.ndarray:
-    """Integer points s with k < |s| <= 2k, an int64 (A, d) array in
-    lexicographic order.
-
-    The scan covers the box [-m, m]^d, m = floor(2k); DomainError if the
-    box has more than MAX_ANNULUS_SCAN points, before anything is allocated.
-    """
-    d, k = int(d), float(k)
-    if d < 1:
-        raise DomainError("dimension d must be at least 1")
-    m = _scan_half_side(d, k, orthant=False)
-    if m < 1:   # the box holds at most the origin, which lies in no annulus
-        return np.empty((0, d), dtype=np.int64)
-    q = sum(np.ix_(*[np.arange(-m, m + 1) ** 2] * d))
-    return np.argwhere((q > k * k) & (q <= 4.0 * k * k)) - m
-
-
-def _scan_half_side(d: int, k: float, orthant: bool) -> int:
-    """Half side m = floor(2k) of an annulus scan over the box [-m, m]^d, or
-    over the orthant [0, m]^d; DomainError past that scan's cap."""
+def _scan_half_side(d: int, k: float) -> int:
+    """Half side m = floor(2k) of an annulus scan over the orthant [0, m]^d;
+    DomainError past MAX_ORTHANT_SCAN points."""
     m = np.floor(2.0 * k)
     if m < 1:
         return 0
-    side, cap = (m + 1.0, MAX_ORTHANT_SCAN) if orthant else (2.0 * m + 1.0, MAX_ANNULUS_SCAN)
-    # side^d equals the power-of-two cap only if side is a power of two, whose
-    # log2 is exact, so comparing logarithms decides exactly; nan and inf fail
-    if not d * np.log2(side) <= np.log2(cap):
+    # (m + 1)^d equals the power-of-two cap only if m + 1 is a power of two,
+    # whose log2 is exact, so comparing logarithms decides exactly; nan and inf fail
+    if not d * np.log2(m + 1.0) <= np.log2(MAX_ORTHANT_SCAN):
         raise DomainError(f"the annulus scan for d = {d}, K = {k:g} would visit more "
-                          f"than {cap} {'orthant' if orthant else 'box'} points")
+                          f"than {MAX_ORTHANT_SCAN} orthant points")
     return int(m)
 
 
@@ -143,29 +123,15 @@ def _annulus_shells(d: int, k: float) -> tuple[np.ndarray, np.ndarray]:
     of the integer points s with k < |s| <= 2k in the nonnegative orthant.
 
     Sign flips of a point's nonzero entries give its multiplicity of
-    distinct annulus_points, and each annulus point comes from one orthant
-    point. The scan covers [0, m]^d, m = floor(2k), capped at
-    MAX_ORTHANT_SCAN points.
+    distinct integer points in the annulus, and each annulus point comes
+    from one orthant point. The scan covers [0, m]^d, m = floor(2k), capped
+    at MAX_ORTHANT_SCAN points.
     """
-    axis = np.arange(_scan_half_side(d, k, orthant=True) + 1)
+    axis = np.arange(_scan_half_side(d, k) + 1)
     q = sum(np.ix_(*[axis ** 2] * d))
     inside = (q > k * k) & (q <= 4.0 * k * k)
     mult = math.prod(np.ix_(*[np.where(axis > 0, 2, 1)] * d))
     return q[inside], mult[inside]
-
-
-def annulus_witness(p: SobolevParams, k: float) -> FourierSeries:
-    """Unit-Sobolev-norm series supported on the annulus k < |s| <= 2k.
-
-    Coefficients c0 (1 + |s|^2)^{-r/2} with c0 = |A|^{-1/2} make the
-    Sobolev norm exactly 1, while every coefficient survives truncation at
-    radius k; this is the witness behind the minimax lower bound.
-    """
-    if not np.isfinite(k) or k < 1:
-        raise DomainError("annulus radius k must be at least 1")
-    pts = annulus_points(p.d, k)   # never empty: it holds (floor(2k), 0, ..., 0)
-    c0 = 1.0 / np.sqrt(len(pts))
-    return FourierSeries(p.d, pts, c0 * (1.0 + np.einsum("ij,ij->i", pts, pts)) ** (-p.r / 2))
 
 
 def minimax_lower_curve(p: SobolevParams, k_list) -> tuple[np.ndarray, float, float]:
@@ -176,13 +142,15 @@ def minimax_lower_curve(p: SobolevParams, k_list) -> tuple[np.ndarray, float, fl
     reference exponent d/2 - r is reported alongside for comparison; the
     measured decay follows -r, not the reference exponent.
 
-    The error at k is truncation_error(annulus_witness(p, k), k) without
-    building the witness: a sum over the annulus points in one orthant,
-    each weighted by its sign multiplicity, of the witness's own squared
-    coefficient. Radii go largest first, so DomainError comes before any
-    other work if that radius's scan is over MAX_ORTHANT_SCAN. DomainError
-    too if an error is 0 because every squared coefficient underflows (its
-    logarithm would make the slope nan).
+    The witness at k is the unit-Sobolev-norm series on the A integer
+    points s with k < |s| <= 2k, coefficients A^{-1/2} (1 + |s|^2)^{-r/2}:
+    all of it lies outside the ball |s| <= k. Its truncation error is found
+    without building it, as a sum over the annulus points in one orthant,
+    each weighted by its sign multiplicity, of its squared coefficient.
+    Radii go largest first, so DomainError comes before any other work if
+    that radius's scan is over MAX_ORTHANT_SCAN. DomainError too if an
+    error is 0 because every squared coefficient underflows (its logarithm
+    would make the slope nan).
     """
     ks = [float(k) for k in k_list]
     if len(ks) < 3:
@@ -193,7 +161,7 @@ def minimax_lower_curve(p: SobolevParams, k_list) -> tuple[np.ndarray, float, fl
     errors = np.empty(len(ks))
     for j in reversed(range(len(ks))):   # the largest scan first, so an oversized one fails first
         q, mult = _annulus_shells(p.d, ks[j])
-        coeffs = 1.0 / np.sqrt(mult.sum()) * (1.0 + q) ** (-p.r / 2)   # as in annulus_witness
+        coeffs = 1.0 / np.sqrt(mult.sum()) * (1.0 + q) ** (-p.r / 2)   # the witness's coefficients
         errors[j] = np.sqrt(np.sum(mult * (coeffs * coeffs)))
         if errors[j] == 0.0:
             raise DomainError(f"every squared coefficient of the K = {ks[j]:g} witness underflows "
@@ -202,25 +170,11 @@ def minimax_lower_curve(p: SobolevParams, k_list) -> tuple[np.ndarray, float, fl
     return errors, slope, p.d / 2 - p.r
 
 
-def jackson_upper(h: FourierSeries, p: SobolevParams, ks) -> list[tuple[float, float]]:
-    """Upper bounds on the truncation error of a Sobolev-smooth series.
-
-    Returns one (rigorous, reference) pair per radius k in ks: the
-    rigorous bound (1 + k^2)^{-r/2} * sobolev_norm(h, r), valid for every
-    k >= 1, and the looser reference form k^{d/2 - r} * sobolev_norm(h, r)
-    reported for comparison. The norm is computed once for all radii.
-    """
-    if h.d != p.d:
-        raise DomainError(f"series dimension {h.d} != parameter dimension {p.d}")
-    factors = _jackson_factors(p, ks)
-    w = sobolev_norm(h, p.r)
-    return [(rigorous * w, reference * w) for rigorous, reference in factors]
-
-
 def _jackson_factors(p: SobolevParams, ks) -> list[tuple[float, float]]:
-    """((1 + k^2)^{-r/2}, k^{d/2 - r}) per radius k, the factors of the
-    Sobolev norm in jackson_upper; DomainError unless every k is finite
-    and at least 1."""
+    """((1 + k^2)^{-r/2}, k^{d/2 - r}) per radius k: times a series' Sobolev
+    norm, the rigorous Jackson bound on its truncation error at every
+    k >= 1 and the looser reference form; DomainError unless every k is
+    finite and at least 1."""
     ks = [float(k) for k in ks]
     if not all(np.isfinite(k) and k >= 1 for k in ks):
         raise DomainError("truncation radius k must be at least 1")
@@ -242,31 +196,21 @@ def limit_probe(pairs) -> np.ndarray:
     return np.array(out, dtype=float)
 
 
-def random_unit_ball_series(p: SobolevParams, max_freq: int, modes: int, seed: int) -> FourierSeries:
-    """Random series rescaled to unit Sobolev norm.
-
-    Draws `modes` integer frequencies uniformly from [-max_freq, max_freq]^d
-    (duplicates merge), gives each a standard complex Gaussian coefficient,
-    and rescales so sobolev_norm(., r) = 1. Used to exercise the upper
-    bound on the boundary of the unit ball.
-    """
-    freqs, coeffs, _, _ = _draw_unit_ball(p, max_freq, modes, [seed])
-    return FourierSeries(p.d, freqs, coeffs)
-
-
 def _draw_unit_ball(p: SobolevParams, max_freq: int, modes: int, seeds):
-    """random_unit_ball_series(p, max_freq, modes, s) for every s in seeds,
-    packed as (freqs, coeffs, norm_sq, lengths): series i is the next
-    lengths[i] rows of the (T, d) freqs and the (T,) coeffs and norm_sq.
+    """One random series rescaled to unit Sobolev norm per seed s in seeds,
+    packed as (coeffs, norm_sq, lengths): series i is the next lengths[i]
+    entries of the (T,) coeffs and of the |s|^2 in norm_sq, in increasing
+    lexicographic order of frequency s.
 
-    Each series draws its integers and then complex_gaussians' uniforms from
-    the stream of rng_stream(s), reached through rng_streams; one box_muller
-    call maps the uniforms of all series, elementwise as per-series calls
-    would. One stable lexsort by
-    (series, frequency row) keeps repeats in draw order, so the one
-    np.add.at sums each as a per-series np.add.at would. Coefficients
-    below PRUNE_FLOOR are dropped before and after the rescaling, as the
-    two FourierSeries builds of the series would drop them.
+    Series s draws `modes` integer frequencies uniformly from
+    [-max_freq, max_freq]^d, then complex_gaussians' uniforms for their
+    coefficients, from the stream of rng_stream(s), reached through
+    rng_streams; one box_muller call maps the uniforms of all series,
+    elementwise as per-series calls would. One stable lexsort by (series,
+    frequency row) keeps repeats in draw order, so the one np.add.at sums
+    each as a per-series np.add.at would. Coefficients below PRUNE_FLOOR
+    are dropped before and after the rescaling to sobolev_norm(., r) = 1,
+    as FourierSeries builds of the series before and after would drop them.
     """
     if not 0 <= max_freq <= np.iinfo(np.int64).max:
         raise DomainError(f"need 0 <= max_freq <= {np.iinfo(np.int64).max}, got {max_freq}")
@@ -295,7 +239,7 @@ def _draw_unit_ball(p: SobolevParams, max_freq: int, modes: int, seeds):
         raise DomainError("degenerate draw: zero Sobolev norm")
     coeffs = coeffs / np.repeat(scale, lengths)
     keep = np.abs(coeffs) >= PRUNE_FLOOR
-    return freqs[keep], coeffs[keep], norm_sq[keep], np.bincount(series[keep], minlength=count)
+    return coeffs[keep], norm_sq[keep], np.bincount(series[keep], minlength=count)
 
 
 def _sobolev_norms(norm_sq, coeffs, lengths, r) -> np.ndarray:
@@ -323,11 +267,12 @@ def _run_sums(values, lengths) -> np.ndarray:
 def unit_ball_sweep(p: SobolevParams, ks, count: int, max_freq: int, modes: int,
                     seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(errors, rigorous, reference), float (count, len(ks)) arrays: [i, j]
-    holds the truncation error at radius ks[j] of series i =
-    random_unit_ball_series(p, max_freq, modes, seed + i) and its
-    jackson_upper pair there, bit for bit. DomainError, before the first
-    draw, for count < 1, an empty ks, a radius that jackson_upper rejects,
-    or a sweep over one of the MAX_SWEEP_* caps.
+    holds the truncation error at radius ks[j] of series i, the unit-ball
+    draw of seed + i (see _draw_unit_ball), and its Sobolev norm times the
+    _jackson_factors at ks[j], bit for bit as truncation_error and
+    sobolev_norm give them. DomainError, before the first draw, for
+    count < 1, an empty ks, a radius below 1 or not finite, or a sweep over
+    one of the MAX_SWEEP_* caps.
 
     All series are drawn and reduced together: each radius costs one pass
     over the packed coefficients, whatever the count.
@@ -344,7 +289,7 @@ def unit_ball_sweep(p: SobolevParams, ks, count: int, max_freq: int, modes: int,
         if value > cap:
             raise DomainError(f"the sweep needs {value} {what}; the cap is {cap}")
     factors = np.array(_jackson_factors(p, ks))
-    _, coeffs, norm_sq, lengths = _draw_unit_ball(p, max_freq, modes, range(seed, seed + count))
+    coeffs, norm_sq, lengths = _draw_unit_ball(p, max_freq, modes, range(seed, seed + count))
     norms = _sobolev_norms(norm_sq, coeffs, lengths, p.r)
     squares, ends = np.abs(coeffs) ** 2, np.cumsum(lengths)
     errors = np.empty((count, len(ks)))

@@ -28,7 +28,7 @@ MAX_DLA_DIM = 256
 # multiplies the work about tenfold below the dimension cap
 MAX_DLA_SIDE = 64
 
-_CHUNK = 1 << 21   # complex entries per chunk of products in _split
+_CHUNK = 1 << 21   # complex entries per chunk of products in center_and_derived
 
 
 class ZeroMatrix(QspecError):
@@ -118,17 +118,20 @@ def lie_closure(generators, tol: float = CLOSURE_TOL) -> LieBasis:
     return LieBasis(dim_matrix=n, elements=cube[:m].copy(), generator_count=spanned)
 
 
-def _split(g: LieBasis, tol: float) -> tuple:
-    """(center, derived algebra) of g as (k, N, N) arrays: the right singular
-    vectors of the generators' adjoint matrix with singular value <= tol and
-    > tol. Its rows are (a, k) and its columns i, the X_k coordinate of
-    [X_i, X_a] for the G basis elements X_a that span the generators, built
-    in chunks of a. As the generators generate g, its null space is the
-    center and its row space the orthogonal complement, [g, g]. For
-    anti-Hermitian X, Re Tr(X_k^dag X_a X_i) = -Re Tr(X_k^dag X_i X_a), so a
-    bracket's coordinates are twice those of the product X_i X_a. The SVD
-    is of the m x m triangular factor of the nonzero rows (zero rows change
-    nothing), so no (G m) x m left factor is built."""
+def center_and_derived(g: LieBasis, tol: float = CLOSURE_TOL) -> tuple:
+    """Orthonormal bases of the center {X in g : [X, Y] = 0 for all Y} and of
+    the derived algebra span{[X, Y] : X, Y in g}, as (k, N, N) arrays: the
+    right singular vectors of the generators' adjoint matrix with singular
+    value <= tol and > tol. Its rows are (a, k) and its columns i, the X_k
+    coordinate of [X_i, X_a] for the G basis elements X_a that span the
+    generators, built in chunks of a. As the generators generate g, its
+    null space is the center and its row space the orthogonal complement,
+    [g, g]. For anti-Hermitian X, Re Tr(X_k^dag X_a X_i) = -Re Tr(X_k^dag
+    X_i X_a), so a bracket's coordinates are twice those of the product
+    X_i X_a. The SVD is of the m x m triangular factor of the nonzero rows
+    (zero rows change nothing), so no (G m) x m left factor is built.
+    ValueError for a tol that is not finite and positive."""
+    _check_tol(tol)
     m, n, els = len(g), g.dim_matrix, g.elements
     if m > MAX_DLA_DIM:
         raise DimCap(f"algebra dimension {m} exceeds {MAX_DLA_DIM}")
@@ -149,20 +152,6 @@ def _split(g: LieBasis, tol: float) -> tuple:
     coords = (vh @ _rows(els)).view(complex).reshape(m, n, n)
     small = svals <= tol
     return coords[small], coords[~small]
-
-
-def center_basis(g: LieBasis, tol: float = CLOSURE_TOL) -> np.ndarray:
-    """Orthonormal basis of the center {X in g : [X, Y] = 0 for all Y}: the
-    null space of the generators' adjoint action."""
-    _check_tol(tol)
-    return _split(g, tol)[0]
-
-
-def derived_algebra(g: LieBasis, tol: float = CLOSURE_TOL) -> np.ndarray:
-    """Orthonormal basis of span{[X, Y] : X, Y in g} inside g: the
-    orthogonal complement of the center."""
-    _check_tol(tol)
-    return _split(g, tol)[1]
 
 
 def eta(g) -> float:
@@ -192,6 +181,6 @@ def dla_report(generators, tol: float = CLOSURE_TOL) -> DlaReport:
     generators = list(generators)
     etas = tuple(eta(g) for g in generators)
     basis = lie_closure(generators, tol=tol)
-    center, derived = _split(basis, tol)
+    center, derived = center_and_derived(basis, tol)
     return DlaReport(dim=len(basis), center_dim=len(center), derived_dim=len(derived),
                      eta_per_generator=etas)

@@ -52,6 +52,10 @@ MAX_TRAIN_MULADDS = 10 ** 11
 # Most optimizer steps of a training study: each has a fixed cost of tens of
 # microseconds, whatever its arithmetic; TrainConfig() takes 16,000
 MAX_TRAIN_STEPS = 1 << 20
+# Most pairs wilcoxon_exact takes, and so most seeds of a training study: its
+# dynamic program takes O(n^3) time and O(n^2) memory, about 0.35 s and 2 MiB
+# per array at 500 pairs on one core, and 3 s at 1,000
+MAX_SIGNED_RANK_PAIRS = 500
 
 # How far one Adam step moves a parameter, in units of lr, for the betas of
 # _train_runs: by Cauchy-Schwarz at most (1 - beta1) / sqrt((1 - beta2)
@@ -64,8 +68,9 @@ ADAM_STEP_BOUND = 7.3
 class TrainConfig:
     """Configuration of the spectrum-matching study (defaults = full scale).
 
-    ValueError at construction for a malformed field or a study over the
-    MAX_TRAIN_AMPLITUDES, MAX_TRAIN_MULADDS or MAX_TRAIN_STEPS caps.
+    ValueError at construction for a malformed field, more than
+    MAX_SIGNED_RANK_PAIRS seeds, or a study over the MAX_TRAIN_AMPLITUDES,
+    MAX_TRAIN_MULADDS or MAX_TRAIN_STEPS caps.
     """
 
     n: int = 3
@@ -96,6 +101,9 @@ class TrainConfig:
             raise ValueError("epochs and batch_size must be positive, lr and fd_step in (0, 1]")
         if not self.seeds or len(set(self.seeds)) != len(self.seeds):
             raise ValueError("seeds must be nonempty and distinct")
+        if len(self.seeds) > MAX_SIGNED_RANK_PAIRS:
+            raise ValueError(f"seeds must number at most {MAX_SIGNED_RANK_PAIRS}, the most pairs "
+                             f"the exact signed-rank test takes; got {len(self.seeds)}")
         # make_generator's bounds, checked before any circuit is built
         for name, bounds in (("b_models", self.b_models), ("b_target", (self.b_target,))):
             if not bounds or not all(0.0 < b <= MAX_EIGEN_BOUND for b in bounds):
@@ -442,11 +450,13 @@ def wilcoxon_exact(pairs) -> float:
     comes from a dynamic program over the doubled ranks r: starting from
     prob[0] = 1, each r sets prob <- (prob + prob shifted by r) / 2. Every
     entry is a count over 2^n, so for n <= 52 the tails are exact; the
-    work is O(n^3).
+    work is O(n^3), so ValueError past MAX_SIGNED_RANK_PAIRS pairs.
     """
     arr = np.asarray(pairs, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 1:
         raise ValueError("pairs must be a nonempty list of (a, b) pairs")
+    if arr.shape[0] > MAX_SIGNED_RANK_PAIRS:
+        raise ValueError(f"at most {MAX_SIGNED_RANK_PAIRS} pairs, got {arr.shape[0]}")
     with np.errstate(invalid="ignore", over="ignore"):
         d = arr[:, 0] - arr[:, 1]
     if not np.all(np.isfinite(d)):

@@ -5,12 +5,10 @@ import numpy as np
 import pytest
 
 from qspec import bounds
-from qspec.bounds import (MAX_ANNULUS_SCAN, MAX_ORTHANT_SCAN, MAX_SWEEP_DRAWS, MAX_SWEEP_RADII,
-                          MAX_SWEEP_SERIES, MAX_SWEEP_TERMS, PRUNE_FLOOR, DomainError,
-                          FourierSeries, SobolevParams, annulus_points,
-                          annulus_witness, jackson_upper, limit_probe,
-                          minimax_lower_curve, random_unit_ball_series,
-                          sobolev_norm, truncation_error, unit_ball_sweep)
+from qspec.bounds import (MAX_ORTHANT_SCAN, MAX_SWEEP_DRAWS, MAX_SWEEP_RADII, MAX_SWEEP_SERIES,
+                          MAX_SWEEP_TERMS, PRUNE_FLOOR, DomainError, FourierSeries,
+                          SobolevParams, limit_probe, minimax_lower_curve, sobolev_norm,
+                          truncation_error, unit_ball_sweep)
 from qspec.linalg import box_muller, complex_gaussians, rng_stream
 
 
@@ -36,6 +34,20 @@ def scan_annulus(d, k):
     m = int(np.floor(2.0 * k))
     return [s for s in itertools.product(range(-m, m + 1), repeat=d)
             if k * k < sum(v * v for v in s) <= 4.0 * k * k]
+
+
+def witness(p, k):
+    """Oracle: the unit-Sobolev-norm series on the annulus k < |s| <= 2k,
+    coefficients |A|^{-1/2} (1 + |s|^2)^{-r/2} over its points A."""
+    pts = np.array(scan_annulus(p.d, k), dtype=np.int64).reshape(-1, p.d)
+    q = np.einsum("ij,ij->i", pts, pts)
+    return FourierSeries(p.d, pts, 1.0 / np.sqrt(len(pts)) * (1.0 + q) ** (-p.r / 2))
+
+
+def jackson_pairs(h, p, ks):
+    """Oracle: the rigorous and reference Jackson bounds of series h per radius."""
+    w = sobolev_norm(h, p.r)
+    return [((1.0 + k * k) ** (-p.r / 2) * w, k ** (p.d / 2 - p.r) * w) for k in ks]
 
 
 def grid_l2_norm(series, points_per_dim):
@@ -91,53 +103,52 @@ def test_truncation_strict_boundary():
 
 
 def test_annulus_points_d1_unit():
-    assert annulus_points(1, 1.0).tolist() == [[-2], [2]]
+    # the annulus 1 < |s| <= 2 holds s = -2 and 2: one orthant point of sign multiplicity 2
+    q, mult = bounds._annulus_shells(1, 1.0)
+    assert (q.tolist(), mult.tolist()) == ([4], [2])
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_annulus_points_match_scan(d):
-    # integer radii, non-integer radii, and radii whose 2k is an integer
-    # norm |s| = 2k (the closed outer boundary): 2.5 -> |(5, 0)| = |(3, 4)|
+    # the orthant's |s|^2, each repeated by its sign multiplicity, are those of
+    # the whole annulus: integer radii, non-integer radii, and radii whose 2k
+    # is an integer norm |s| = 2k (the closed outer boundary): 2.5 -> |(5, 0)| = |(3, 4)|
     for k in (1.0, 1.3, 1.5, 2.0, 2.5, 2.75, 3.0):
         if (2 * int(np.floor(2 * k)) + 1) ** d > 20000:
             continue
-        pts = annulus_points(d, k)
-        assert pts.dtype == np.int64 and pts.shape[1] == d
-        assert pts.tolist() == [list(s) for s in scan_annulus(d, k)]
-    assert annulus_points(d, 0.4).shape == (0, d)
+        q, mult = bounds._annulus_shells(d, k)
+        assert q.dtype == mult.dtype == np.int64
+        assert sorted(np.repeat(q, mult).tolist()) == sorted(sum(v * v for v in s)
+                                                            for s in scan_annulus(d, k))
+    assert all(len(a) == 0 for a in bounds._annulus_shells(d, 0.4))
 
 
-def test_annulus_scan_cap_checked_before_allocating():
+def test_lower_curve_scan_cap_checked_before_allocating():
     tracemalloc.start()
     try:
-        with pytest.raises(DomainError, match="box points"):
-            annulus_points(10, 4.0)   # 17^10 box points
-        for k in (300000.0, 1e308, float("inf"), float("nan")):
-            with pytest.raises(DomainError):
-                annulus_points(3, k)
+        for k in (300000.0, 1e308, float("inf")):
+            with pytest.raises(DomainError, match="orthant points"):
+                minimax_lower_curve(SobolevParams(3, 2.0), [1.0, 2.0, k])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20, peak
-    # the first box past the cap at d = 1 has 2^25 + 1 points
-    with pytest.raises(DomainError):
-        annulus_points(1, 2.0 ** 23)
     # the CLI default K = 4..64 fits at d = 3
-    assert (2 * 128 + 1) ** 3 <= MAX_ANNULUS_SCAN
+    assert (128 + 1) ** 3 <= MAX_ORTHANT_SCAN
 
 
 def test_orthant_scan_cap_is_exact():
     # the orthant [0, m]^d has (m + 1)^d points; a power-of-two count equal
     # to the cap is admitted, one more point is not
     assert MAX_ORTHANT_SCAN == 2 ** 24
-    assert bounds._scan_half_side(1, (2 ** 24 - 1) / 2, orthant=True) == 2 ** 24 - 1
-    assert bounds._scan_half_side(24, 0.5, orthant=True) == 1
+    assert bounds._scan_half_side(1, (2 ** 24 - 1) / 2) == 2 ** 24 - 1
+    assert bounds._scan_half_side(24, 0.5) == 1
     for d, k in ((1, 2.0 ** 23), (25, 0.5), (3, 150.0)):
         with pytest.raises(DomainError, match=f"more than {MAX_ORTHANT_SCAN} orthant points"):
-            bounds._scan_half_side(d, k, orthant=True)
-    # the orthant admits scans whose box is past the box cap: 201^3 against 401^3
-    assert bounds._scan_half_side(3, 100.0, orthant=True) == 200
-    assert 201 ** 3 <= MAX_ORTHANT_SCAN < MAX_ANNULUS_SCAN < 401 ** 3
+            bounds._scan_half_side(d, k)
+    # the cap counts orthant points, not box points: 201^3 of them, against 401^3
+    assert bounds._scan_half_side(3, 100.0) == 200
+    assert 201 ** 3 <= MAX_ORTHANT_SCAN < 401 ** 3
 
 
 def test_lower_curve_checks_largest_scan_first(monkeypatch):
@@ -154,7 +165,7 @@ def test_lower_curve_checks_largest_scan_first(monkeypatch):
 def test_lower_curve_matches_the_witness_oracle(d):
     # radii whose box fits, 2.5 among them: |(5, 0)| = |(3, 4)| = 2K on the closed boundary
     ks = [k for k in (1.0, 1.3, 2.5, 2.75, 4.0, 8.0) if (2 * np.floor(2 * k) + 1) ** d <= 10 ** 5]
-    q = np.sum(annulus_points(d, ks[-1]) ** 2, axis=1)
+    q = np.array([sum(v * v for v in s) for s in scan_annulus(d, ks[-1])])
     # a square below about 2^-1075 rounds to 0; aim that at the middle of the largest annulus
     edge = 1075 * np.log(2.0) / np.log(1.0 + (q.min() + q.max()) / 2)
     # the largest witness's coefficients before it prunes: some square to 0, not all
@@ -165,7 +176,7 @@ def test_lower_curve_matches_the_witness_oracle(d):
             continue
         p = SobolevParams(d, r)
         errors, _, _ = minimax_lower_curve(p, ks)
-        exact = [truncation_error(annulus_witness(p, k), k) for k in ks]
+        exact = [truncation_error(witness(p, k), k) for k in ks]
         assert np.allclose(errors, exact, rtol=1e-14, atol=0.0), (d, r)
 
 
@@ -191,13 +202,13 @@ def test_annulus_counts_scale_with_volume():
             grids = np.meshgrid(*([ax] * d), indexing="ij")
             q = sum(g * g for g in grids)
             count = int(np.count_nonzero((q > k * k) & (q <= 4 * k * k)))
-            assert count == len(annulus_points(d, k))
+            assert count == bounds._annulus_shells(d, k)[1].sum()
             assert lo <= count / k ** d <= hi
 
 
 def test_witness_has_unit_sobolev_norm():
     for d, r, k in ((1, 2.0, 1.0), (1, 2.0, 16.0), (2, 2.0, 8.0), (3, 2.5, 4.0)):
-        w = annulus_witness(SobolevParams(d, r), k)
+        w = witness(SobolevParams(d, r), k)
         assert sobolev_norm(w, r) == pytest.approx(1.0, abs=1e-12)
         # support lies strictly inside the annulus
         q = np.sum(w.freqs ** 2, axis=1)
@@ -206,15 +217,10 @@ def test_witness_has_unit_sobolev_norm():
 
 
 def test_witness_d1_unit_radius_amplitude():
-    w = annulus_witness(SobolevParams(1, 2.0), 1.0)
+    w = witness(SobolevParams(1, 2.0), 1.0)
     assert w.freqs.tolist() == [[-2], [2]]
     expected = (1.0 / np.sqrt(2.0)) * (1.0 + 4.0) ** -1.0
     assert w.coeffs[1] == pytest.approx(expected, abs=1e-15)
-
-
-def test_witness_rejects_small_radius():
-    with pytest.raises(DomainError):
-        annulus_witness(SobolevParams(1, 2.0), 0.5)
 
 
 def test_lower_curve_frozen_slopes():
@@ -243,40 +249,23 @@ def test_lower_curve_validates_radii():
 
 
 def test_jackson_unit_ball_example():
-    w = annulus_witness(SobolevParams(1, 2.0), 4.0)
-    [(rigorous, reference)] = jackson_upper(w, SobolevParams(1, 2.0), [4.0])
+    # on a unit-norm series the bounds are the factors themselves
+    p = SobolevParams(1, 2.0)
+    [(rigorous, reference)] = bounds._jackson_factors(p, [4.0])
+    assert sobolev_norm(witness(p, 4.0), p.r) == pytest.approx(1.0, abs=1e-12)
     assert rigorous == pytest.approx(1.0 / 17.0, abs=1e-12)
     assert reference == pytest.approx(4.0 ** -1.5, abs=1e-12)
 
 
 def test_jackson_dominates_truncation():
     params = SobolevParams(2, 2.0)
+    ks = [float(k) for k in range(1, 9)]
+    errors, rigorous, _ = unit_ball_sweep(params, ks, 10, max_freq=8, modes=12, seed=400)
     for seed in range(10):
-        h = random_unit_ball_series(params, max_freq=8, modes=12, seed=400 + seed)
+        h, _ = reference_unit_ball_series(params, 8, 12, 400 + seed)
         assert sobolev_norm(h, 2.0) == pytest.approx(1.0, abs=1e-12)
-        last = None
-        ks = [float(k) for k in range(1, 9)]
-        for k, (rigorous, _) in zip(ks, jackson_upper(h, params, ks)):
-            err = truncation_error(h, k)
-            assert err <= rigorous + 1e-12
-            if last is not None:
-                assert err <= last + 1e-15
-            last = err
-
-
-def test_jackson_upper_per_radius_values_and_domain():
-    params = SobolevParams(2, 2.0)
-    h = random_series(2, 6, 10, seed=77)
-    w = sobolev_norm(h, 2.0)
-    ks = [1.0, 2.5, 8.0, 1e200]
-    want = [((1.0 + k * k) ** -1.0 * w, k ** -1.0 * w) for k in ks]
-    assert jackson_upper(h, params, ks) == want   # exact: same expressions, one norm
-    assert jackson_upper(h, params, []) == []
-    for bad in ([2.0, 0.5], [float("nan")], [float("inf")]):
-        with pytest.raises(DomainError):
-            jackson_upper(h, params, bad)
-    with pytest.raises(DomainError):
-        jackson_upper(h, SobolevParams(1, 2.0), [2.0])
+    assert np.all(errors <= rigorous + 1e-12)
+    assert np.all(np.diff(errors, axis=1) <= 1e-15)
 
 
 def test_sobolev_params_domain():
@@ -296,12 +285,12 @@ def test_limit_probe_examples():
 
 
 def test_random_unit_ball_series_deterministic():
-    p = SobolevParams(2, 2.0)
-    a = random_unit_ball_series(p, 8, 12, seed=5)
-    b = random_unit_ball_series(p, 8, 12, seed=5)
-    c = random_unit_ball_series(p, 8, 12, seed=6)
-    assert np.array_equal(a.freqs, b.freqs) and np.array_equal(a.coeffs, b.coeffs)
-    assert not (np.array_equal(a.freqs, c.freqs) and np.array_equal(a.coeffs, c.coeffs))
+    p, ks = SobolevParams(2, 2.0), [1.0, 2.0, 4.0, 8.0]
+    a = unit_ball_sweep(p, ks, 1, 8, 12, seed=5)
+    b = unit_ball_sweep(p, ks, 1, 8, 12, seed=5)
+    c = unit_ball_sweep(p, ks, 1, 8, 12, seed=6)
+    assert all(np.array_equal(x, y) for x, y in zip(a, b))
+    assert not np.array_equal(a[0], c[0])
 
 
 def test_random_unit_ball_series_merges_repeats():
@@ -317,12 +306,18 @@ def test_random_unit_ball_series_merges_repeats():
             merged[s] = merged.get(s, 0j) + complex(a)
         scale = np.sqrt(sum((1.0 + sum(v * v for v in s)) ** r * abs(b) ** 2
                             for s, b in merged.items()))
-        h = random_unit_ball_series(p, max_freq, modes, seed=7)
+        h, _ = reference_unit_ball_series(p, max_freq, modes, seed=7)
         keys = sorted(s for s, b in merged.items() if abs(b) >= PRUNE_FLOOR)
         assert h.freqs.tolist() == [list(s) for s in keys]
         want = np.array([merged[s] / scale for s in keys])
         assert np.allclose(h.coeffs, want, rtol=1e-13, atol=0)
         assert sobolev_norm(h, r) == pytest.approx(1.0, abs=1e-12)
+        # and so is the sweep's series of seed 7
+        ks = [1.0, 1.5, 2.0, 2.5]
+        errors, _, _ = unit_ball_sweep(p, ks, 1, max_freq, modes, seed=7)
+        merged_h = series_from_dict(d, {s: merged[s] / scale for s in keys})
+        want = [truncation_error(merged_h, k) for k in ks]
+        assert np.allclose(errors[0], want, rtol=1e-13, atol=0)
 
 
 def test_series_prunes_negligible_coefficients():
@@ -367,7 +362,7 @@ def test_lower_curve_rejects_underflow_exactly_when_a_witness_error_is_zero():
         ks = sorted(set(float(k) for k in gen.choice([1, 1.5, 2, 2.5, 3, 4, 5, 6], size=3)))
         if len(ks) < 3:
             continue
-        brute = any(truncation_error(annulus_witness(p, k), k) == 0.0 for k in ks)
+        brute = any(truncation_error(witness(p, k), k) == 0.0 for k in ks)
         try:
             minimax_lower_curve(p, ks)
             rejected = False
@@ -423,17 +418,15 @@ def test_unit_ball_sweep_matches_per_series_calls(monkeypatch, d, max_freq, mode
     if tiny:
         monkeypatch.setattr(bounds, "box_muller", tiny_box_muller)
     p = SobolevParams(d, 2.0)
-    ks = [1.0, 2.5, 4.0, 9.0]
+    ks = [1.0, 2.5, 4.0, 9.0, 1e200]   # 1e200 * 1e200 overflows to inf
     errors, rigorous, reference = unit_ball_sweep(p, ks, 6, max_freq, modes, seed=31)
-    assert errors.shape == rigorous.shape == reference.shape == (6, 4)
+    assert errors.shape == rigorous.shape == reference.shape == (6, 5)
     terms = []
     for i in range(6):
-        h = random_unit_ball_series(p, max_freq, modes, seed=31 + i)
-        assert errors[i].tolist() == [truncation_error(h, k) for k in ks]
-        assert list(zip(rigorous[i], reference[i])) == jackson_upper(h, p, ks)
         want, counts = reference_unit_ball_series(p, max_freq, modes, 31 + i)
-        assert h.freqs.tolist() == want.freqs.tolist()
-        assert h.coeffs.tolist() == want.coeffs.tolist()
+        assert errors[i].tolist() == [truncation_error(want, k) for k in ks]
+        # exact: the same expressions times one norm
+        assert list(zip(rigorous[i], reference[i])) == jackson_pairs(want, p, ks)
         terms.append(counts)
     drawn, first, second = np.array(terms).T
     if (2 * max_freq + 1) ** d < modes:   # more draws than frequencies: repeats merge
@@ -449,15 +442,13 @@ def test_unit_ball_sweep_wraps_seeds_as_rng_stream_does(seed):
     for i in range(6):
         want, _ = reference_unit_ball_series(p, 8, 12, seed + i)
         assert errors[i].tolist() == [truncation_error(want, k) for k in ks]
-        assert list(zip(rigorous[i], reference[i])) == jackson_upper(want, p, ks)
+        assert list(zip(rigorous[i], reference[i])) == jackson_pairs(want, p, ks)
 
 
 def test_unit_ball_sweep_rejects_a_degenerate_draw(monkeypatch):
     monkeypatch.setattr(bounds, "box_muller", lambda radial, phase: np.zeros(radial.shape, complex))
     with pytest.raises(DomainError, match="degenerate draw"):
         unit_ball_sweep(SobolevParams(2, 2.0), [1.0, 2.0], 3, 8, 12, seed=0)
-    with pytest.raises(DomainError, match="degenerate draw"):
-        random_unit_ball_series(SobolevParams(2, 2.0), 8, 12, seed=0)
 
 
 @pytest.mark.parametrize("count, ks, modes, d", [
@@ -467,6 +458,9 @@ def test_unit_ball_sweep_rejects_a_degenerate_draw(monkeypatch):
     (1, [1.0] * 1000, MAX_SWEEP_TERMS // 1000 + 1, 1),
     (0, [1.0], 1, 1),
     (1, [], 1, 1),
+    (3, [2.0, 0.5], 12, 2),
+    (3, [float("nan")], 12, 2),
+    (3, [4.0, float("inf")], 12, 2),
 ])
 def test_unit_ball_sweep_caps_reject_before_drawing(monkeypatch, count, ks, modes, d):
     def never(*args):

@@ -8,6 +8,7 @@ import pytest
 
 from qspec import cli
 from qspec.cli import dispatch, normalize_argv, parse_pauli_expr
+from qspec.experiments import MAX_SIGNED_RANK_PAIRS
 from qspec.qsim import pauli_matrix
 
 
@@ -409,14 +410,9 @@ def test_non_finite_output_exits_one(capsys, monkeypatch, fmt):
 
 
 @pytest.mark.parametrize("ks", ["1,2,4", "1,1.5,2"])
-def test_bounds_lower_underflowing_witness_exits_one_before_work(capsys, monkeypatch, ks):
+def test_bounds_lower_underflowing_witness_exits_one_before_work(capsys, ks):
     # at r = 400 every squared coefficient of the K = 2 witness underflows,
     # though (1 + K^2)^(-r/2) squared does not: its nearest point has |s| = 3
-    import qspec.bounds as bounds
-
-    def never(*args):
-        raise AssertionError("a witness was built")
-    monkeypatch.setattr(bounds, "annulus_witness", never)
     rc = dispatch(["bounds", "lower", "--d", "1", "--r", "400", "--K", ks])
     captured = capsys.readouterr()
     assert rc == 1 and captured.out == ""
@@ -438,6 +434,8 @@ def test_spectrum_overflowing_gaps_exit_one(capsys, eigs):
      "steps"),
     ({"n": 1000}, "at most 12"),
     ({"epochs": 2.5}, "whole number"),
+    ({"n": 1, "depth": 1, "dataset_size": 1, "epochs": 1, "batch_size": 1,
+      "seeds": list(range(MAX_SIGNED_RANK_PAIRS + 1))}, "signed-rank"),
 ])
 def test_train_beyond_work_caps_exits_one_before_work(tmp_path, capsys, config, cap):
     path = tmp_path / "cfg.json"

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from qspec import dla
-from qspec.dla import (MAX_DLA_DIM, MAX_DLA_SIDE, DimCap, LieBasis, ZeroMatrix, center_basis,
-                       derived_algebra, dla_report, eta, lie_closure)
+from qspec.dla import (MAX_DLA_DIM, MAX_DLA_SIDE, DimCap, LieBasis, ZeroMatrix,
+                       center_and_derived, dla_report, eta, lie_closure)
 from qspec.linalg import commutator, complex_gaussians, haar_unitary, rng_stream
 from qspec.qsim import pauli_matrix
 
@@ -59,8 +59,7 @@ def test_closure_dim_cap(monkeypatch):
 def test_center_and_derived_u2():
     u2 = lie_closure([np.eye(2), pauli_matrix("X"),
                       pauli_matrix("Y"), pauli_matrix("Z")])
-    center = center_basis(u2)
-    derived = derived_algebra(u2)
+    center, derived = center_and_derived(u2)
     assert len(center) == 1
     assert len(derived) == 3
     assert len(center) + len(derived) == len(u2)
@@ -73,39 +72,41 @@ def test_center_and_derived_u2():
 def test_center_elements_commute_with_algebra():
     basis = lie_closure([pauli_matrix("ZI"), pauli_matrix("IZ"),
                          np.eye(4)])
-    for c in center_basis(basis):
+    for c in center_and_derived(basis)[0]:
         for el in basis.elements:
             assert np.max(np.abs(commutator(c, el))) <= 1e-8
 
 
 def test_su2_has_trivial_center():
     su2 = lie_closure([pauli_matrix("X"), pauli_matrix("Y")])
-    assert len(center_basis(su2)) == 0
-    assert len(derived_algebra(su2)) == 3
+    center, derived = center_and_derived(su2)
+    assert len(center) == 0
+    assert len(derived) == 3
 
 
 def test_abelian_algebra_is_its_center():
     basis = lie_closure([pauli_matrix("ZI"), pauli_matrix("IZ")])
-    assert len(center_basis(basis)) == 2
-    assert len(derived_algebra(basis)) == 0
+    center, derived = center_and_derived(basis)
+    assert len(center) == 2
+    assert len(derived) == 0
 
 
 def test_derived_lies_inside_algebra():
     basis = lie_closure([random_hermitian(4, seed=21), random_hermitian(4, seed=22)])
-    for el in derived_algebra(basis):
+    for el in center_and_derived(basis)[1]:
         proj = sum(inner(b, el) * b for b in basis.elements)
         assert np.max(np.abs(proj - el)) <= 1e-10
 
 
 def test_dla_report_splits_once(monkeypatch):
-    # spy: the report takes both dimensions from one _split of the closure's
-    # basis, and they agree with the public center_basis and derived_algebra
-    calls = []
+    # spy: the report takes both dimensions from one center_and_derived call
+    # on the closure's basis
+    calls, split = [], dla.center_and_derived
 
-    def spy(g, tol, _split=dla._split):
+    def spy(g, tol):
         calls.append((g, tol))
-        return _split(g, tol)
-    monkeypatch.setattr(dla, "_split", spy)
+        return split(g, tol)
+    monkeypatch.setattr(dla, "center_and_derived", spy)
     for gens, dims in (([np.eye(2), pauli_matrix("X"), pauli_matrix("Y")], (4, 1, 3)),
                        ([pauli_matrix("ZI"), pauli_matrix("IZ")], (2, 2, 0))):
         calls.clear()
@@ -115,8 +116,8 @@ def test_dla_report_splits_once(monkeypatch):
         basis = lie_closure(gens, tol=1e-9)
         assert np.array_equal(calls[0][0].elements, basis.elements)
         assert calls[0][0].generator_count == basis.generator_count
-        assert (rep.center_dim, rep.derived_dim) == (len(center_basis(basis, 1e-9)),
-                                                     len(derived_algebra(basis, 1e-9)))
+        center, derived = split(basis, 1e-9)
+        assert (rep.center_dim, rep.derived_dim) == (len(center), len(derived))
 
 
 def test_eta_identity_and_traceless_exact():
@@ -256,10 +257,11 @@ def test_random_block_diagonal_generators(blocks, dims):
     rep = dla_report(gens)
     assert (rep.dim, rep.center_dim, rep.derived_dim) == dims
     basis = lie_closure(gens)
-    for c in center_basis(basis):
+    center, derived = center_and_derived(basis)
+    for c in center:
         for el in basis.elements:
             assert np.max(np.abs(commutator(c, el))) <= 1e-10
-    for d in derived_algebra(basis):
+    for d in derived:
         edges = np.cumsum((0,) + blocks)
         for lo, hi in zip(edges, edges[1:]):
             assert abs(np.trace(d[lo:hi, lo:hi])) <= 1e-10
@@ -320,7 +322,7 @@ ORACLE_SETS = {
 @pytest.mark.parametrize("name", list(ORACLE_SETS))
 def test_center_and_derived_match_brute_force(name):
     basis = lie_closure(ORACLE_SETS[name])
-    center, derived = center_basis(basis), derived_algebra(basis)
+    center, derived = center_and_derived(basis)
     want_center, want_derived = brute_force_center(basis), brute_force_derived(basis)
     assert center.shape == want_center.shape and derived.shape == want_derived.shape
     assert len(center) + len(derived) == len(basis)
@@ -335,8 +337,8 @@ def su16_labels():
 
 
 def test_su16_matches_oracle_within_budget():
-    # the report's traced peak, about 29 MiB, is _split's chunked products and
-    # its (G m, m) adjoint matrix; the closure's basis is 1 MiB
+    # the report's traced peak, about 29 MiB, is center_and_derived's chunked
+    # products and its (G m, m) adjoint matrix; the closure's basis is 1 MiB
     labels = su16_labels()
     tracemalloc.start()
     try:
@@ -392,9 +394,7 @@ def test_center_and_derived_refuse_oversized_algebra():
     big = LieBasis(dim_matrix=2, elements=np.zeros((MAX_DLA_DIM + 1, 2, 2), dtype=complex),
                    generator_count=MAX_DLA_DIM + 1)
     with pytest.raises(DimCap):
-        center_basis(big)
-    with pytest.raises(DimCap):
-        derived_algebra(big)
+        center_and_derived(big)
 
 
 def test_closure_refuses_matrix_side_above_cap():
@@ -411,6 +411,5 @@ def test_non_positive_or_non_finite_tolerance_rejected(tol):
     for fn in (lie_closure, dla_report):
         with pytest.raises(ValueError):
             fn([pauli_matrix("X")], tol=tol)
-    for fn in (center_basis, derived_algebra):
-        with pytest.raises(ValueError):
-            fn(basis, tol=tol)
+    with pytest.raises(ValueError):
+        center_and_derived(basis, tol=tol)

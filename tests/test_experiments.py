@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from qspec.experiments import (ADAM_STEP_BOUND, MAX_TRAIN_AMPLITUDES, MAX_TRAIN_MULADDS,
-                               MAX_TRAIN_STEPS, MAX_VARIANCE_DRAWS, MAX_VARIANCE_SAMPLES,
-                               ORACLE_SERIES_BELOW,
+from qspec import experiments
+from qspec.experiments import (ADAM_STEP_BOUND, MAX_SIGNED_RANK_PAIRS, MAX_TRAIN_AMPLITUDES,
+                               MAX_TRAIN_MULADDS, MAX_TRAIN_STEPS, MAX_VARIANCE_DRAWS,
+                               MAX_VARIANCE_SAMPLES, ORACLE_SERIES_BELOW,
                                AllZeroDifferences, TrainConfig, _train_runs, _train_work,
                                analytic_variance_oracle, build_circuit, fast_profile,
                                gen_dataset, load_train_config, spectrum_matching_experiment,
@@ -125,6 +126,20 @@ def test_train_work_caps():
     edge = TrainConfig(n=1, depth=1, dataset_size=1, epochs=MAX_TRAIN_STEPS, seeds=(0,),
                        b_models=(1.0,))
     assert _train_work(edge)[2] == MAX_TRAIN_STEPS
+
+
+def test_seed_count_capped_before_any_circuit_is_built(monkeypatch):
+    # a tiny study of 20,000 seeds fits the work caps, but its signed-rank
+    # test would take hours after training
+    def never(*args):
+        raise AssertionError("a circuit was built")
+    monkeypatch.setattr(experiments, "build_circuit", never)
+    tiny = dict(n=1, depth=1, dataset_size=1, epochs=1, batch_size=1)
+    for count in (MAX_SIGNED_RANK_PAIRS + 1, 20_000):
+        with pytest.raises(ValueError, match="signed-rank"):
+            spectrum_matching_experiment(TrainConfig(seeds=range(count), **tiny))
+    edge = TrainConfig(seeds=range(MAX_SIGNED_RANK_PAIRS), **tiny)
+    assert len(edge.seeds) == MAX_SIGNED_RANK_PAIRS
 
 
 def test_load_train_config_json(tmp_path):
@@ -505,7 +520,12 @@ def test_wilcoxon_validation():
         wilcoxon_exact([])
     with pytest.raises(ValueError):
         wilcoxon_exact([(1.0, 2.0, 3.0)])
-    # no cap on the pair count: exact beyond 20 pairs
+    # at most MAX_SIGNED_RANK_PAIRS pairs; all differences positive give p = 2 / 2^n
+    pairs = [(float(i), 0.0) for i in range(1, MAX_SIGNED_RANK_PAIRS + 2)]
+    with pytest.raises(ValueError, match=f"at most {MAX_SIGNED_RANK_PAIRS} pairs"):
+        wilcoxon_exact(pairs)
+    assert wilcoxon_exact(pairs[:-1]) == 2.0 ** (1 - MAX_SIGNED_RANK_PAIRS)
+    # exact beyond 20 pairs
     gen = np.random.default_rng(93)
     for n in range(21, 31):
         d = gen.permutation(np.arange(1, n + 1)) * gen.choice([-1.0, 1.0], n)
