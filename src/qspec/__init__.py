@@ -6,10 +6,8 @@ __version__ = "0.1.0"
 from .linalg import (DimMismatch, HermitianEigen, NoConvergence, NotHermitian,
                      QspecError, commutator, complex_gaussians, derive_seed, eig_hermitian,
                      haar_unitary, is_hermitian, rng_stream, unitary_from_generator)
-from .spectrum import (CommutingReport, FrequencyEnvelope, GapSet,
-                       NonCommensurate, NormalizedGapSet, commuting_report,
-                       coverage_radius, coverage_radius_box, envelope, gap_set,
-                       normalize_gaps)
+from .spectrum import (FrequencyEnvelope, GapSet, NonCommensurate, NormalizedGapSet,
+                       coverage_radius, coverage_radius_box, envelope, gap_set, normalize_gaps)
 from .bounds import (DomainError, FourierSeries, SobolevParams, limit_probe,
                      minimax_lower_curve, sobolev_norm, truncation_error, unit_ball_sweep)
 from .dla import (DimCap, DlaReport, LieBasis, ZeroMatrix, center_and_derived, dla_report,

@@ -47,8 +47,12 @@ class SobolevParams:
     def __post_init__(self):
         if int(self.d) < 1:
             raise DomainError("dimension d must be at least 1")
-        if not np.isfinite(self.r) or self.r <= self.d / 2:
-            raise DomainError(f"need smoothness r > d/2 = {self.d / 2}, got r = {self.r}")
+        if not np.isfinite(self.r):
+            raise DomainError(f"need a finite smoothness r, got r = {self.r}")
+        # r > d/2 compared in integers: d / 2 as a float overflows past about 3.6e308
+        num, den = float(self.r).as_integer_ratio()
+        if 2 * num <= self.d * den:
+            raise DomainError(f"need smoothness r > d/2 at d = {self.d}, got r = {self.r}")
 
 
 class FourierSeries:
@@ -111,8 +115,9 @@ def _scan_half_side(d: int, k: float) -> int:
     if m < 1:
         return 0
     # (m + 1)^d equals the power-of-two cap only if m + 1 is a power of two,
-    # whose log2 is exact, so comparing logarithms decides exactly; nan and inf fail
-    if not d * np.log2(m + 1.0) <= np.log2(MAX_ORTHANT_SCAN):
+    # whose log2 is exact, so comparing logarithms decides exactly; nan and inf
+    # fail. d stays an int: a float of it overflows past about 1.8e308
+    if not d <= math.log2(MAX_ORTHANT_SCAN) / math.log2(m + 1.0):
         raise DomainError(f"the annulus scan for d = {d}, K = {k:g} would visit more "
                           f"than {MAX_ORTHANT_SCAN} orthant points")
     return int(m)
@@ -191,8 +196,10 @@ def limit_probe(pairs) -> np.ndarray:
     out = []
     for r, d in pairs:
         p = SobolevParams(d=int(d), r=float(r))
-        # log-space form stays finite for large d; log(1) = 0 gives 1 at d = 1
-        out.append(float(np.exp(-(p.r - p.d / 2) * np.log(p.d))))
+        # log-space form stays finite for large d; log(1) = 0 gives 1 at d = 1.
+        # np.log takes d as an int64, math.log any int
+        log_d = np.log(p.d) if p.d < 2 ** 63 else math.log(p.d)
+        out.append(float(np.exp(-(p.r - p.d / 2) * log_d)))
     return np.array(out, dtype=float)
 
 

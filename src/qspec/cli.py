@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .bounds import SobolevParams, limit_probe, minimax_lower_curve, unit_ball_sweep
 from .checks import battery
-from .dla import CLOSURE_TOL, MAX_DLA_SIDE, dla_report
+from .dla import CLOSURE_TOL, MAX_DLA_GENERATOR_ENTRIES, MAX_DLA_SIDE, DimCap, dla_report
 from .experiments import (MAX_VARIANCE_SAMPLES, TrainConfig, analytic_variance_oracle,
                           fast_profile, load_train_config, spectrum_matching_experiment,
                           variance_sweep)
@@ -153,13 +153,9 @@ def _rd_pairs(text: str) -> list:
     return pairs
 
 
-def parse_pauli_expr(expr: str) -> np.ndarray:
-    """Weighted Pauli-string sum, e.g. "0.5*IY + II" or "Z".
-
-    A string whose matrix side would exceed MAX_DLA_SIDE is rejected
-    before its matrix is built. Every character must belong to a term: an
-    empty term or a stray sign ("X-", "X--Y", "-") is a ValueError.
-    """
+def _pauli_terms(expr: str) -> list:
+    """(weight, label) terms of a weighted Pauli-string sum, parsed and
+    checked as parse_pauli_expr describes, with no matrix built."""
     s = expr.replace(" ", "")
     if not s:
         raise ValueError("empty generator expression")
@@ -169,7 +165,7 @@ def parse_pauli_expr(expr: str) -> np.ndarray:
     # nonempty terms joined by single signs
     if not re.fullmatch(r"[+-]?[^+-]+(?:[+-][^+-]+)*", s):
         raise ValueError(f"empty term or stray sign in generator expression {expr!r}")
-    total = None
+    terms = []
     for term in re.findall(r"[+-]?[^+-]+", s):
         sign = 1.0
         if term[0] in "+-":
@@ -184,7 +180,20 @@ def parse_pauli_expr(expr: str) -> np.ndarray:
         if 1 << len(label) > MAX_DLA_SIDE:
             raise ValueError(f"term {label!r} acts on {len(label)} qubits; dla takes at most "
                              f"{MAX_DLA_SIDE.bit_length() - 1}")
-        mat = sign * coeff * pauli_matrix(label)
+        terms.append((sign * coeff, label))
+    return terms
+
+
+def parse_pauli_expr(expr: str) -> np.ndarray:
+    """Weighted Pauli-string sum, e.g. "0.5*IY + II" or "Z".
+
+    A string whose matrix side would exceed MAX_DLA_SIDE is rejected
+    before its matrix is built. Every character must belong to a term: an
+    empty term or a stray sign ("X-", "X--Y", "-") is a ValueError.
+    """
+    total = None
+    for weight, label in _pauli_terms(expr):
+        mat = weight * pauli_matrix(label)
         if total is not None and total.shape != mat.shape:
             raise ValueError(f"term {label!r} acts on a different qubit count")
         total = mat if total is None else total + mat
@@ -260,15 +269,21 @@ def _cmd_bounds_upper(ns) -> tuple[dict, object]:
 
 def _cmd_bounds_limit(ns) -> tuple[dict, object]:
     values = limit_probe(ns.pairs)
-    result = {"pairs": [[r, d] for r, d in ns.pairs], "values": list(values)}
+    result = {"pairs": ns.pairs, "values": list(values)}
     rows = [(f"{r:g}:{d}", "", v) for (r, d), v in zip(ns.pairs, values)]
     return result, rows
 
 
 def _cmd_dla(ns) -> tuple[dict, object]:
-    generators = [parse_pauli_expr(expr) for expr in ns.paulis.split(";") if expr.strip()]
-    if not generators:
+    exprs = [expr for expr in ns.paulis.split(";") if expr.strip()]
+    if not exprs:
         raise QspecError("no generator expressions given")
+    # the widest term bounds every matrix side, so no matrix is built past the cap
+    side = max(1 << len(label) for expr in exprs for _, label in _pauli_terms(expr))
+    if len(exprs) * side * side > MAX_DLA_GENERATOR_ENTRIES:
+        raise DimCap(f"{len(exprs)} generators of side up to {side} exceed the cap of "
+                     f"{MAX_DLA_GENERATOR_ENTRIES} matrix entries")
+    generators = [parse_pauli_expr(expr) for expr in exprs]
     report = dla_report(generators, tol=ns.tol)
     result = {"generator_count": len(generators), "dim": report.dim,
               "center_dim": report.center_dim, "derived_dim": report.derived_dim,
@@ -405,12 +420,8 @@ _CSV_HEADERS = {
 
 
 def _manifest(ns, label: str, duration_s: float) -> dict:
-    options = {}
-    for key in sorted(set(vars(ns)) - {"subcommand", "bounds_mode", "out", "format"}):
-        val = getattr(ns, key)
-        if isinstance(val, list) and val and isinstance(val[0], tuple):
-            val = [list(v) for v in val]
-        options[key] = val
+    options = {key: getattr(ns, key)
+               for key in sorted(set(vars(ns)) - {"subcommand", "bounds_mode", "out", "format"})}
     return {"subcommand": label, "version": __version__, "format": ns.format,
             "options": options, "duration_s": duration_s}
 

@@ -214,9 +214,12 @@ def haar_unitary(n: int, seed: int) -> np.ndarray:
 
 
 def commutator(a, b) -> np.ndarray:
-    """Matrix commutator [a, b] = a @ b - b @ a."""
-    a = require_square(a)
-    b = require_square(b)
-    if a.shape != b.shape:
-        raise DimMismatch(f"shape mismatch {a.shape} vs {b.shape}")
+    """Matrix commutator [a, b] = a @ b - b @ a, broadcast over leading stack
+    axes as @ broadcasts them. DimMismatch unless both are at least 2-D with
+    one square, nonempty trailing shape."""
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    if (min(a.ndim, b.ndim) < 2 or a.shape[-2:] != b.shape[-2:]
+            or a.shape[-1] != a.shape[-2] or a.shape[-1] == 0):
+        raise DimMismatch(f"need square matrices of one side, got shapes {a.shape} and {b.shape}")
     return a @ b - b @ a

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DimMismatch, QspecError, _check_tol, commutator, require_hermitian_set
+from .linalg import DimMismatch, QspecError, _check_tol
 
 DEDUP_TOL = 1e-9
 
@@ -53,7 +53,6 @@ class FrequencyEnvelope:
     """
 
     d: int
-    per_param: tuple
     k_l2: float
     k_l1: float
     k_cov: float
@@ -188,36 +187,7 @@ def envelope(per_param) -> FrequencyEnvelope:
     widths = np.array([_width(ng) for ng in params], dtype=float)
     return FrequencyEnvelope(
         d=len(params),
-        per_param=params,
         k_l2=float(np.sqrt(np.sum(widths ** 2))),
         k_l1=float(np.sum(widths)),
         k_cov=coverage_radius(params),
     )
-
-
-@dataclass(frozen=True)
-class CommutingReport:
-    """Pairwise commutation flags for a generator list."""
-
-    pairs: tuple  # ((i, j), commute) for every unordered pair, i < j
-
-    @property
-    def commuting_count(self) -> int:
-        return sum(1 for _, commute in self.pairs if commute)
-
-
-def commuting_report(generators, tol: float = 1e-12) -> CommutingReport:
-    """Which generator pairs commute: ||[Hi, Hj]||_F <= tol ||Hi|| ||Hj||.
-
-    Commuting pairs merge their frequency lattices additively instead of
-    as a product, so the count is a useful selection-rule diagnostic.
-    """
-    gens = require_hermitian_set(generators)
-    norms = [float(np.linalg.norm(g)) for g in gens]
-    pairs = []
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            resid = float(np.linalg.norm(commutator(gens[i], gens[j])))
-            commute = resid <= tol * norms[i] * norms[j]
-            pairs.append(((i, j), commute))
-    return CommutingReport(pairs=tuple(pairs))

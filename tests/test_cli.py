@@ -8,6 +8,7 @@ import pytest
 
 from qspec import cli
 from qspec.cli import dispatch, normalize_argv, parse_pauli_expr
+from qspec.dla import MAX_DLA_GENERATOR_ENTRIES
 from qspec.experiments import MAX_SIGNED_RANK_PAIRS
 from qspec.qsim import pauli_matrix
 
@@ -204,6 +205,28 @@ def test_bounds_limit_values_and_domain_error(capsys):
     assert "error:" in captured.err
 
 
+HUGE_D = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "limit", "--pairs", f"3:{HUGE_D}"],
+    ["bounds", "lower", "--d", HUGE_D, "--r", "2"],
+    ["bounds", "upper", "--d", HUGE_D],
+    # r > d/2 holds, but the scan cap must compare d without a float of it
+    ["bounds", "lower", "--d", "3" + "0" * 308, "--r", "1.7e308"],
+])
+def test_bounds_huge_d_exits_one(capsys, argv):
+    rc = dispatch(argv)
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    error_line(captured)
+
+
+def test_bounds_limit_d_beyond_int64_runs(capsys):
+    doc = run_json(capsys, ["bounds", "limit", "--pairs", "1e300:100000000000000000000"])
+    assert doc["result"]["values"] == [0.0]
+
+
 def test_dla_example(capsys):
     doc = run_json(capsys, ["dla", "--paulis", "0.5*IY+1*II"])
     res = doc["result"]
@@ -269,6 +292,28 @@ def test_dla_beyond_side_cap_exits_one_before_work(capsys, paulis):
     assert rc == 1
     assert "at most 6" in error_line(capsys.readouterr())
     assert elapsed <= 1.0, elapsed
+
+
+def test_dla_generator_entry_cap_admits_its_six_qubit_count(capsys):
+    paulis = ";".join(["1*XZXZXZ"] * (MAX_DLA_GENERATOR_ENTRIES // 64 ** 2))
+    res = run_json(capsys, ["dla", "--paulis", paulis])["result"]
+    assert (res["dim"], res["center_dim"], res["derived_dim"]) == (1, 1, 0)
+
+
+@pytest.mark.parametrize("paulis", [
+    ";".join(["1*XZXZXZ"] * (MAX_DLA_GENERATOR_ENTRIES // 64 ** 2 + 1)),
+    ";".join(["1*XZXZXZ"] * 4000),
+    # one six-qubit term sets the side every generator is counted at
+    ";".join(["X"] * (MAX_DLA_GENERATOR_ENTRIES // 64 ** 2) + ["0.5*Z+XZXZXZ"]),
+])
+def test_dla_beyond_generator_entry_cap_exits_one_before_any_matrix(capsys, monkeypatch, paulis):
+    def never(label):
+        raise AssertionError("a generator matrix was built")
+    monkeypatch.setattr(cli, "pauli_matrix", never)
+    rc = dispatch(["dla", "--paulis", paulis])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert f"cap of {MAX_DLA_GENERATOR_ENTRIES} matrix entries" in error_line(captured)
 
 
 @pytest.mark.parametrize("tol", ["-1", "0", "nan"])

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from qspec import dla
-from qspec.dla import (MAX_DLA_DIM, MAX_DLA_SIDE, DimCap, LieBasis, ZeroMatrix,
-                       center_and_derived, dla_report, eta, lie_closure)
+from qspec.dla import (MAX_DLA_DIM, MAX_DLA_GENERATOR_ENTRIES, MAX_DLA_SIDE, DimCap, LieBasis,
+                       ZeroMatrix, center_and_derived, dla_report, eta, lie_closure)
 from qspec.linalg import commutator, complex_gaussians, haar_unitary, rng_stream
 from qspec.qsim import pauli_matrix
 
@@ -391,7 +391,7 @@ def test_su16_closure_brackets_with_the_generators_only(monkeypatch):
 
 
 def test_center_and_derived_refuse_oversized_algebra():
-    big = LieBasis(dim_matrix=2, elements=np.zeros((MAX_DLA_DIM + 1, 2, 2), dtype=complex),
+    big = LieBasis(elements=np.zeros((MAX_DLA_DIM + 1, 2, 2), dtype=complex),
                    generator_count=MAX_DLA_DIM + 1)
     with pytest.raises(DimCap):
         center_and_derived(big)
@@ -403,6 +403,18 @@ def test_closure_refuses_matrix_side_above_cap():
     with pytest.raises(DimCap):
         lie_closure([np.eye(2 * MAX_DLA_SIDE)])
     assert time.perf_counter() - t0 <= 1.0
+
+
+def test_closure_refuses_generator_entries_above_cap_before_stacking(monkeypatch):
+    n = MAX_DLA_SIDE
+    gens = [np.eye(n)] * (MAX_DLA_GENERATOR_ENTRIES // (n * n))
+    assert len(lie_closure(gens)) == 1
+
+    def never(stack):
+        raise AssertionError("the generators were stacked")
+    monkeypatch.setattr(dla, "_peak_scaled", never)
+    with pytest.raises(DimCap, match="matrix entries"):
+        lie_closure(gens + [np.eye(n)])
 
 
 @pytest.mark.parametrize("tol", [-1.0, 0.0, float("nan"), float("inf")])

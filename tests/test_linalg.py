@@ -196,3 +196,27 @@ def test_commutator_dim_mismatch():
     with pytest.raises(DimMismatch):
         commutator(np.eye(2), np.eye(3))
 
+
+def test_commutator_on_stacks_equals_the_matrix_loop():
+    stack = np.array([random_hermitian(4, seed=3300 + i) for i in range(5)])
+    other = np.array([random_hermitian(4, seed=3400 + i) for i in range(5)])
+    single = random_hermitian(4, seed=3500)
+    pairs = [(stack, other, list(zip(stack, other))),
+             (stack, single, [(a, single) for a in stack]),
+             (single, stack, [(single, b) for b in stack])]
+    for a, b, loop in pairs:
+        out = commutator(a, b)
+        assert out.shape == (5, 4, 4)
+        assert np.array_equal(out, [commutator(x, y) for x, y in loop])
+
+
+@pytest.mark.parametrize("a, b", [
+    (np.ones(2), np.ones(2)),                  # 1-D
+    (np.ones((2, 3)), np.ones((2, 3))),        # not square
+    (np.ones((3, 2, 2)), np.ones((3, 3, 3))),  # trailing sides differ
+    (np.ones((0, 0)), np.ones((0, 0))),        # 0 x 0
+])
+def test_commutator_rejects_bad_shapes(a, b):
+    with pytest.raises(DimMismatch):
+        commutator(a, b)
+

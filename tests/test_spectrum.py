@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from qspec.linalg import DimMismatch, rng_stream
-from qspec.qsim import MAX_QUBITS, pauli_matrix
+from qspec.qsim import MAX_QUBITS
 from qspec.spectrum import (DEDUP_TOL, MAX_GAP_VALUES, GapSet, NonCommensurate,
-                            NormalizedGapSet, _sorted_runs, commuting_report,
-                            coverage_radius, coverage_radius_box, envelope, gap_set,
-                            normalize_gaps)
+                            NormalizedGapSet, _sorted_runs, coverage_radius,
+                            coverage_radius_box, envelope, gap_set, normalize_gaps)
 
 
 def ng(ints):
@@ -178,15 +177,3 @@ def test_envelope_norms():
     assert env.k_cov == 4.0
     with pytest.raises(DimMismatch):
         envelope([])
-
-
-def test_commuting_report_counts():
-    zi = pauli_matrix("ZI")
-    iz = pauli_matrix("IZ")
-    xi = pauli_matrix("XI")
-    rep = commuting_report([zi, iz, xi])
-    flags = dict(rep.pairs)
-    assert flags[(0, 1)] is True
-    assert flags[(0, 2)] is False
-    assert flags[(1, 2)] is True
-    assert rep.commuting_count == 2
