@@ -24,8 +24,8 @@ import numpy as np
 
 from .dla import eta
 from .linalg import QspecError, derive_seed, rng_stream
-from .qsim import (FD_STEP, MAX_EIGEN_BOUND, MAX_QUBITS, CircuitSpec, _fd_forward, _forward,
-                   _phases, _stack_specs, _workspace, circuit_forward_encoded, encode_inputs,
+from .qsim import (FD_STEP, MAX_EIGEN_BOUND, MAX_QUBITS, CircuitSpec, _fd_batch_grad, _forward,
+                   _phases, _shift_gains, _stack_specs, circuit_forward_encoded, encode_inputs,
                    grad_analytic_1p_batch, make_generator, pauli_matrix)
 from .spectrum import _sorted_runs
 
@@ -44,10 +44,10 @@ MAX_VARIANCE_DRAWS = 10 ** 7
 # about 1e-15 / a^2 to cancellation; its series through a^14 loses 1e-18
 ORACLE_SERIES_BELOW = 0.5
 # Most complex amplitudes a training study holds at once (bounds memory);
-# TrainConfig() holds 358,800
+# TrainConfig() holds 330,240
 MAX_TRAIN_AMPLITUDES = 1 << 21
 # Most estimated multiply-adds of a training study (bounds time); TrainConfig()
-# needs about 2.4e10
+# needs about 7.9e9 and TrainConfig(n=4) about 5.5e10
 MAX_TRAIN_MULADDS = 10 ** 11
 # Most optimizer steps of a training study: each has a fixed cost of tens of
 # microseconds, whatever its arithmetic; TrainConfig() takes 16,000
@@ -117,8 +117,9 @@ class TrainConfig:
             if value > cap:
                 raise ValueError(f"training exceeds the cap of {cap:.3g} {what}; use fewer "
                                  f"seeds, models, samples, epochs, layers or qubits")
-        # theta starts in [-pi, pi] and the finite differences shift it by fd_step,
-        # so theta * lambda in qsim._phases stays finite while this product does
+        # theta starts in [-pi, pi] and each Adam step moves it by at most
+        # ADAM_STEP_BOUND lr; with fd_step as a margin, theta * lambda in
+        # qsim._phases stays finite while this product does
         steps = work[2]
         reach = np.pi + ADAM_STEP_BOUND * self.lr * steps + self.fd_step
         if not max(self.b_models) * reach <= sys.float_info.max:
@@ -153,18 +154,20 @@ def _train_work(cfg: TrainConfig) -> tuple[int, int, int]:
     """(complex amplitudes held at once, multiply-adds, optimizer steps) of
     the lockstep study of cfg, in exact integers; nothing is allocated.
 
-    Each of the R = seeds x models runs holds its dataset's encoded rows at
-    the end and, per step, the phases, the unitaries and the states of its
-    2L + 1 parameter vectors; a step costs each run about
-    (2L + 1) (L N^3 + B N^2) multiply-adds.
+    Each of the R = seeds x models runs holds its dataset's encoded rows
+    and, per step of qsim._fd_batch_grad, at most 7 L N^2 amplitudes in
+    (L, N, N) arrays (the prefix and suffix buffers, the real gains and the
+    step's temporaries) and three (B, N) arrays of batch rows. A step costs
+    each run about (5L - 1) N^3 + 2 B N^2 multiply-adds: 2L - 1 products of
+    the two sweeps and W, L for the M_l, 2L for the A_l, and the values and
+    residual Gram of the batch.
     """
     dim = 1 << cfg.n
     runs = len(cfg.seeds) * len(cfg.b_models)
     batch = min(cfg.batch_size, cfg.dataset_size)
-    variants = 2 * cfg.depth + 1
     steps = cfg.epochs * -(-cfg.dataset_size // batch)
-    held = runs * (cfg.dataset_size + variants * (cfg.depth + dim + batch)) * dim
-    muladds = runs * steps * variants * (cfg.depth * dim ** 3 + batch * dim ** 2)
+    held = runs * (cfg.dataset_size + 7 * cfg.depth * dim + 3 * batch) * dim
+    muladds = runs * steps * ((5 * cfg.depth - 1) * dim ** 3 + 2 * batch * dim ** 2)
     return held, muladds, steps
 
 
@@ -263,12 +266,12 @@ def _train_runs(models, xs: np.ndarray, ys: np.ndarray, data_of, cfg: TrainConfi
     share qubit count, depth, entangler and observable. Each epoch every
     run draws one permutation of its data from its own stream
     (shuffle_seeds[r], 1) and walks batches of cfg.batch_size. A step gets
-    the centre values and all L central differences (step cfg.fd_step) of
-    every run from one _fd_forward call on the 2L + 1 parameter vectors
-    per run, and updates each run's Adam moments (bias-corrected,
-    beta1 = 0.9, beta2 = 0.999, eps = 1e-8). Each run's slice of every
-    array is computed as it would be alone, so its result does not depend
-    on which runs train beside it.
+    every run's batch gradient of the mean squared error, as exact central
+    differences of step cfg.fd_step, from one qsim._fd_batch_grad call,
+    which reuses one prefix and one suffix buffer across steps, and updates
+    each run's Adam moments (bias-corrected, beta1 = 0.9, beta2 = 0.999,
+    eps = 1e-8). Each run's slice of every array is computed as it would
+    be alone, so its result does not depend on which runs train beside it.
     """
     stack = _stack_specs(models)
     n_sets, n_samples = xs.shape
@@ -283,15 +286,15 @@ def _train_runs(models, xs: np.ndarray, ys: np.ndarray, data_of, cfg: TrainConfi
     v = np.zeros_like(theta)
     step_count = 0
     batch = min(cfg.batch_size, n_samples)
-    work = _workspace(len(models), 2 * theta.shape[1] + 1, encoded.shape[-1], batch)
+    gains = _shift_gains(stack, cfg.fd_step)
+    prefix, suffix = np.empty((2,) + gains.shape, dtype=complex)
 
     for _ in range(cfg.epochs):
         orders = np.stack([shuffler.permutation(n_samples) for shuffler in shufflers])
         for start in range(0, n_samples, batch):
             idx = orders[:, start:start + batch]
-            vals, dfs = _fd_forward(stack, theta, encoded[rows, idx], cfg.fd_step, work)
-            resid = vals - ys[rows, idx]
-            grad = np.mean(2.0 * resid[:, None, :] * dfs, axis=2)
+            _, grad = _fd_batch_grad(stack, gains, theta, encoded[rows, idx], ys[rows, idx],
+                                     prefix, suffix)
 
             step_count += 1
             m = beta1 * m + (1.0 - beta1) * grad

@@ -18,15 +18,20 @@ folded into the last basis, so every expectation value is one
 contraction: the squared real and imaginary parts of the output
 amplitudes weighed by o. A diagonal observable keeps U = I.
 
-There is one forward kernel, _forward. It has a leading run axis: R
-circuits of one shape and observable (a _Stack), each with its own V
-parameter vectors and B encoded rows, go through one (R, V*N, N) @
-(R, N, N) matmul per layer and one (R, B, N) @ (R, N, V*N) contraction.
-circuit_forward_encoded calls it with R = 1; a training step's finite
-differences stack their 2L + 1 parameter vectors per run into one call
-(_fd_forward), for one run (grad_fd) or for every run of a lockstep
-study at once. Each run's slice of a call is computed the same way
-whatever R is, so a run's values do not depend on the other runs.
+There are two kernels, each with a leading run axis over R circuits of
+one shape and observable (a _Stack). _forward gives expectation values:
+each run's V parameter vectors and B encoded rows go through one
+(R, V*N, N) @ (R, N, N) matmul per layer and one (R, B, N) @ (R, N, V*N)
+contraction. circuit_forward_encoded calls it with R = 1, and grad_fd
+with the 2L vectors theta +- step e_l of one run. _fd_batch_grad serves
+a training step of every run of a lockstep study at once. A layer's
+angle enters an expectation as a trig polynomial whose modes are its
+generator's gaps w_ij, so the central difference of each (i, j) term is
+that term times i sin(step w_ij) / step, exactly; one prefix sweep, one
+suffix sweep and one Gram of the batch's residual-weighed rows give the
+centre values and the batch gradient without evaluating shifted
+circuits. Each run's slice of a call is computed the same way whatever
+R is, so a run's values do not depend on the other runs.
 
 trig_poly_coeffs and grad_analytic_1p_batch take the modes (the gaps of H)
 and coefficients of f(t) = <s| e^{itH} O e^{-itH} |s> from one routine,
@@ -217,7 +222,7 @@ def encode_inputs(spec: CircuitSpec, xs) -> np.ndarray:
     return amps[spec._unperm].T.astype(complex, order="C")
 
 
-def _forward(stack: _Stack, phases: np.ndarray, encoded: np.ndarray, work=None) -> np.ndarray:
+def _forward(stack: _Stack, phases: np.ndarray, encoded: np.ndarray) -> np.ndarray:
     """Expectation values, real (R, V, B), of R runs with V parameter vectors each.
 
     phases (R, V, L, N) holds exp(-i theta_l lam_l) per run, vector and
@@ -225,35 +230,74 @@ def _forward(stack: _Stack, phases: np.ndarray, encoded: np.ndarray, work=None) 
     R*V vectors are built from the left as one (R, V*N, N) array, with row
     (v, i) the output amplitude i of vector v, so each layer is one batched
     matmul, and the rows meet them in one (R, B, N) @ (R, N, V*N) matmul.
-    work, from _workspace, holds the three large temporaries; a loop that
-    passes the same work to every call allocates no large array per call.
     """
     runs, nvec, depth, dim = phases.shape
-    w, tmp, states = work or _workspace(runs, nvec, dim, encoded.shape[1])
     flat = (runs, nvec * dim, dim)
+    w, tmp = np.empty((2, runs, nvec, dim, dim), dtype=complex)
     np.multiply(stack.last[:, None], phases[:, :, -1, None, :], out=w)   # (R, V, N, N)
     for layer in range(depth - 2, -1, -1):
         np.matmul(w.reshape(flat), stack.hops[:, layer], out=tmp.reshape(flat))
         np.multiply(tmp, phases[:, :, layer, None, :], out=w)
     np.matmul(w.reshape(flat), stack.first_h, out=tmp.reshape(flat))
-    states = np.matmul(encoded, tmp.reshape(flat).transpose(0, 2, 1),
-                       out=states[:, :encoded.shape[1]])                 # (R, B, V*N)
-    parts = states.view(float).reshape(runs, -1, 2 * dim)            # rows (b, v)
-    vals = np.square(parts, out=parts) @ stack.weights
+    states = encoded @ tmp.reshape(flat).transpose(0, 2, 1)            # (R, B, V*N)
+    vals = _expectations(stack, states.reshape(runs, -1, dim))         # rows (b, v)
     return np.ascontiguousarray(vals.reshape(runs, -1, nvec).transpose(0, 2, 1))
 
 
-def _workspace(runs: int, nvec: int, dim: int, batch: int) -> tuple:
-    """_forward's temporaries for R runs of V vectors and up to `batch` rows:
-    two (R, V, N, N) unitary buffers and the (R, batch, V*N) states.
+def _expectations(stack: _Stack, states: np.ndarray) -> np.ndarray:
+    """<psi|O|psi>, real (R, rows), of the output amplitudes states, a
+    C-contiguous (R, rows, N): the squared real and imaginary parts, squared
+    in place, weighed by o."""
+    parts = states.view(float)
+    return np.square(parts, out=parts) @ stack.weights
 
-    Reusing them across a training loop keeps about 1 MB per step off the
-    heap; allocated and freed every step, glibc may trim the heap top each
-    time and fault the pages back in, which made `train --fast` about a
-    third slower in some heap layouts."""
-    return (np.empty((runs, nvec, dim, dim), dtype=complex),
-            np.empty((runs, nvec, dim, dim), dtype=complex),
-            np.empty((runs, batch, nvec * dim), dtype=complex))
+
+def _shift_gains(stack: _Stack, step: float) -> np.ndarray:
+    """sin(step w_ij) / step, real (R, L, N, N), for the gaps w_ij = lam_i - lam_j
+    of every run's layers. Shifting theta_l by +-step scales the (i, j) term of
+    an expectation in layer l's eigenbasis by exp(+-i step w_ij), so its
+    central difference is that term times i sin(step w_ij) / step."""
+    return np.sin(step * (stack.lam[..., :, None] - stack.lam[..., None, :])) / step
+
+
+def _fd_batch_grad(stack: _Stack, gains: np.ndarray, theta: np.ndarray, encoded: np.ndarray,
+                   labels: np.ndarray, prefix: np.ndarray,
+                   suffix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Centre values, shape (R, B), and batch gradients, shape (R, L), of R runs.
+
+    theta is (R, L), encoded (R, B, N), labels (R, B) and gains from
+    _shift_gains. Gradient l is mean_b 2 r_b d_lb, with r_b = f_b - labels_b
+    and d_lb the central difference of f_b in theta_l, computed exactly
+    without shifted circuits:
+
+    * prefix[:, l] takes Q_l = P_l C_l ... P_1 V_1^dag and suffix[:, l]
+      takes T_l = U^dag V_L P_L C_L ... P_{l+1} C_{l+1}, so W = T_l Q_l;
+    * with a_b = Q_l x_b and M_l = T_l^dag diag(o) T_l,
+      d_lb = sum_ij conj(a_bi) (M_l)_ij a_bj i gains_ij;
+    * the batch meets the layers once, as the residual Gram
+      X = sum_b r_b conj(x_b) x_b^T: with A_l = conj(Q_l) X Q_l^T, gradient
+      l = (2 / B) Re sum_ij i gains_ij (M_l)_ij (A_l)_ij.
+
+    A training loop passes the same prefix and suffix, (R, L, N, N), every
+    step: arrays this large allocated and freed every step can let glibc
+    trim the heap top and fault the pages back in each time, which made
+    `train --fast` about a third slower in some heap layouts.
+    """
+    runs, depth = theta.shape
+    phases = _phases(stack, theta[:, None])[:, 0]                     # (R, L, N)
+    transfer = phases[:, 1:, :, None] * stack.hops                     # P_l C_l, l = 2 .. L
+    np.multiply(phases[:, 0, :, None], stack.first_h, out=prefix[:, 0])
+    suffix[:, -1] = stack.last
+    for layer in range(1, depth):
+        np.matmul(transfer[:, layer - 1], prefix[:, layer - 1], out=prefix[:, layer])
+        np.matmul(suffix[:, -layer], transfer[:, -layer], out=suffix[:, -layer - 1])
+    vals = _expectations(stack, encoded @ (stack.last @ prefix[:, -1]).transpose(0, 2, 1))
+    resid = vals - labels
+    gram = (encoded.conj() * resid[..., None]).transpose(0, 2, 1) @ encoded        # (R, N, N)
+    terms = (suffix.conj().transpose(0, 1, 3, 2) * stack.weights[::2]) @ suffix      # M_l
+    terms *= prefix.conj() @ gram[:, None] @ prefix.transpose(0, 1, 3, 2)         # A_l
+    terms = (gains * terms.imag).reshape(runs, depth, -1)              # Re(i z) = -Im z
+    return vals, terms.sum(axis=2) * (-2.0 / encoded.shape[1])
 
 
 def _phases(stack: _Stack, thetas: np.ndarray) -> np.ndarray:
@@ -287,26 +331,6 @@ def circuit_forward_batch(spec: CircuitSpec, theta, xs) -> np.ndarray:
     return circuit_forward_encoded(spec, theta[None, :], encode_inputs(spec, xs))[0]
 
 
-def _fd_forward(stack: _Stack, theta: np.ndarray, encoded: np.ndarray,
-                step: float, work=None) -> tuple[np.ndarray, np.ndarray]:
-    """Centre values, shape (R, B), and central differences, shape (R, L, B).
-
-    theta is (R, L) and encoded (R, B, N). The 2L + 1 parameter vectors
-    [theta; theta + step I; theta - step I] of every run go through one
-    _forward call; their phases are the centre phases, with the shifted
-    layer's multiplied by exp(-+i step lam). work is passed to _forward.
-    """
-    depth = theta.shape[1]
-    centre = _phases(stack, theta[:, None])[:, 0]                  # (R, L, N)
-    shift = np.exp(-1j * step * stack.lam)
-    phases = np.repeat(centre[:, None], 2 * depth + 1, axis=1)     # (R, 2L + 1, L, N)
-    layers = np.arange(depth)
-    phases[:, 1 + layers, layers] = centre * shift
-    phases[:, 1 + depth + layers, layers] = centre * shift.conj()
-    vals = _forward(stack, phases, encoded, work)
-    return vals[:, 0], (vals[:, 1:depth + 1] - vals[:, depth + 1:]) / (2.0 * step)
-
-
 def grad_fd(spec: CircuitSpec, theta, x: float, step: float = FD_STEP) -> np.ndarray:
     """Central-difference gradient of the expectation in theta.
 
@@ -317,8 +341,11 @@ def grad_fd(spec: CircuitSpec, theta, x: float, step: float = FD_STEP) -> np.nda
         raise DimMismatch(f"theta has length {theta.shape[0]}, expected {spec.depth}")
     if not np.isfinite(step) or step <= 0:
         raise ValueError("step must be positive")
-    _, diffs = _fd_forward(spec._stack, theta[None], encode_inputs(spec, [float(x)])[None], step)
-    return diffs[0, :, 0]
+    shifts = step * np.eye(spec.depth)
+    thetas = theta + np.concatenate([shifts, -shifts])                # (2L, L)
+    vals = _forward(spec._stack, _phases(spec._stack, thetas[None]),
+                    encode_inputs(spec, [float(x)])[None])[0, :, 0]
+    return (vals[:spec.depth] - vals[spec.depth:]) / (2.0 * step)
 
 
 def _eigen_gram(h, state, obs) -> tuple[np.ndarray, np.ndarray]:

@@ -4,10 +4,10 @@ import warnings
 import numpy as np
 import pytest
 
-from qspec.linalg import (DimMismatch, complex_gaussians, eig_hermitian, rng_stream,
-                          unitary_from_generator)
+from qspec.linalg import (DimMismatch, complex_gaussians, eig_hermitian, haar_unitary,
+                          rng_stream, unitary_from_generator)
 from qspec.qsim import (FD_STEP, GRAD_BLOCK_ELEMENTS, MAX_EIGEN_BOUND, CircuitSpec, _eigen_gram,
-                        _fd_forward, _forward, _phases, _stack_specs,
+                        _fd_batch_grad, _forward, _phases, _shift_gains, _stack_specs,
                         circuit_forward_batch, circuit_forward_encoded,
                         default_entangler, encode_inputs,
                         grad_analytic_1p_batch, grad_fd, make_generator,
@@ -549,7 +549,7 @@ def test_grad_fd_multilayer_shape():
     assert np.all(np.isfinite(g))
 
 
-# ---- finite-difference kernel ---------------------------------------------
+# ---- finite-difference training kernel -----------------------------------
 
 def dense_fd_forward(spec, theta, encoded, step):
     """Oracle: each variant theta, theta + step e_l and theta - step e_l as
@@ -565,27 +565,55 @@ def dense_fd_forward(spec, theta, encoded, step):
     return values(theta), np.array(diffs) / (2.0 * step)
 
 
+def dense_batch_grad(spec, theta, encoded, labels, step):
+    """Oracle: centre values and mean_b 2 (f_b - labels_b) d_lb from dense_fd_forward."""
+    vals, diffs = dense_fd_forward(spec, theta, encoded, step)
+    return vals, np.mean(2.0 * (vals - labels) * diffs, axis=1)
+
+
+def fd_batch_grad(specs, theta, encoded, labels, step=FD_STEP):
+    """_fd_batch_grad on the runs specs, with buffers that start as nan."""
+    stack = _stack_specs(specs)
+    gains = _shift_gains(stack, step)
+    prefix, suffix = np.full((2,) + gains.shape, np.nan, dtype=complex)
+    return _fd_batch_grad(stack, gains, theta, encoded, labels, prefix, suffix)
+
+
+def shifted_degenerate_generator(dim, seed):
+    """Eigenvalues -1.5 and 2 (dim 2: 2 only), each repeated, plus 0.75 I, in a Haar basis."""
+    lam = np.where(np.arange(dim) < dim // 2, -1.5, 2.0) if dim > 2 else np.full(2, 2.0)
+    u = haar_unitary(dim, seed)
+    return (u * (lam + 0.75)) @ u.conj().T
+
+
 @pytest.mark.parametrize("depth", [1, 2, 5])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_fd_forward_matches_stacked_variants(n, depth):
+    # the kernel's values and batch gradient against shifted dense circuits;
+    # layer 0 spans b = 10, as the study's target does, so sin(h w) / h and
+    # w differ by about h^2 w^3 / 6 = 1e-5 there, and layer 1 has repeated
+    # eigenvalues and a trace part
     dim = 1 << n
     gen = rng_stream(800 + 10 * n + depth)
-    gens = [random_hermitian(dim, seed=810 + 10 * n + l) for l in range(depth)]
+    gens = [make_generator(dim, 10.0, 805 + 10 * n), shifted_degenerate_generator(dim, 807 + n)]
+    gens = (gens + [random_hermitian(dim, seed=810 + 10 * n + l) for l in range(2, depth)])[:depth]
     # None: the default CNOT ring and the diagonal Z on qubit 0; the other
-    # entangler is the reversed chain n-1 -> n-2, ..., 1 -> 0
+    # entangler is the reversed chain n-1 -> n-2, ..., 1 -> 0. X on qubit 0
+    # is degenerate from n = 2 on
     entanglers = [None] + ([reversed_chain(n)] if n > 1 else [])
-    observables = [None, random_hermitian(dim, seed=890 + n)]
+    observables = [None, random_hermitian(dim, seed=890 + n), pauli_matrix("X" + "I" * (n - 1))]
     for entangler in entanglers:
         for obs in observables:
             spec = CircuitSpec(n, gens, entangler=entangler, observable=obs)
             for batch in (1, 7, 32):
                 theta = gen.uniform(-np.pi, np.pi, depth)
                 enc = encode_inputs(spec, gen.uniform(-np.pi, np.pi, batch))
-                want_vals, want_diffs = dense_fd_forward(spec, theta, enc, FD_STEP)
-                vals, diffs = _fd_forward(spec._stack, theta[None], enc[None], FD_STEP)
-                assert vals.shape == (1, batch) and diffs.shape == (1, depth, batch)
+                labels = gen.uniform(-1.0, 1.0, batch)
+                want_vals, want_grad = dense_batch_grad(spec, theta, enc, labels, FD_STEP)
+                vals, grad = fd_batch_grad([spec], theta[None], enc[None], labels[None])
+                assert vals.shape == (1, batch) and grad.shape == (1, depth)
                 np.testing.assert_allclose(vals[0], want_vals, rtol=0, atol=1e-12)
-                np.testing.assert_allclose(diffs[0], want_diffs, rtol=0, atol=1e-9)
+                np.testing.assert_allclose(grad[0], want_grad, rtol=0, atol=1e-9)
 
 
 # ---- runs stacked on one kernel call --------------------------------------
@@ -630,7 +658,8 @@ def test_forward_matches_dense_layer_product_for_degenerate_observables(terms):
     enc = np.stack([encode_inputs(specs[0], gen.uniform(-np.pi, np.pi, 5)) for _ in specs])
     stack = _stack_specs(specs)
     stacked = _forward(stack, _phases(stack, thetas), enc)
-    fd_vals, fd_diffs = _fd_forward(stack, thetas[:, 0], enc, FD_STEP)
+    labels = gen.uniform(-1.0, 1.0, (3, 5))
+    fd_vals, fd_grad = fd_batch_grad(specs, thetas[:, 0], enc, labels)
     for r, spec in enumerate(specs):
         want = np.empty((7, 5))
         for i, theta in enumerate(thetas[r]):
@@ -641,9 +670,9 @@ def test_forward_matches_dense_layer_product_for_degenerate_observables(terms):
         np.testing.assert_allclose(circuit_forward_encoded(spec, thetas[r], enc[r]), want,
                                    rtol=0, atol=1e-12)
         np.testing.assert_allclose(stacked[r], want, rtol=0, atol=1e-12)
-        want_vals, want_diffs = dense_fd_forward(spec, thetas[r, 0], enc[r], FD_STEP)
+        want_vals, want_grad = dense_batch_grad(spec, thetas[r, 0], enc[r], labels[r], FD_STEP)
         np.testing.assert_allclose(fd_vals[r], want_vals, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(fd_diffs[r], want_diffs, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(fd_grad[r], want_grad, rtol=0, atol=1e-9)
 
 
 def test_diagonal_observable_takes_the_generator_basis_as_it_is():
@@ -661,10 +690,11 @@ def test_forward_runs_do_not_depend_on_their_neighbours():
     gen = rng_stream(951)
     theta = gen.uniform(-np.pi, np.pi, (5, 4))
     enc = np.stack([encode_inputs(specs[0], gen.uniform(-1, 1, 32)) for _ in specs])
-    vals, diffs = _fd_forward(_stack_specs(specs), theta, enc, FD_STEP)
+    labels = gen.uniform(-1, 1, (5, 32))
+    vals, grad = fd_batch_grad(specs, theta, enc, labels)
     for r in (0, 3, 4):
-        alone = _fd_forward(_stack_specs(specs[r:r + 1]), theta[r:r + 1], enc[r:r + 1], FD_STEP)
-        assert np.array_equal(alone[0][0], vals[r]) and np.array_equal(alone[1][0], diffs[r])
+        alone = fd_batch_grad(specs[r:r + 1], theta[r:r + 1], enc[r:r + 1], labels[r:r + 1])
+        assert np.array_equal(alone[0][0], vals[r]) and np.array_equal(alone[1][0], grad[r])
 
 
 def test_stack_specs_rejects_mixed_runs():
