@@ -11,6 +11,7 @@ equal bytes.
 import argparse
 import functools
 import json
+import math
 import os
 import re
 import sys
@@ -22,12 +23,13 @@ import numpy as np
 from . import __version__
 from .bounds import SobolevParams, limit_probe, minimax_lower_curve, unit_ball_sweep
 from .checks import battery
-from .dla import CLOSURE_TOL, MAX_DLA_GENERATOR_ENTRIES, MAX_DLA_SIDE, DimCap, dla_report
+from .dla import (CLOSURE_TOL, MAX_DLA_GENERATOR_ENTRIES, MAX_DLA_SIDE, ZERO_FLOOR, DimCap,
+                  dla_report, pauli_dla_report)
 from .experiments import (MAX_VARIANCE_SAMPLES, TrainConfig, analytic_variance_oracle,
                           fast_profile, load_train_config, spectrum_matching_experiment,
                           variance_sweep)
-from .linalg import QspecError
-from .qsim import pauli_matrix
+from .linalg import QspecError, _check_tol
+from .qsim import _pauli_label, pauli_matrix
 from .spectrum import DEDUP_TOL, NonCommensurate, envelope, gap_set, normalize_gaps
 
 # flags whose values may start with a minus sign; argparse needs them glued
@@ -191,13 +193,33 @@ def parse_pauli_expr(expr: str) -> np.ndarray:
     before its matrix is built. Every character must belong to a term: an
     empty term or a stray sign ("X-", "X--Y", "-") is a ValueError.
     """
+    return _pauli_sum(_pauli_terms(expr))
+
+
+def _pauli_sum(terms) -> np.ndarray:
+    """Matrix of parsed (weight, label) terms."""
     total = None
-    for weight, label in _pauli_terms(expr):
+    for weight, label in terms:
         mat = weight * pauli_matrix(label)
         if total is not None and total.shape != mat.shape:
             raise ValueError(f"term {label!r} acts on a different qubit count")
         total = mat if total is None else total + mat
     return total
+
+
+def _single_strings(terms) -> list | None:
+    """Upper-case labels when every generator is one Pauli string, all of
+    one length, with a finite weight above ZERO_FLOOR in magnitude; None
+    sends any other set to the dense path, with its own errors (there eta
+    decides whether a tinier weight leaves a nonzero generator). An
+    invalid label raises pauli_matrix's error, as the dense path would
+    first."""
+    if any(len(each) != 1 for each in terms):
+        return None
+    if not all(math.isfinite(w) and abs(w) > ZERO_FLOOR for ((w, _),) in terms):
+        return None
+    labels = [_pauli_label(label) for ((_, label),) in terms]
+    return labels if len(set(map(len, labels))) == 1 else None
 
 
 def normalize_argv(argv) -> list:
@@ -278,14 +300,19 @@ def _cmd_dla(ns) -> tuple[dict, object]:
     exprs = [expr for expr in ns.paulis.split(";") if expr.strip()]
     if not exprs:
         raise QspecError("no generator expressions given")
+    terms = [_pauli_terms(expr) for expr in exprs]
     # the widest term bounds every matrix side, so no matrix is built past the cap
-    side = max(1 << len(label) for expr in exprs for _, label in _pauli_terms(expr))
+    side = max(1 << len(label) for each in terms for _, label in each)
     if len(exprs) * side * side > MAX_DLA_GENERATOR_ENTRIES:
         raise DimCap(f"{len(exprs)} generators of side up to {side} exceed the cap of "
                      f"{MAX_DLA_GENERATOR_ENTRIES} matrix entries")
-    generators = [parse_pauli_expr(expr) for expr in exprs]
-    report = dla_report(generators, tol=ns.tol)
-    result = {"generator_count": len(generators), "dim": report.dim,
+    labels = _single_strings(terms)
+    if labels is None:
+        report = dla_report([_pauli_sum(each) for each in terms], tol=ns.tol)
+    else:
+        _check_tol(ns.tol)   # rejected as on the dense path, though the string path is exact
+        report = pauli_dla_report(labels)
+    result = {"generator_count": len(exprs), "dim": report.dim,
               "center_dim": report.center_dim, "derived_dim": report.derived_dim,
               "eta_per_generator": list(report.eta_per_generator)}
     return result, _generic_rows(result)

@@ -6,6 +6,8 @@ eta(G) = |Tr G| / ||G||_F that separates identity-like generators from
 traceless ones. Every algebra here lies in u(N), whose inner product
 Re Tr(A^dag B) is ad-invariant, so g = center + [g, g] orthogonally: both
 halves come from one SVD of the generators' adjoint action on g.
+Generators that are each a multiple of one Pauli string have an exact
+path on bit masks, pauli_dla_report, with no matrix built.
 """
 
 from dataclasses import dataclass
@@ -35,6 +37,10 @@ MAX_DLA_SIDE = 64
 MAX_DLA_GENERATOR_ENTRIES = MAX_DLA_DIM * MAX_DLA_SIDE ** 2
 
 _CHUNK = 1 << 21   # complex entries per chunk of products in center_and_derived
+
+# a Pauli string's x and z bit masks as binary digits: X sets x, Z sets z, Y both
+_X_DIGITS = str.maketrans("IXYZ", "0110")
+_Z_DIGITS = str.maketrans("IXYZ", "0011")
 
 
 class ZeroMatrix(QspecError):
@@ -197,3 +203,50 @@ def dla_report(generators, tol: float = CLOSURE_TOL) -> DlaReport:
     center, derived = center_and_derived(basis, tol)
     return DlaReport(dim=len(basis), center_dim=len(center), derived_dim=len(derived),
                      eta_per_generator=etas)
+
+
+def pauli_dla_report(labels) -> DlaReport:
+    """dla_report of generators that are each a real multiple, of norm above
+    ZERO_FLOOR, of one Pauli string, from the strings' upper-case labels of
+    one length n: exact, with no matrix built and no tolerance.
+
+    A string is one int s = x | z << n of its symplectic masks. Two strings
+    anticommute iff popcount((x1 & z2) ^ (z1 & x2)) is odd, the parity of
+    s1 & swap(s2) with swap exchanging the halves; their bracket is then
+    +-2i times the string s1 ^ s2, and 0 otherwise. So the algebra is
+    spanned by strings, and it is closed as lie_closure closes matrices:
+    each accepted string is bracketed with the distinct generator strings
+    only, and a dimension above min(N^2, MAX_DLA_DIM) raises DimCap. ad of a
+    generator string maps distinct strings to distinct strings, so the
+    center is spanned by the strings that commute with every generator, and
+    derived = dim - center as g = center + [g, g]. eta is sqrt(N) for the
+    identity string and 0 otherwise, as eta gives for these generators.
+    """
+    labels = list(labels)
+    if not labels:
+        raise ValueError("need at least one Pauli string")
+    n = len(labels[0])
+    distinct = list(dict.fromkeys(labels))
+    if not n or any(len(s) != n or not set(s) <= set("IXYZ") for s in distinct):
+        raise ValueError("Pauli strings must be nonempty words over I, X, Y, Z of one length")
+    strings = [int(s.translate(_Z_DIGITS) + s.translate(_X_DIGITS), 2) for s in distinct]
+    low = (1 << n) - 1
+    gens = [(g, g >> n | (g & low) << n) for g in strings]   # (string, swapped halves)
+    cap = min(1 << 2 * n, MAX_DLA_DIM)
+    if len(strings) > cap:
+        raise DimCap(f"closure dimension exceeds cap {cap}")
+    seen = set(strings)
+    j = 0
+    while j < len(strings):
+        for g, swapped in gens:
+            prod = strings[j] ^ g
+            if (strings[j] & swapped).bit_count() & 1 and prod not in seen:
+                if len(strings) == cap:
+                    raise DimCap(f"closure dimension exceeds cap {cap}")
+                seen.add(prod)
+                strings.append(prod)
+        j += 1
+    center = sum(not any((s & swapped).bit_count() & 1 for _, swapped in gens) for s in strings)
+    root, identity = float(np.sqrt(1 << n)), "I" * n
+    return DlaReport(dim=len(strings), center_dim=center, derived_dim=len(strings) - center,
+                     eta_per_generator=tuple(root if s == identity else 0.0 for s in labels))

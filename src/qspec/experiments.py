@@ -44,7 +44,7 @@ MAX_VARIANCE_DRAWS = 10 ** 7
 # about 1e-15 / a^2 to cancellation; its series through a^14 loses 1e-18
 ORACLE_SERIES_BELOW = 0.5
 # Most complex amplitudes a training study holds at once (bounds memory);
-# TrainConfig() holds 330,240
+# TrainConfig() holds 170,240
 MAX_TRAIN_AMPLITUDES = 1 << 21
 # Most estimated multiply-adds of a training study (bounds time); TrainConfig()
 # needs about 7.9e9 and TrainConfig(n=4) about 5.5e10
@@ -154,10 +154,11 @@ def _train_work(cfg: TrainConfig) -> tuple[int, int, int]:
     """(complex amplitudes held at once, multiply-adds, optimizer steps) of
     the lockstep study of cfg, in exact integers; nothing is allocated.
 
-    Each of the R = seeds x models runs holds its dataset's encoded rows
-    and, per step of qsim._fd_batch_grad, at most 7 L N^2 amplitudes in
-    (L, N, N) arrays (the prefix and suffix buffers, the real gains and the
-    step's temporaries) and three (B, N) arrays of batch rows. A step costs
+    Each seed's encoded dataset is held once, shared by its models' runs.
+    Each of the R = seeds x models runs holds, per step of
+    qsim._fd_batch_grad, at most 7 L N^2 amplitudes in (L, N, N) arrays
+    (the prefix and suffix buffers, the real gains and the step's
+    temporaries) and three (B, N) arrays of batch rows. A step costs
     each run about (5L - 1) N^3 + 2 B N^2 multiply-adds: 2L - 1 products of
     the two sweeps and W, L for the M_l, 2L for the A_l, and the values and
     residual Gram of the batch.
@@ -166,7 +167,7 @@ def _train_work(cfg: TrainConfig) -> tuple[int, int, int]:
     runs = len(cfg.seeds) * len(cfg.b_models)
     batch = min(cfg.batch_size, cfg.dataset_size)
     steps = cfg.epochs * -(-cfg.dataset_size // batch)
-    held = runs * (cfg.dataset_size + 7 * cfg.depth * dim + 3 * batch) * dim
+    held = (len(cfg.seeds) * cfg.dataset_size + runs * (7 * cfg.depth * dim + 3 * batch)) * dim
     muladds = runs * steps * ((5 * cfg.depth - 1) * dim ** 3 + 2 * batch * dim ** 2)
     return held, muladds, steps
 

@@ -67,11 +67,18 @@ PAULI_1Q = {
 }
 
 
-def pauli_matrix(label: str) -> np.ndarray:
-    """Tensor product of single-qubit Paulis, e.g. "ZI" = Z on qubit 0."""
+def _pauli_label(label: str) -> str:
+    """label stripped and upper-cased; ValueError unless it is a nonempty
+    word over I, X, Y, Z."""
     label = label.strip().upper()
     if not label or any(ch not in PAULI_1Q for ch in label):
         raise ValueError(f"invalid Pauli label {label!r}; use characters I, X, Y, Z")
+    return label
+
+
+def pauli_matrix(label: str) -> np.ndarray:
+    """Tensor product of single-qubit Paulis, e.g. "ZI" = Z on qubit 0."""
+    label = _pauli_label(label)
     out = PAULI_1Q[label[0]]
     for ch in label[1:]:
         out = np.kron(out, PAULI_1Q[ch])

@@ -316,6 +316,76 @@ def test_dla_beyond_generator_entry_cap_exits_one_before_any_matrix(capsys, monk
     assert f"cap of {MAX_DLA_GENERATOR_ENTRIES} matrix entries" in error_line(captured)
 
 
+def run_dla(capsys, argv):
+    """Exit code, stdout without its duration line, and stderr."""
+    rc = dispatch(argv)
+    captured = capsys.readouterr()
+    return rc, re.sub(r'"duration_s": .*\n', "", captured.out), captured.err
+
+
+def assert_as_dense(capsys, monkeypatch, argv):
+    """argv runs as it does with every generator set sent to the dense path."""
+    got = run_dla(capsys, argv)
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_single_strings", lambda terms: None)
+        assert run_dla(capsys, argv) == got, argv
+    return got
+
+
+@pytest.mark.parametrize("paulis, tol, error", [
+    ("QQ", "1e-8", "invalid Pauli label 'QQ'"),
+    ("qq", "1e-8", "invalid Pauli label 'QQ'"),
+    ("X;0.5*qQ", "1e-8", "invalid Pauli label 'QQ'"),
+    ("0*X;Y", "1e-8", "zero matrix"),
+    ("inf*X;Y", "1e-8", "non-finite"),
+    ("nan*X", "1e-8", "non-finite"),
+    ("1e-301*X;Y", "1e-8", "zero matrix"),
+    ("X;YY", "1e-8", "error: "),
+    ("QQ;XXXXXXX", "1e-8", "at most 6"),   # the side cap is checked first
+    ("X;Y", "-1", "tol must be finite and positive"),
+    ("X;Y", "nan", "tol must be finite and positive"),
+    ("0*X;Y", "-1", "zero matrix"),       # eta fails before tol is checked
+])
+def test_dla_errors_do_not_depend_on_the_path(capsys, monkeypatch, paulis, tol, error):
+    rc, out, err = assert_as_dense(capsys, monkeypatch, ["dla", "--paulis", paulis, "--tol", tol])
+    assert rc == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and error in err, err
+
+
+def test_dla_string_sets_print_as_on_the_dense_path(capsys, monkeypatch):
+    gen = np.random.default_rng(2309)
+    weights = ["1", "-2.5", "1e-300", "-7.1e-301", "1e200", "-1.7e308", "3e-17"]
+    for _ in range(60):
+        n = int(gen.integers(1, 4))
+        paulis = ";".join(f"{gen.choice(weights)}*{''.join(gen.choice(list('IXYZixyz'), n))}"
+                          for _ in range(int(gen.integers(1, 7))))
+        assert assert_as_dense(capsys, monkeypatch, ["dla", "--paulis", paulis])[0] == 0
+
+
+@pytest.mark.parametrize("paulis, tol, dims", [
+    ("XIIIII;IXIIII;ZZIIII", "0.3", [6, 0, 6]),   # the dense path reads 3/3/0
+    ("X;Y", "1e-300", [3, 0, 3]),                 # the dense path passes its cap
+])
+def test_dla_string_sets_are_exact_at_any_tolerance(capsys, paulis, tol, dims):
+    res = run_json(capsys, ["dla", "--paulis", paulis, "--tol", tol])["result"]
+    assert [res["dim"], res["center_dim"], res["derived_dim"]] == dims
+
+
+@pytest.mark.parametrize("paulis, dims", [
+    ("XIII;YIII;IXII;IYII;IIXI;IIYI;IIIX;IIIY;ZZII;IZZI;IIZZ", [255, 0, 255]),
+    ("XIIIII;IXIIII;IIXIII;IIIXII;IIIIXI;IIIIIX;ZZIIII;IZZIII;IIZZII;IIIZZI;IIIIZZ;ZIIIIZ",
+     [132, 0, 132]),
+    (";".join(["-2*I"] + ["X"] * 4095), [2, 2, 0]),
+], ids=["su16", "ring_ising_6", "identity_and_copies"])
+def test_dla_string_sets_build_no_matrix(capsys, monkeypatch, paulis, dims):
+    def never(label):
+        raise AssertionError("a generator matrix was built")
+    monkeypatch.setattr(cli, "pauli_matrix", never)
+    res = run_json(capsys, ["dla", "--paulis", paulis])["result"]
+    assert [res["dim"], res["center_dim"], res["derived_dim"]] == dims
+    assert res["eta_per_generator"][0] == (np.sqrt(2.0) if paulis[0] == "-" else 0.0)
+
+
 @pytest.mark.parametrize("tol", ["-1", "0", "nan"])
 def test_dla_rejects_bad_tolerance(capsys, tol):
     rc = dispatch(["dla", "--paulis", "X;Y", "--tol", tol])

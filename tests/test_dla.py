@@ -1,3 +1,4 @@
+import itertools
 import time
 import tracemalloc
 
@@ -5,8 +6,10 @@ import numpy as np
 import pytest
 
 from qspec import dla
+from qspec.cli import parse_pauli_expr
 from qspec.dla import (MAX_DLA_DIM, MAX_DLA_GENERATOR_ENTRIES, MAX_DLA_SIDE, DimCap, LieBasis,
-                       ZeroMatrix, center_and_derived, dla_report, eta, lie_closure)
+                       ZeroMatrix, center_and_derived, dla_report, eta, lie_closure,
+                       pauli_dla_report)
 from qspec.linalg import commutator, complex_gaussians, haar_unitary, rng_stream
 from qspec.qsim import pauli_matrix
 
@@ -425,3 +428,102 @@ def test_non_positive_or_non_finite_tolerance_rejected(tol):
             fn([pauli_matrix("X")], tol=tol)
     with pytest.raises(ValueError):
         center_and_derived(basis, tol=tol)
+
+
+# ------------------------------------------------ exact Pauli-string path
+
+def report_outcome(report_fn):
+    """Dims and eta bytes of a report, or the type and message it raised."""
+    try:
+        rep = report_fn()
+    except Exception as exc:   # compared, not swallowed
+        return type(exc), str(exc)
+    return (rep.dim, rep.center_dim, rep.derived_dim), [e.hex() for e in rep.eta_per_generator]
+
+
+def assert_string_path_matches_dense(exprs):
+    """exprs are weighted single strings "w*label"; the string path takes
+    their upper-case labels, the dense path their parsed matrices."""
+    labels = [e.rpartition("*")[2].upper() for e in exprs]
+    exact = report_outcome(lambda: pauli_dla_report(labels))
+    dense = report_outcome(lambda: dla_report([parse_pauli_expr(e) for e in exprs]))
+    assert exact == dense, exprs
+    return exact
+
+
+def random_string_set(gen):
+    """1 to 3 qubits, up to 8 generators: lower-case labels, repeats,
+    identity strings and negative weights."""
+    n = int(gen.integers(1, 4))
+    exprs = []
+    for _ in range(int(gen.integers(1, 9))):
+        label = "".join(gen.choice(list("IXYZ"), n))
+        if gen.random() < 0.15:
+            label = "I" * n
+        if gen.random() < 0.2:
+            label = label.lower()
+        if exprs and gen.random() < 0.15:
+            label = exprs[int(gen.integers(len(exprs)))].rpartition("*")[2]
+        weight = float(gen.choice([-1.0, 1.0])) * 10.0 ** float(gen.uniform(-290, 200))
+        exprs.append(f"{weight!r}*{label}")
+    return exprs
+
+
+def test_string_path_matches_dense_on_random_string_sets():
+    gen = rng_stream(2309)
+    seen_center = seen_identity = 0
+    for _ in range(150):
+        dims, etas = assert_string_path_matches_dense(random_string_set(gen))
+        seen_center += dims[1] > 0
+        seen_identity += any(e != (0.0).hex() for e in etas)
+    assert seen_center and seen_identity
+
+
+def ring_ising(n):
+    return ["".join("X" if k == q else "I" for k in range(n)) for q in range(n)] + [
+        "".join("Z" if k in (q, (q + 1) % n) else "I" for k in range(n)) for q in range(n)]
+
+
+@pytest.mark.parametrize("labels, dims", [
+    ("XII;YII;IXI;IYI;IIX;IIY;ZZI;IZZ", (63, 0, 63)),   # su(8), benchmark and checks
+    ("XII;IXI;IIX;ZZI;IZZ;ZIZ", (30, 0, 30)),           # ring Ising, benchmark
+    ("XI;YI;IX;IY;ZZ;II", (16, 1, 15)),                 # u(4), benchmark
+    ("X;Y", (3, 0, 3)),                                 # README
+    (";".join(su16_labels()), (255, 0, 255)),           # su(16), CI
+    (";".join(ring_ising(6)), (132, 0, 132)),           # 6-qubit ring Ising, CI
+    ("XIIIII;IXIIII;ZZIIII", (6, 0, 6)),                # README's --tol example
+])
+def test_string_path_matches_dense_on_named_sets(labels, dims):
+    exact = assert_string_path_matches_dense([f"2.5*{s}" for s in labels.split(";")])
+    assert exact[0] == dims
+
+
+def test_string_path_stops_at_the_dense_dimension_cap():
+    # X_q, Y_q and Z_q Z_{q+1} on 5 qubits generate su(32), dimension 1023
+    labels = ["I" * q + p + "I" * (5 - q - len(p)) for p in ("X", "Y", "ZZ") for q in range(6 - len(p))]
+    exact = assert_string_path_matches_dense(labels)
+    assert exact == (DimCap, "closure dimension exceeds cap 256")
+
+
+def test_string_path_caps_distinct_generators_as_the_dense_path():
+    # more distinct generator strings than the cap stop before any bracket
+    labels = ["".join(p) for p in itertools.product("XYZ", repeat=5)][:MAX_DLA_DIM + 1]
+    assert assert_string_path_matches_dense(labels) == (
+        DimCap, f"closure dimension exceeds cap {MAX_DLA_DIM}")
+    # repeats count once, and each keeps its eta
+    rep = pauli_dla_report(["X"] * 1000 + ["Y", "X"])
+    assert (rep.dim, rep.center_dim, rep.derived_dim) == (3, 0, 3)
+    assert rep.eta_per_generator == (0.0,) * 1002
+
+
+@pytest.mark.parametrize("labels", [[], [""], ["X", "YY"], ["Q"], ["x"]])
+def test_string_path_rejects_labels_it_cannot_close(labels):
+    with pytest.raises(ValueError):
+        pauli_dla_report(labels)
+
+
+def test_dense_six_qubit_ring_ising_with_a_summed_generator():
+    # 2 ZIIIIZ written as a two-term sum keeps the dense path at the side cap
+    exprs = ring_ising(6)[:-1] + ["ZIIIIZ+ZIIIIZ"]
+    rep = dla_report([parse_pauli_expr(e) for e in exprs])
+    assert (rep.dim, rep.center_dim, rep.derived_dim) == (132, 0, 132)
