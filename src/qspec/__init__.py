@@ -11,7 +11,7 @@ from .spectrum import (FrequencyEnvelope, GapSet, NonCommensurate, NormalizedGap
 from .bounds import (DomainError, FourierSeries, SobolevParams, limit_probe,
                      minimax_lower_curve, sobolev_norm, truncation_error, unit_ball_sweep)
 from .dla import (DimCap, DlaReport, LieBasis, ZeroMatrix, center_and_derived, dla_report,
-                  eta, lie_closure, pauli_dla_report)
+                  eta, lie_closure, pauli_dla_report, pauli_expr_report)
 from .qsim import (CircuitSpec, circuit_forward_batch, circuit_forward_encoded,
                    default_entangler, encode_inputs, grad_analytic_1p_batch, grad_fd,
                    make_generator, pauli_matrix, trig_poly_coeffs)

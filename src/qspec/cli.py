@@ -11,25 +11,23 @@ equal bytes.
 import argparse
 import functools
 import json
-import math
 import os
-import re
 import sys
 import time
 from dataclasses import replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .bounds import SobolevParams, limit_probe, minimax_lower_curve, unit_ball_sweep
+from .bounds import (SobolevParams, _jackson_factors, limit_probe, minimax_lower_curve,
+                     unit_ball_sweep)
 from .checks import battery
-from .dla import (CLOSURE_TOL, MAX_DLA_GENERATOR_ENTRIES, MAX_DLA_SIDE, ZERO_FLOOR, DimCap,
-                  dla_report, pauli_dla_report)
+from .dla import CLOSURE_TOL, pauli_expr_report
 from .experiments import (MAX_VARIANCE_SAMPLES, TrainConfig, analytic_variance_oracle,
                           fast_profile, load_train_config, spectrum_matching_experiment,
                           variance_sweep)
-from .linalg import QspecError, _check_tol
-from .qsim import _pauli_label, pauli_matrix
+from .linalg import QspecError
 from .spectrum import DEDUP_TOL, NonCommensurate, envelope, gap_set, normalize_gaps
 
 # flags whose values may start with a minus sign; argparse needs them glued
@@ -74,8 +72,6 @@ def render_json(obj, indent: int = 0) -> str:
         return "{\n" + body + "\n" + pad + "}"
     if isinstance(obj, (list, tuple, np.ndarray)):
         items = list(obj)
-        if not items:
-            return "[]"
         nested = any(isinstance(v, (dict, list, tuple, np.ndarray)) for v in items)
         if not nested:
             return "[" + ", ".join(_scalar_json(v) for v in items) + "]"
@@ -85,14 +81,7 @@ def render_json(obj, indent: int = 0) -> str:
 
 
 def _csv_cell(v) -> str:
-    if isinstance(v, (float, np.floating)):
-        s = format_float(v)
-    elif isinstance(v, (bool, np.bool_)):
-        s = "true" if v else "false"
-    elif v is None:
-        s = ""
-    else:
-        s = str(v)
+    s = v if isinstance(v, str) else "" if v is None else _scalar_json(v)
     if any(ch in s for ch in ",\"\n"):
         s = '"' + s.replace('"', '""') + '"'
     return s
@@ -155,91 +144,20 @@ def _rd_pairs(text: str) -> list:
     return pairs
 
 
-def _pauli_terms(expr: str) -> list:
-    """(weight, label) terms of a weighted Pauli-string sum, parsed and
-    checked as parse_pauli_expr describes, with no matrix built."""
-    s = expr.replace(" ", "")
-    if not s:
-        raise ValueError("empty generator expression")
-    # protect exponent signs (1e-3, 2E+5) before splitting on +/-
-    s = re.sub(r"([0-9.])[eE]-", r"\1#m", s)
-    s = re.sub(r"([0-9.])[eE]\+", r"\1#p", s)
-    # nonempty terms joined by single signs
-    if not re.fullmatch(r"[+-]?[^+-]+(?:[+-][^+-]+)*", s):
-        raise ValueError(f"empty term or stray sign in generator expression {expr!r}")
-    terms = []
-    for term in re.findall(r"[+-]?[^+-]+", s):
-        sign = 1.0
-        if term[0] in "+-":
-            sign = -1.0 if term[0] == "-" else 1.0
-            term = term[1:]
-        term = term.replace("#m", "e-").replace("#p", "e+")
-        coeff_s, sep, label = term.partition("*")
-        if sep:
-            coeff = float(coeff_s)
-        else:
-            coeff, label = 1.0, term
-        if 1 << len(label) > MAX_DLA_SIDE:
-            raise ValueError(f"term {label!r} acts on {len(label)} qubits; dla takes at most "
-                             f"{MAX_DLA_SIDE.bit_length() - 1}")
-        terms.append((sign * coeff, label))
-    return terms
-
-
-def parse_pauli_expr(expr: str) -> np.ndarray:
-    """Weighted Pauli-string sum, e.g. "0.5*IY + II" or "Z".
-
-    A string whose matrix side would exceed MAX_DLA_SIDE is rejected
-    before its matrix is built. Every character must belong to a term: an
-    empty term or a stray sign ("X-", "X--Y", "-") is a ValueError.
-    """
-    return _pauli_sum(_pauli_terms(expr))
-
-
-def _pauli_sum(terms) -> np.ndarray:
-    """Matrix of parsed (weight, label) terms."""
-    total = None
-    for weight, label in terms:
-        mat = weight * pauli_matrix(label)
-        if total is not None and total.shape != mat.shape:
-            raise ValueError(f"term {label!r} acts on a different qubit count")
-        total = mat if total is None else total + mat
-    return total
-
-
-def _single_strings(terms) -> list | None:
-    """Upper-case labels when every generator is one Pauli string, all of
-    one length, with a finite weight above ZERO_FLOOR in magnitude; None
-    sends any other set to the dense path, with its own errors (there eta
-    decides whether a tinier weight leaves a nonzero generator). An
-    invalid label raises pauli_matrix's error, as the dense path would
-    first."""
-    if any(len(each) != 1 for each in terms):
-        return None
-    if not all(math.isfinite(w) and abs(w) > ZERO_FLOOR for ((w, _),) in terms):
-        return None
-    labels = [_pauli_label(label) for ((_, label),) in terms]
-    return labels if len(set(map(len, labels))) == 1 else None
-
-
 def normalize_argv(argv) -> list:
     """Glue values onto flags whose arguments can start with '-'."""
     out = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok in _MERGE_FLAGS and i + 1 < len(argv):
-            out.append(tok + "=" + argv[i + 1])
-            i += 2
+    for tok in argv:
+        if out and out[-1] in _MERGE_FLAGS:   # a flag still waiting for its value
+            out[-1] += "=" + tok
         else:
             out.append(tok)
-            i += 1
     return out
 
 
 # ------------------------------------------------------------- subcommands
 
-def _cmd_spectrum(ns) -> tuple[dict, object]:
+def _cmd_spectrum(ns) -> dict:
     per_param = []
     normalized = []
     for eigs in ns.eigs:
@@ -255,99 +173,82 @@ def _cmd_spectrum(ns) -> tuple[dict, object]:
             entry["commensurate"] = False
             entry["detail"] = str(exc)
         per_param.append(entry)
-    result = {"per_param": per_param}
-    if len(normalized) == len(per_param):
-        env = envelope(normalized)
-        result["envelope"] = {"d": env.d, "K_l2": env.k_l2,
-                              "K_l1": env.k_l1, "K_cov": env.k_cov}
-    else:
-        result["envelope"] = None
-    return result, _generic_rows(result)
+    env = envelope(normalized) if len(normalized) == len(per_param) else None
+    return {"per_param": per_param, "envelope": None if env is None else {
+        "d": env.d, "K_l2": env.k_l2, "K_l1": env.k_l1, "K_cov": env.k_cov}}
 
 
-def _cmd_bounds_lower(ns) -> tuple[dict, object]:
+def _cmd_bounds_lower(ns) -> dict:
     params = SobolevParams(d=ns.d, r=ns.r)
     errors, slope, ref = minimax_lower_curve(params, ns.K)
-    result = {"d": ns.d, "r": ns.r, "K": list(ns.K), "witness_errors": list(errors),
-              "fitted_slope": slope, "reference_exponent": ref}
-    rows = [("K", k, e) for k, e in zip(ns.K, errors)]
-    return result, rows + [("fitted_slope", "", slope), ("reference_exponent", "", ref)]
+    return {"d": ns.d, "r": ns.r, "K": list(ns.K), "witness_errors": list(errors),
+            "fitted_slope": slope, "reference_exponent": ref}
 
 
-def _cmd_bounds_upper(ns) -> tuple[dict, object]:
-    errors, rigorous, reference = unit_ball_sweep(SobolevParams(d=ns.d, r=ns.r), ns.K, ns.count,
-                                                  ns.max_freq, ns.modes, ns.seed)
+def _bounds_lower_rows(result: dict) -> list:
+    rows = [("K", k, e) for k, e in zip(result["K"], result["witness_errors"])]
+    return rows + [(key, "", result[key]) for key in ("fitted_slope", "reference_exponent")]
+
+
+def _cmd_bounds_upper(ns) -> dict:
+    params = SobolevParams(d=ns.d, r=ns.r)
+    errors, rigorous, reference = unit_ball_sweep(params, ns.K, ns.count, ns.max_freq,
+                                                  ns.modes, ns.seed)
     # largest error / bound over the positive bounds, and at least 0
     worst, empirical = (max(0.0, float(np.divide(errors, bound, out=np.zeros_like(bound),
                                                  where=bound > 0).max()))
                         for bound in (rigorous, reference))
-    result = {"d": ns.d, "r": ns.r, "K": list(ns.K), "series_count": ns.count,
-              "max_truncation_error": list(errors.max(axis=0)),
-              "rigorous_bound": [(1.0 + k * k) ** (-ns.r / 2) for k in ns.K],
-              "worst_ratio": worst, "bound_holds": bool(worst <= 1.0 + 1e-12),
-              "empirical_reference_constant": empirical}
-    return result, _generic_rows(result)
+    return {"d": ns.d, "r": ns.r, "K": list(ns.K), "series_count": ns.count,
+            "max_truncation_error": list(errors.max(axis=0)),
+            "rigorous_bound": [factor for factor, _ in _jackson_factors(params, ns.K)],
+            "worst_ratio": worst, "bound_holds": bool(worst <= 1.0 + 1e-12),
+            "empirical_reference_constant": empirical}
 
 
-def _cmd_bounds_limit(ns) -> tuple[dict, object]:
-    values = limit_probe(ns.pairs)
-    result = {"pairs": ns.pairs, "values": list(values)}
-    rows = [(f"{r:g}:{d}", "", v) for (r, d), v in zip(ns.pairs, values)]
-    return result, rows
+def _cmd_bounds_limit(ns) -> dict:
+    return {"pairs": ns.pairs, "values": list(limit_probe(ns.pairs))}
 
 
-def _cmd_dla(ns) -> tuple[dict, object]:
+def _cmd_dla(ns) -> dict:
     exprs = [expr for expr in ns.paulis.split(";") if expr.strip()]
-    if not exprs:
-        raise QspecError("no generator expressions given")
-    terms = [_pauli_terms(expr) for expr in exprs]
-    # the widest term bounds every matrix side, so no matrix is built past the cap
-    side = max(1 << len(label) for each in terms for _, label in each)
-    if len(exprs) * side * side > MAX_DLA_GENERATOR_ENTRIES:
-        raise DimCap(f"{len(exprs)} generators of side up to {side} exceed the cap of "
-                     f"{MAX_DLA_GENERATOR_ENTRIES} matrix entries")
-    labels = _single_strings(terms)
-    if labels is None:
-        report = dla_report([_pauli_sum(each) for each in terms], tol=ns.tol)
-    else:
-        _check_tol(ns.tol)   # rejected as on the dense path, though the string path is exact
-        report = pauli_dla_report(labels)
-    result = {"generator_count": len(exprs), "dim": report.dim,
-              "center_dim": report.center_dim, "derived_dim": report.derived_dim,
-              "eta_per_generator": list(report.eta_per_generator)}
-    return result, _generic_rows(result)
+    return {"generator_count": len(exprs), **vars(pauli_expr_report(exprs, tol=ns.tol))}
 
 
-def _cmd_train(ns) -> tuple[dict, object]:
+def _cmd_train(ns) -> dict:
     cfg = load_train_config(ns.config) if ns.config else TrainConfig()
     if ns.fast:
         cfg = fast_profile(cfg)
     if ns.seeds is not None:
         cfg = replace(cfg, seeds=tuple(ns.seeds))
-    report = spectrum_matching_experiment(cfg)
-    result = report.to_dict()
-    rows = [(seed, f"rmse_b{b:g}", v) for b in report.b_models
-            for seed, v in zip(report.seeds, report.rmse[b])]
-    for b in report.b_models:
-        rows += [("summary", f"mean_rmse_b{b:g}", report.means[b]),
-                 ("summary", f"std_rmse_b{b:g}", report.stds[b])]
-    return result, rows + [("summary", "wilcoxon_p", report.wilcoxon_p)]
+    return spectrum_matching_experiment(cfg).to_dict()
 
 
-def _cmd_variance(ns) -> tuple[dict, object]:
-    report = variance_sweep(ns.weights, ns.samples, ns.seed)
-    result = report.to_dict()
-    result["analytic_variances"] = [analytic_variance_oracle(w) for w in report.weights]
-    return result, list(zip(report.weights, report.variances, report.etas))
+def _train_rows(result: dict) -> list:
+    bs = [(b, repr(b)) for b in result["b_models"]]   # the per-b tables' keys
+    rows = [(seed, f"rmse_b{b:g}", v) for b, key in bs
+            for seed, v in zip(result["seeds"], result["rmse"][key])]
+    for b, key in bs:
+        rows += [("summary", f"mean_rmse_b{b:g}", result["means"][key]),
+                 ("summary", f"std_rmse_b{b:g}", result["stds"][key])]
+    return rows + [("summary", "wilcoxon_p", result["wilcoxon_p"])]
 
 
-def _cmd_selftest(ns) -> tuple[dict, object]:
+def _cmd_variance(ns) -> dict:
+    result = variance_sweep(ns.weights, ns.samples, ns.seed).to_dict()
+    result["analytic_variances"] = [analytic_variance_oracle(w) for w in result["weights"]]
+    return result
+
+
+def _cmd_selftest(ns) -> dict:
     checks = battery(ns.seed, ns.full)
     for c in checks:
         print(f"[{'pass' if c['passed'] else 'FAIL'}] {c['name']}", file=sys.stderr)
-    result = {"checks": checks, "all_passed": all(c["passed"] for c in checks)}
-    rows = [(c["name"], "passed", c["passed"]) for c in checks]
-    return result, rows + [("all", "passed", result["all_passed"])]
+    return {"checks": checks, "all_passed": all(c["passed"] for c in checks)}
+
+
+def _selftest_rows(result: dict) -> list:
+    rows = [(c["name"], "passed", c["passed"]) for c in result["checks"]]
+    return rows + [("all", "passed", result["all_passed"])]
 
 
 # ------------------------------------------------------------------ driver
@@ -426,23 +327,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_HANDLERS = {
-    "spectrum": _cmd_spectrum,
-    "bounds lower": _cmd_bounds_lower,
-    "bounds upper": _cmd_bounds_upper,
-    "bounds limit": _cmd_bounds_limit,
-    "dla": _cmd_dla,
-    "train": _cmd_train,
-    "variance": _cmd_variance,
-    "selftest": _cmd_selftest,
-}
+class _Command(NamedTuple):
+    """A handler, options -> result, and the CSV table of its result."""
 
-# headers of the CSV result tables other than ("key", "index", "value")
-_CSV_HEADERS = {
-    "bounds limit": ("pair", "index", "value"),
-    "train": ("seed", "metric", "value"),
-    "variance": ("weight", "variance", "eta"),
-    "selftest": ("check", "metric", "value"),
+    run: Callable
+    header: tuple = ("key", "index", "value")
+    rows: Callable = _generic_rows
+
+
+_COMMANDS = {
+    "spectrum": _Command(_cmd_spectrum),
+    "bounds lower": _Command(_cmd_bounds_lower, rows=_bounds_lower_rows),
+    "bounds upper": _Command(_cmd_bounds_upper),
+    "bounds limit": _Command(_cmd_bounds_limit, ("pair", "index", "value"), lambda res: [
+        (f"{r:g}:{d}", "", v) for (r, d), v in zip(res["pairs"], res["values"])]),
+    "dla": _Command(_cmd_dla),
+    "train": _Command(_cmd_train, ("seed", "metric", "value"), _train_rows),
+    "variance": _Command(_cmd_variance, ("weight", "variance", "eta"),
+                         lambda res: list(zip(res["weights"], res["variances"], res["etas"]))),
+    "selftest": _Command(_cmd_selftest, ("check", "metric", "value"), _selftest_rows),
 }
 
 
@@ -479,15 +382,16 @@ def dispatch(argv=None) -> int:
     started = time.perf_counter()
     try:
         _check_out(ns.out)
+        command = _COMMANDS[label]
         # a non-finite result fails in rendering, so numpy's floating-point
         # warnings would only add lines before the error
         with np.errstate(all="ignore"):
-            result, rows = _HANDLERS[label](ns)
+            result = command.run(ns)
         manifest = _manifest(ns, label, time.perf_counter() - started)
         if ns.format == "json":
             text = render_json({"manifest": manifest, "result": result}) + "\n"
         else:
-            text = render_csv(manifest, _CSV_HEADERS.get(label, ("key", "index", "value")), rows)
+            text = render_csv(manifest, command.header, command.rows(result))
     except (QspecError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

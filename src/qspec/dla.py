@@ -7,15 +7,19 @@ traceless ones. Every algebra here lies in u(N), whose inner product
 Re Tr(A^dag B) is ad-invariant, so g = center + [g, g] orthogonally: both
 halves come from one SVD of the generators' adjoint action on g.
 Generators that are each a multiple of one Pauli string have an exact
-path on bit masks, pauli_dla_report, with no matrix built.
+path on bit masks, pauli_dla_report, with no matrix built; for generators
+written as Pauli-string sums, pauli_expr_report chooses the path.
 """
 
+import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import (QspecError, _check_tol, _peak_scaled, commutator, require_hermitian_set,
                      require_square)
+from .qsim import _pauli_label, pauli_matrix
 
 CLOSURE_TOL = 1e-8
 
@@ -250,3 +254,90 @@ def pauli_dla_report(labels) -> DlaReport:
     root, identity = float(np.sqrt(1 << n)), "I" * n
     return DlaReport(dim=len(strings), center_dim=center, derived_dim=len(strings) - center,
                      eta_per_generator=tuple(root if s == identity else 0.0 for s in labels))
+
+
+def _pauli_terms(expr: str) -> list:
+    """(weight, label) terms of a weighted Pauli-string sum, parsed and
+    checked as parse_pauli_expr describes, with no matrix built."""
+    s = expr.replace(" ", "")
+    if not s:
+        raise ValueError("empty generator expression")
+    # protect exponent signs (1e-3, 2E+5) before splitting on +/-
+    s = re.sub(r"([0-9.])[eE]-", r"\1#m", s)
+    s = re.sub(r"([0-9.])[eE]\+", r"\1#p", s)
+    # nonempty terms joined by single signs
+    if not re.fullmatch(r"[+-]?[^+-]+(?:[+-][^+-]+)*", s):
+        raise ValueError(f"empty term or stray sign in generator expression {expr!r}")
+    terms = []
+    for term in re.findall(r"[+-]?[^+-]+", s):
+        sign = 1.0
+        if term[0] in "+-":
+            sign = -1.0 if term[0] == "-" else 1.0
+            term = term[1:]
+        term = term.replace("#m", "e-").replace("#p", "e+")
+        coeff_s, sep, label = term.partition("*")
+        if sep:
+            coeff = float(coeff_s)
+        else:
+            coeff, label = 1.0, term
+        if 1 << len(label) > MAX_DLA_SIDE:
+            raise ValueError(f"term {label!r} acts on {len(label)} qubits; dla takes at most "
+                             f"{MAX_DLA_SIDE.bit_length() - 1}")
+        terms.append((sign * coeff, label))
+    return terms
+
+
+def parse_pauli_expr(expr: str) -> np.ndarray:
+    """Weighted Pauli-string sum, e.g. "0.5*IY + II" or "Z".
+
+    A string whose matrix side would exceed MAX_DLA_SIDE is rejected
+    before its matrix is built. Every character must belong to a term: an
+    empty term or a stray sign ("X-", "X--Y", "-") is a ValueError.
+    """
+    return _pauli_sum(_pauli_terms(expr))
+
+
+def _pauli_sum(terms) -> np.ndarray:
+    """Matrix of parsed (weight, label) terms."""
+    total = None
+    for weight, label in terms:
+        mat = weight * pauli_matrix(label)
+        if total is not None and total.shape != mat.shape:
+            raise ValueError(f"term {label!r} acts on a different qubit count")
+        total = mat if total is None else total + mat
+    return total
+
+
+def _single_strings(terms) -> list | None:
+    """Upper-case labels when every generator is one Pauli string, all of
+    one length, with a finite weight above ZERO_FLOOR in magnitude; None
+    sends any other set to the dense path, with its own errors (there eta
+    decides whether a tinier weight leaves a nonzero generator). An
+    invalid label raises pauli_matrix's error, as the dense path would
+    first."""
+    if any(len(each) != 1 for each in terms):
+        return None
+    if not all(math.isfinite(w) and abs(w) > ZERO_FLOOR for ((w, _),) in terms):
+        return None
+    labels = [_pauli_label(label) for ((_, label),) in terms]
+    return labels if len(set(map(len, labels))) == 1 else None
+
+
+def pauli_expr_report(exprs, tol: float = CLOSURE_TOL) -> DlaReport:
+    """dla_report of generators written as parse_pauli_expr sums, e.g.
+    ["0.5*IY + II", "IZ"]. A term over MAX_DLA_SIDE, or more than
+    MAX_DLA_GENERATOR_ENTRIES entries at the widest term's side, raises
+    before any matrix is built. A set that _single_strings admits goes to
+    pauli_dla_report, with tol checked but unused."""
+    terms = [_pauli_terms(expr) for expr in exprs]
+    if not terms:
+        raise QspecError("no generator expressions given")
+    side = max(1 << len(label) for each in terms for _, label in each)
+    if len(terms) * side * side > MAX_DLA_GENERATOR_ENTRIES:
+        raise DimCap(f"{len(terms)} generators of side up to {side} exceed the cap of "
+                     f"{MAX_DLA_GENERATOR_ENTRIES} matrix entries")
+    labels = _single_strings(terms)
+    if labels is None:
+        return dla_report([_pauli_sum(each) for each in terms], tol=tol)
+    _check_tol(tol)
+    return pauli_dla_report(labels)

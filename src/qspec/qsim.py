@@ -42,7 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import (DimMismatch, eig_hermitian, haar_unitary, is_hermitian,
+from .linalg import (DimMismatch, NoConvergence, eig_hermitian, haar_unitary, is_hermitian,
                      require_hermitian_set, require_square)
 from .spectrum import DEDUP_TOL, _sorted_runs
 
@@ -159,8 +159,11 @@ class CircuitSpec:
             observable = np.diag(zdiag.astype(complex))
         self.observable = obs = _observable(observable, self.dim)
 
-        eigs = [eig_hermitian(g) for g in gens]
-        vecs = np.stack([e.vectors for e in eigs])                # (L, N, N)
+        # one eigensolve of the checked stack, which eigh solves matrix by matrix
+        try:
+            lam, vecs = np.linalg.eigh(np.stack(gens))            # (L, N), (L, N, N)
+        except np.linalg.LinAlgError as exc:
+            raise NoConvergence(str(exc)) from exc
         vecs_h = vecs.conj().transpose(0, 2, 1)
         last = vecs[-1]
         if np.count_nonzero(obs - np.diag(np.diagonal(obs))):
@@ -170,7 +173,7 @@ class CircuitSpec:
             obs_vals = np.real(np.diagonal(obs))
         # C-contiguous, as a concatenation in _stack_specs is, so a run's
         # matmuls take the same BLAS path alone and stacked with others
-        self._stack = _Stack(lam=np.stack([e.values for e in eigs])[None],
+        self._stack = _Stack(lam=lam[None],
                              last=last[None].copy(),
                              hops=(vecs_h[1:] @ vecs[:-1])[None],
                              first_h=vecs_h[0][None].copy(),

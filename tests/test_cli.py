@@ -6,9 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qspec import cli
-from qspec.cli import dispatch, normalize_argv, parse_pauli_expr
-from qspec.dla import MAX_DLA_GENERATOR_ENTRIES
+from qspec import cli, dla
+from qspec.cli import dispatch, normalize_argv
+from qspec.dla import MAX_DLA_GENERATOR_ENTRIES, parse_pauli_expr
 from qspec.experiments import MAX_SIGNED_RANK_PAIRS
 from qspec.qsim import pauli_matrix
 
@@ -309,7 +309,7 @@ def test_dla_generator_entry_cap_admits_its_six_qubit_count(capsys):
 def test_dla_beyond_generator_entry_cap_exits_one_before_any_matrix(capsys, monkeypatch, paulis):
     def never(label):
         raise AssertionError("a generator matrix was built")
-    monkeypatch.setattr(cli, "pauli_matrix", never)
+    monkeypatch.setattr(dla, "pauli_matrix", never)
     rc = dispatch(["dla", "--paulis", paulis])
     captured = capsys.readouterr()
     assert rc == 1 and captured.out == ""
@@ -327,7 +327,7 @@ def assert_as_dense(capsys, monkeypatch, argv):
     """argv runs as it does with every generator set sent to the dense path."""
     got = run_dla(capsys, argv)
     with monkeypatch.context() as m:
-        m.setattr(cli, "_single_strings", lambda terms: None)
+        m.setattr(dla, "_single_strings", lambda terms: None)
         assert run_dla(capsys, argv) == got, argv
     return got
 
@@ -380,7 +380,7 @@ def test_dla_string_sets_are_exact_at_any_tolerance(capsys, paulis, tol, dims):
 def test_dla_string_sets_build_no_matrix(capsys, monkeypatch, paulis, dims):
     def never(label):
         raise AssertionError("a generator matrix was built")
-    monkeypatch.setattr(cli, "pauli_matrix", never)
+    monkeypatch.setattr(dla, "pauli_matrix", never)
     res = run_json(capsys, ["dla", "--paulis", paulis])["result"]
     assert [res["dim"], res["center_dim"], res["derived_dim"]] == dims
     assert res["eta_per_generator"][0] == (np.sqrt(2.0) if paulis[0] == "-" else 0.0)
@@ -502,7 +502,7 @@ def test_spectrum_rejects_bad_tolerance(capsys, tol):
 def test_out_to_missing_directory_fails_before_work(tmp_path, capsys, monkeypatch):
     def never(ns):
         raise AssertionError("handler ran")
-    monkeypatch.setitem(cli._HANDLERS, "dla", never)
+    monkeypatch.setitem(cli._COMMANDS, "dla", cli._Command(never))
     target = tmp_path / "missing" / "x"
     rc = dispatch(["dla", "--paulis", "X;Y", "--out", str(target)])
     assert rc == 1
@@ -510,13 +510,19 @@ def test_out_to_missing_directory_fails_before_work(tmp_path, capsys, monkeypatc
     assert not target.parent.exists()
 
 
+def test_json_output_builds_no_csv_rows(capsys, monkeypatch):
+    def never(result):
+        raise AssertionError("CSV rows were built")
+    monkeypatch.setitem(cli._COMMANDS, "dla", cli._COMMANDS["dla"]._replace(rows=never))
+    assert run_json(capsys, ["dla", "--paulis", "X;Y"])["result"]["dim"] == 3
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_non_finite_output_exits_one(capsys, monkeypatch, fmt):
     # no subcommand is known to return a non-finite value, so a stand-in
     # handler hands the renderer one
     nan = float("nan")
-    monkeypatch.setitem(cli._HANDLERS, "bounds limit",
-                        lambda ns: ({"values": [nan]}, [("", "", nan)]))
+    monkeypatch.setitem(cli._COMMANDS, "bounds limit", cli._Command(lambda ns: {"values": [nan]}))
     rc = dispatch(["bounds", "limit", "--pairs", "2:2", "--format", fmt])
     captured = capsys.readouterr()
     assert rc == 1

@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from qspec import dla
-from qspec.cli import parse_pauli_expr
 from qspec.dla import (MAX_DLA_DIM, MAX_DLA_GENERATOR_ENTRIES, MAX_DLA_SIDE, DimCap, LieBasis,
                        ZeroMatrix, center_and_derived, dla_report, eta, lie_closure,
-                       pauli_dla_report)
+                       parse_pauli_expr, pauli_dla_report)
 from qspec.linalg import commutator, complex_gaussians, haar_unitary, rng_stream
 from qspec.qsim import pauli_matrix
 
