@@ -24,9 +24,10 @@ import numpy as np
 
 from .dla import eta
 from .linalg import QspecError, derive_seed, rng_stream
-from .qsim import (FD_STEP, MAX_EIGEN_BOUND, MAX_QUBITS, CircuitSpec, _fd_batch_grad, _forward,
-                   _phases, _shift_gains, _stack_specs, circuit_forward_encoded, encode_inputs,
-                   grad_analytic_1p_batch, make_generator, pauli_matrix)
+from .qsim import (FD_STEP, MAX_EIGEN_BOUND, MAX_QUBITS, CircuitSpec, _block_rows, _fd_batch_grad,
+                   _forward, _phases, _row_blocks, _shift_gains, _stack_specs,
+                   circuit_forward_encoded, encode_inputs, grad_analytic_1p_batch,
+                   make_generator, pauli_matrix)
 from .spectrum import _sorted_runs
 
 class AllZeroDifferences(QspecError):
@@ -44,7 +45,7 @@ MAX_VARIANCE_DRAWS = 10 ** 7
 # about 1e-15 / a^2 to cancellation; its series through a^14 loses 1e-18
 ORACLE_SERIES_BELOW = 0.5
 # Most complex amplitudes a training study holds at once (bounds memory);
-# TrainConfig() holds 170,240
+# TrainConfig() holds 293,600
 MAX_TRAIN_AMPLITUDES = 1 << 21
 # Most estimated multiply-adds of a training study (bounds time); TrainConfig()
 # needs about 7.9e9 and TrainConfig(n=4) about 5.5e10
@@ -158,16 +159,21 @@ def _train_work(cfg: TrainConfig) -> tuple[int, int, int]:
     Each of the R = seeds x models runs holds, per step of
     qsim._fd_batch_grad, at most 7 L N^2 amplitudes in (L, N, N) arrays
     (the prefix and suffix buffers, the real gains and the step's
-    temporaries) and three (B, N) arrays of batch rows. A step costs
-    each run about (5L - 1) N^3 + 2 B N^2 multiply-adds: 2L - 1 products of
-    the two sweeps and W, L for the M_l, 2L for the A_l, and the values and
-    residual Gram of the batch.
+    temporaries) and three (B, N) arrays of batch rows. The final RMSE
+    holds one block of qsim._forward at a time: R x rows x N gathered
+    amplitudes and as many output amplitudes, for rows = min(M,
+    qsim._block_rows(R, 1, N) + 1) of the M samples (qsim._row_blocks).
+    A step costs each run about (5L - 1) N^3 + 2 B N^2 multiply-adds:
+    2L - 1 products of the two sweeps and W, L for the M_l, 2L for the
+    A_l, and the values and residual Gram of the batch.
     """
     dim = 1 << cfg.n
     runs = len(cfg.seeds) * len(cfg.b_models)
     batch = min(cfg.batch_size, cfg.dataset_size)
     steps = cfg.epochs * -(-cfg.dataset_size // batch)
-    held = (len(cfg.seeds) * cfg.dataset_size + runs * (7 * cfg.depth * dim + 3 * batch)) * dim
+    final = 2 * runs * min(cfg.dataset_size, _block_rows(runs, 1, dim) + 1)
+    held = (len(cfg.seeds) * cfg.dataset_size + runs * (7 * cfg.depth * dim + 3 * batch)
+            + final) * dim
     muladds = runs * steps * ((5 * cfg.depth - 1) * dim ** 3 + 2 * batch * dim ** 2)
     return held, muladds, steps
 
@@ -304,7 +310,11 @@ def _train_runs(models, xs: np.ndarray, ys: np.ndarray, data_of, cfg: TrainConfi
             vhat = v / (1.0 - beta2 ** step_count)
             theta = theta - cfg.lr * mhat / (np.sqrt(vhat) + eps)
 
-    pred = _forward(stack, _phases(stack, theta[:, None]), encoded[data_of])[:, 0]
+    # gathered one block of rows at a time, not every run's dataset at once
+    phases = _phases(stack, theta[:, None])
+    pred = np.empty((len(data_of), n_samples))
+    for block in _row_blocks(n_samples, _block_rows(len(data_of), 1, encoded.shape[2])):
+        pred[:, block] = _forward(stack, phases, encoded[data_of, block])[:, 0]
     return theta, np.sqrt(np.mean((pred - ys[data_of]) ** 2, axis=1))
 
 

@@ -20,10 +20,13 @@ amplitudes weighed by o. A diagonal observable keeps U = I.
 
 There are two kernels, each with a leading run axis over R circuits of
 one shape and observable (a _Stack). _forward gives expectation values:
-each run's V parameter vectors and B encoded rows go through one
-(R, V*N, N) @ (R, N, N) matmul per layer and one (R, B, N) @ (R, N, V*N)
-contraction. circuit_forward_encoded calls it with R = 1, and grad_fd
-with the 2L vectors theta +- step e_l of one run. _fd_batch_grad serves
+each run's V parameter vectors go through one (R, V*N, N) @ (R, N, N)
+matmul per layer, and the B encoded rows meet the V unitaries in blocks
+of at most FORWARD_BLOCK_ELEMENTS amplitudes across R * rows * V * N, one
+(R, rows, N) @ (R, N, V*N) contraction each, so its temporaries do not
+grow with B. circuit_forward_encoded calls it with R = 1, and grad_fd
+with the 2L vectors theta +- step e_l of one run; circuit_forward_batch
+encodes and evaluates its inputs block by block too. _fd_batch_grad serves
 a training step of every run of a lockstep study at once. A layer's
 angle enters an expectation as a trig polynomial whose modes are its
 generator's gaps w_ij, so the central difference of each (i, j) term is
@@ -52,6 +55,9 @@ MAX_QUBITS = 12
 
 # Most elements of one (gaps, block of thetas) temporary of grad_analytic_1p_batch
 GRAD_BLOCK_ELEMENTS = 1 << 20
+
+# Most complex amplitudes of one block of rows in a forward pass (_block_rows)
+FORWARD_BLOCK_ELEMENTS = 1 << 16
 
 # Largest b_max of make_generator: its eigenvalues' span 2 b_max and the
 # entries of H + H^dag, at most 2 b_max up to rounding, stay finite with a
@@ -160,14 +166,11 @@ class CircuitSpec:
         self.observable = obs = _observable(observable, self.dim)
 
         # one eigensolve of the checked stack, which eigh solves matrix by matrix
-        try:
-            lam, vecs = np.linalg.eigh(np.stack(gens))            # (L, N), (L, N, N)
-        except np.linalg.LinAlgError as exc:
-            raise NoConvergence(str(exc)) from exc
+        lam, vecs = _eigh(np.stack(gens))                     # (L, N), (L, N, N)
         vecs_h = vecs.conj().transpose(0, 2, 1)
         last = vecs[-1]
         if np.count_nonzero(obs - np.diag(np.diagonal(obs))):
-            obs_vals, obs_vecs = eig_hermitian(obs)
+            obs_vals, obs_vecs = _eigh(obs)
             last = obs_vecs.conj().T @ last
         else:
             obs_vals = np.real(np.diagonal(obs))
@@ -182,6 +185,15 @@ class CircuitSpec:
     @property
     def depth(self) -> int:
         return len(self.generators)
+
+
+def _eigh(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.linalg.eigh of already checked Hermitian matrices; NoConvergence
+    if it gives up."""
+    try:
+        return np.linalg.eigh(matrices)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(str(exc)) from exc
 
 
 def _observable(obs, dim: int) -> np.ndarray:
@@ -214,6 +226,14 @@ def _stack_specs(specs) -> _Stack:
         for name in ("lam", "last", "hops", "first_h")})
 
 
+def _inputs(xs) -> np.ndarray:
+    """xs as a 1-D float batch; DimMismatch unless scalar or 1-D."""
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    if xs.ndim != 1:
+        raise DimMismatch("inputs must be scalars or a 1-D batch")
+    return xs
+
+
 def encode_inputs(spec: CircuitSpec, xs) -> np.ndarray:
     """Post-encoding states for a batch of scalar inputs, shape (B, 2^n).
 
@@ -221,15 +241,35 @@ def encode_inputs(spec: CircuitSpec, xs) -> np.ndarray:
     (cos(x/2), sin(x/2)); the entangler permutation is applied afterwards.
     Precompute this once per dataset: it does not depend on theta.
     """
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    if xs.ndim != 1:
-        raise DimMismatch("inputs must be scalars or a 1-D batch")
+    xs = _inputs(xs)
     qubit = np.stack([np.cos(xs / 2.0), np.sin(xs / 2.0)])     # (2, B)
     amps = np.ones((1, xs.shape[0]))
     for _ in range(spec.n):
         # append the next qubit as the least significant index bit
         amps = (amps[:, None, :] * qubit[None, :, :]).reshape(-1, xs.shape[0])
     return amps[spec._unperm].T.astype(complex, order="C")
+
+
+def _block_rows(runs: int, nvec: int, dim: int) -> int:
+    """Rows per block of a forward pass over R = runs circuits and V = nvec
+    vectors of dimension N = dim: the largest power of two whose block of
+    R * rows * V * N output amplitudes stays within FORWARD_BLOCK_ELEMENTS,
+    or 1 when one row exceeds it. From 8 rows up, every block starts at a
+    multiple of 8, where OpenBLAS's unrolled matrix-vector kernels start a
+    group in a whole-batch call too, so the values have matched that
+    call's bit for bit."""
+    fit = max(1, FORWARD_BLOCK_ELEMENTS // (runs * nvec * dim))
+    return 1 << (fit.bit_length() - 1)
+
+
+def _row_blocks(count: int, step: int) -> list:
+    """Slices of step rows covering range(count), except that a lone last row
+    joins the block before it: BLAS takes a one-row product down its
+    matrix-vector path, which can round differently from a whole-batch call."""
+    starts = list(range(0, count, step))
+    if count > step and count % step == 1:
+        starts.pop()
+    return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [count])]
 
 
 def _forward(stack: _Stack, phases: np.ndarray, encoded: np.ndarray) -> np.ndarray:
@@ -239,7 +279,9 @@ def _forward(stack: _Stack, phases: np.ndarray, encoded: np.ndarray) -> np.ndarr
     layer; encoded (R, B, N) holds each run's rows. The unitaries W of all
     R*V vectors are built from the left as one (R, V*N, N) array, with row
     (v, i) the output amplitude i of vector v, so each layer is one batched
-    matmul, and the rows meet them in one (R, B, N) @ (R, N, V*N) matmul.
+    matmul. The rows then meet them block by block (_block_rows,
+    _row_blocks), one (R, rows, N) @ (R, N, V*N) matmul each, written into
+    the output in place.
     """
     runs, nvec, depth, dim = phases.shape
     flat = (runs, nvec * dim, dim)
@@ -249,9 +291,13 @@ def _forward(stack: _Stack, phases: np.ndarray, encoded: np.ndarray) -> np.ndarr
         np.matmul(w.reshape(flat), stack.hops[:, layer], out=tmp.reshape(flat))
         np.multiply(tmp, phases[:, :, layer, None, :], out=w)
     np.matmul(w.reshape(flat), stack.first_h, out=tmp.reshape(flat))
-    states = encoded @ tmp.reshape(flat).transpose(0, 2, 1)            # (R, B, V*N)
-    vals = _expectations(stack, states.reshape(runs, -1, dim))         # rows (b, v)
-    return np.ascontiguousarray(vals.reshape(runs, -1, nvec).transpose(0, 2, 1))
+    unitaries = tmp.reshape(flat).transpose(0, 2, 1)                   # (R, N, V*N)
+    out = np.empty((runs, nvec, encoded.shape[1]))
+    for block in _row_blocks(encoded.shape[1], _block_rows(runs, nvec, dim)):
+        states = encoded[:, block] @ unitaries                         # (R, rows, V*N)
+        vals = _expectations(stack, states.reshape(runs, -1, dim))     # rows (b, v)
+        out[:, :, block] = vals.reshape(runs, -1, nvec).transpose(0, 2, 1)
+    return out
 
 
 def _expectations(stack: _Stack, states: np.ndarray) -> np.ndarray:
@@ -334,11 +380,20 @@ def circuit_forward_encoded(spec: CircuitSpec, thetas, encoded) -> np.ndarray:
 
 
 def circuit_forward_batch(spec: CircuitSpec, theta, xs) -> np.ndarray:
-    """Expectation <psi(theta, x)| O |psi(theta, x)> over a batch of x."""
+    """Expectation <psi(theta, x)| O |psi(theta, x)> over a batch of x.
+
+    The inputs are encoded and evaluated one block of _block_rows(1, 1, N)
+    rows at a time, so beyond the output the call holds one block's rows.
+    """
     theta = np.asarray(theta, dtype=float).ravel()
     if theta.shape[0] != spec.depth:
         raise DimMismatch(f"theta has length {theta.shape[0]}, expected {spec.depth}")
-    return circuit_forward_encoded(spec, theta[None, :], encode_inputs(spec, xs))[0]
+    xs = _inputs(xs)
+    out = np.empty(xs.shape[0])
+    for block in _row_blocks(xs.shape[0], _block_rows(1, 1, spec.dim)):
+        out[block] = circuit_forward_encoded(spec, theta[None, :],
+                                             encode_inputs(spec, xs[block]))[0]
+    return out
 
 
 def grad_fd(spec: CircuitSpec, theta, x: float, step: float = FD_STEP) -> np.ndarray:

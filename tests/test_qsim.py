@@ -4,10 +4,12 @@ import warnings
 import numpy as np
 import pytest
 
-from qspec.linalg import (DimMismatch, complex_gaussians, eig_hermitian, haar_unitary,
-                          rng_stream, unitary_from_generator)
-from qspec.qsim import (FD_STEP, GRAD_BLOCK_ELEMENTS, MAX_EIGEN_BOUND, CircuitSpec, _eigen_gram,
-                        _fd_batch_grad, _forward, _phases, _shift_gains, _stack_specs,
+from qspec import qsim
+from qspec.linalg import (DimMismatch, NoConvergence, complex_gaussians, eig_hermitian,
+                          haar_unitary, rng_stream, unitary_from_generator)
+from qspec.qsim import (FD_STEP, FORWARD_BLOCK_ELEMENTS, GRAD_BLOCK_ELEMENTS, MAX_EIGEN_BOUND,
+                        CircuitSpec, _block_rows, _eigen_gram, _fd_batch_grad, _forward, _phases,
+                        _row_blocks, _shift_gains, _stack_specs,
                         circuit_forward_batch, circuit_forward_encoded,
                         default_entangler, encode_inputs,
                         grad_analytic_1p_batch, grad_fd, make_generator,
@@ -622,6 +624,7 @@ def test_fd_forward_matches_stacked_variants(n, depth):
 def test_forward_runs_match_dense_layer_product(n, depth):
     # oracle: per run, a dense product of expm_herm layers on its own rows
     dim = 1 << n
+    assert 4 * 20 * 500 * dim > FORWARD_BLOCK_ELEMENTS
     gen = rng_stream(900 + 10 * n + depth)
     entanglers = [None] + ([reversed_chain(n)] if n > 1 else [])
     for entangler in entanglers:
@@ -631,7 +634,8 @@ def test_forward_runs_match_dense_layer_product(n, depth):
                                  observable=obs)
                      for r in range(4)]
             stack = _stack_specs(specs)
-            for v, b in ((1, 1), (3, 7), (2 * depth + 1, 32)):
+            # the last shape spans several blocks, its last one partial
+            for v, b in ((1, 1), (3, 7), (2 * depth + 1, 32), (20, 500)):
                 thetas = gen.uniform(-np.pi, np.pi, (4, v, depth))
                 enc = np.stack([encode_inputs(specs[0], gen.uniform(-np.pi, np.pi, b))
                                 for _ in specs])
@@ -673,6 +677,88 @@ def test_forward_matches_dense_layer_product_for_degenerate_observables(terms):
         want_vals, want_grad = dense_batch_grad(spec, thetas[r, 0], enc[r], labels[r], FD_STEP)
         np.testing.assert_allclose(fd_vals[r], want_vals, rtol=0, atol=1e-12)
         np.testing.assert_allclose(fd_grad[r], want_grad, rtol=0, atol=1e-9)
+
+
+# ---- rows in blocks --------------------------------------------------------
+
+def test_row_blocks_cover_the_rows_and_keep_no_lone_last_row():
+    for count in range(0, 40):
+        for step in (1, 2, 4, 8):
+            blocks = _row_blocks(count, step)
+            assert [i for block in blocks for i in range(count)[block]] == list(range(count))
+            sizes = [block.stop - block.start for block in blocks]
+            assert all(size == step for size in sizes[:-1])
+            assert not sizes or sizes[-1] <= step or (sizes[-1] == step + 1 and step > 1)
+            assert count <= 1 or step == 1 or sizes[-1] > 1
+
+
+@pytest.mark.parametrize("runs, nvec, rows, n", [
+    (1, 1, 203, 3),     # B not a multiple of the 16-row block
+    (3, 2, 41, 2),      # R > 1; blocks of 4 rows and a last one of 5
+    (2, 40, 9, 3),      # V * N above the cap: one row per block
+])
+def test_forward_blocks_equal_calls_on_their_slices(monkeypatch, runs, nvec, rows, n):
+    monkeypatch.setattr(qsim, "FORWARD_BLOCK_ELEMENTS", 128)
+    dim = 1 << n
+    gen = rng_stream(880 + rows)
+    specs = [CircuitSpec(n, [random_hermitian(dim, seed=8800 + 10 * r + l) for l in range(3)],
+                         observable=random_hermitian(dim, seed=8890))
+             for r in range(runs)]
+    stack = _stack_specs(specs)
+    phases = _phases(stack, gen.uniform(-np.pi, np.pi, (runs, nvec, 3)))
+    enc = np.stack([encode_inputs(specs[0], gen.uniform(-np.pi, np.pi, rows)) for _ in specs])
+    blocks = _row_blocks(rows, _block_rows(runs, nvec, dim))
+    assert len(blocks) > 1
+    got = _forward(stack, phases, enc)
+    want = np.concatenate([_forward(stack, phases, enc[:, block]) for block in blocks], axis=2)
+    assert np.array_equal(got, want)
+    # the same values when every row is its own call, up to BLAS's rounding
+    one_by_one = np.concatenate([_forward(stack, phases, enc[:, i:i + 1]) for i in range(rows)],
+                                axis=2)
+    np.testing.assert_allclose(got, one_by_one, rtol=0, atol=1e-14)
+    if runs == 1 and nvec == 1:
+        xs = gen.uniform(-np.pi, np.pi, rows)
+        theta = gen.uniform(-np.pi, np.pi, 3)
+        got = circuit_forward_batch(specs[0], theta, xs)
+        want = np.concatenate([circuit_forward_batch(specs[0], theta, xs[block])
+                               for block in blocks])
+        assert np.array_equal(got, want)
+
+
+def test_forward_batch_memory_stays_within_one_block():
+    # 10^6 inputs hold their 8 MB of values and one block of rows, not
+    # several (10^6, 8) arrays
+    spec = CircuitSpec(3, [make_generator(8, 1.0, 870 + l) for l in range(5)])
+    theta = np.linspace(-1.0, 1.0, 5)
+    xs = rng_stream(871).uniform(0.0, 2.0 * np.pi, 10 ** 6)
+    circuit_forward_batch(spec, theta, xs[:8])
+    tracemalloc.start()
+    try:
+        got = circuit_forward_batch(spec, theta, xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.shape == (10 ** 6,)
+    assert peak <= got.nbytes + (4 << 20), peak
+    sample = slice(0, None, 99_991)
+    np.testing.assert_allclose(got[sample], circuit_forward_batch(spec, theta, xs[sample]),
+                               rtol=0, atol=1e-14)
+
+
+def test_observable_eigensolve_failure_is_no_convergence(monkeypatch):
+    eigh = np.linalg.eigh
+
+    def failing_on_matrices(a):
+        # the generator stack is 3-D; the observable alone is a matrix
+        if np.ndim(a) == 2:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigh(a)
+
+    gens = [random_hermitian(4, seed=860 + l) for l in range(2)]
+    monkeypatch.setattr(np.linalg, "eigh", failing_on_matrices)
+    CircuitSpec(2, gens, observable=pauli_matrix("ZZ"))        # diagonal: no eigensolve
+    with pytest.raises(NoConvergence):
+        CircuitSpec(2, gens, observable=pauli_matrix("XI"))
 
 
 def test_diagonal_observable_takes_the_generator_basis_as_it_is():
