@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .linalg import QspecError, box_muller, rng_streams
+from .linalg import (_U32, _U32_BITS, QspecError, _mulhilo, _philox_keys, _philox_words,
+                     box_muller)
 
 # coefficients below this magnitude are dropped at construction
 PRUNE_FLOOR = 1e-300
@@ -22,15 +23,20 @@ PRUNE_FLOOR = 1e-300
 MAX_ORTHANT_SCAN = 2 ** 24
 
 # Caps of unit_ball_sweep, each sized so that a sweep at it takes at most
-# about 10 s and 180 MiB on one core: series (about 60 us each, nearly all
-# of it seeding and drawing), random integers drawn (count x modes x d; 0.8 s
-# and 152 MiB when one series draws 10^6 distinct ones), (series, K) pairs
-# (about 0.1 us each) and coefficients summed by the truncation errors
-# (count x len(K) x modes; about 9 ns each)
+# about 10 s and 180 MiB on one core: series (about 1 us each; 5 x 10^4
+# one-mode series take 0.2 s and 47 MiB with process start), random integers
+# drawn (count x modes x d; 0.6 s and 159 MiB when one series draws 10^6
+# distinct ones), (series, K) pairs (about 0.1 us each) and coefficients
+# summed by the truncation errors (count x len(K) x modes; about 4 ns each)
 MAX_SWEEP_SERIES = 5 * 10 ** 4
 MAX_SWEEP_DRAWS = 10 ** 6
 MAX_SWEEP_RADII = 10 ** 6
 MAX_SWEEP_TERMS = 10 ** 9
+
+# Philox counter blocks (four 64-bit words each) that _stream_draws makes
+# per pass, which holds the pass's temporaries to about 1 MiB; at 2^14 the
+# bounds benchmark ran about 0.5 ms faster and peaked 1.2 MiB higher
+DRAW_CHUNK_BLOCKS = 2 ** 12
 
 
 class DomainError(QspecError):
@@ -203,6 +209,92 @@ def limit_probe(pairs) -> np.ndarray:
     return np.array(out, dtype=float)
 
 
+def _bounded_draws(words, span: int):
+    """(accepted, value) arrays of numpy's bounded integer draws on
+    [0, span) from uint64 (rows, W) Philox words, by Lemire's method: on
+    32-bit halves, low half first, when span <= 2^32 (then (rows, 2W)
+    arrays), else on whole words. A draw is rejected when the low part of
+    its product with span is below 2^32 mod span (2^64 mod span)."""
+    if span <= 2 ** 32:
+        # '<u4' halves of '<u8' words put the low half first on any byte order
+        low = words.astype("<u8", copy=False).view("<u4").astype(np.uint64)
+        low *= np.uint64(span)
+        value, threshold = low >> _U32_BITS, 2 ** 32 % span
+        low &= _U32
+    else:
+        (low, value), threshold = _mulhilo(words, np.uint64(span)), 2 ** 64 % span
+    return low >= np.uint64(threshold), value
+
+
+def _fill_rows(out, rows, first, take, values) -> np.ndarray:
+    """Copy the entries of each row i of values where take holds, in order,
+    into out[rows[i], first[i]:], and return how many each row copied."""
+    counts = take.sum(axis=1)
+    starts = np.repeat(rows * out.shape[1] + first - np.cumsum(counts) + counts, counts)
+    out.reshape(-1)[starts + np.arange(len(starts))] = values[take]
+    return counts
+
+
+def _stream_draws(seeds, max_freq: int, ints: int, doubles: int):
+    """(integers, uniforms), int64 (count, ints) and float (count, doubles):
+    row i holds, bit for bit, what rng_stream(seeds[i]).integers(-max_freq,
+    max_freq + 1, ints) and then .random(doubles) draw.
+
+    The rows' Philox words come from _philox_words in passes of at most
+    DRAW_CHUNK_BLOCKS counter blocks, over the rows not yet done, and
+    numpy's conversions are redone on them as arrays: the integers are
+    _bounded_draws over span 2 max_freq + 1 (max_freq = 0 takes no word),
+    and a uniform is (word >> 11) * 2^-53, from the word after the last one
+    the integers used (a high half left over is skipped, as numpy's
+    random() skips it).
+    """
+    keys = _philox_keys(seeds)
+    count, span = len(keys), 2 * max_freq + 1
+    bits = 32 if span <= 2 ** 32 else 64
+    halves = 2 if bits == 32 else 1   # integer draws per word
+    reject = 2 ** bits % span / 2.0 ** bits   # the share of draws rejected
+    values = np.zeros((count, ints), dtype=np.uint64)   # offsets from -max_freq
+    uniforms = np.empty((count, doubles))
+
+    def blocks_left(short, taken):
+        """Counter blocks a row still needs for `short` more integers, with
+        their mean rejections plus three standard deviations, and for its
+        uniforms past the first `taken`."""
+        extra = (short * reject + 3 * np.sqrt(short * reject)) / (1.0 - reject)
+        words = -(-(short + extra.astype(np.int64)) // halves) + doubles - taken
+        return -(-words // 4)
+
+    wanted = ints if max_freq else 0   # integers a row draws words for
+    step = max(1, DRAW_CHUNK_BLOCKS // max(1, int(blocks_left(np.array(wanted), 0))))
+    for lo in range(0, count, step):   # rows lo + rows start together
+        rows = np.arange(min(step, count - lo))
+        got = np.full(len(rows), ints - wanted)     # integers accepted
+        done = np.zeros(len(rows), dtype=np.int64)  # uniforms taken
+        block = np.zeros(len(rows), dtype=np.int64)  # next counter block
+        group_values, group_uniforms = values[lo:lo + step], uniforms[lo:lo + step]
+        while len(rows := rows[(got[rows] < ints) | (done[rows] < doubles)]):
+            blocks = min(blocks_left(ints - got[rows], done[rows]).max(),
+                         max(1, DRAW_CHUNK_BLOCKS // len(rows)))
+            words = _philox_words(keys[lo + rows], blocks, block[rows])
+            block[rows] += blocks
+            drawing = got[rows] < ints   # rows still drawing integers
+            start = np.where(drawing, 4 * blocks, 0)   # the rows' first uniform word
+            if drawing.any():
+                ok, value = _bounded_draws(words, span)
+                rank = np.cumsum(ok, axis=1)   # accepted up to each draw
+                rank += got[rows][:, None]
+                counts = _fill_rows(group_values, rows, got[rows], ok & (rank <= ints), value)
+                ends = (counts > 0) & (rank[:, -1] >= ints)   # rows whose integers end here
+                start[ends] = np.argmax(rank[ends] >= ints, axis=1) // halves + 1
+                got[rows] += counts
+            col = np.arange(4 * blocks)
+            take = (col >= start[:, None]) & (col < (start + doubles - done[rows])[:, None])
+            done[rows] += _fill_rows(group_uniforms, rows, done[rows], take,
+                                     (words >> np.uint64(11)) * (1.0 / 2 ** 53))
+    values -= np.uint64(max_freq)   # wraps to the negative offsets' int64 bits
+    return values.view(np.int64), uniforms
+
+
 def _draw_unit_ball(p: SobolevParams, max_freq: int, modes: int, seeds):
     """One random series rescaled to unit Sobolev norm per seed s in seeds,
     packed as (coeffs, norm_sq, lengths): series i is the next lengths[i]
@@ -211,25 +303,23 @@ def _draw_unit_ball(p: SobolevParams, max_freq: int, modes: int, seeds):
 
     Series s draws `modes` integer frequencies uniformly from
     [-max_freq, max_freq]^d, then complex_gaussians' uniforms for their
-    coefficients, from the stream of rng_stream(s), reached through
-    rng_streams; one box_muller call maps the uniforms of all series,
-    elementwise as per-series calls would. One stable lexsort by (series,
-    frequency row) keeps repeats in draw order, so the one np.add.at sums
-    each as a per-series np.add.at would. Coefficients below PRUNE_FLOOR
-    are dropped before and after the rescaling to sobolev_norm(., r) = 1,
-    as FourierSeries builds of the series before and after would drop them.
+    coefficients, from the stream of rng_stream(s); _stream_draws makes the
+    draws of all series together, and one box_muller call maps their
+    uniforms, elementwise as per-series calls would. One stable lexsort by
+    (series, frequency row) keeps repeats in draw order, so the one
+    np.add.at sums each as a per-series np.add.at would. Coefficients below
+    PRUNE_FLOOR are dropped before and after the rescaling to
+    sobolev_norm(., r) = 1, as FourierSeries builds of the series before
+    and after would drop them.
     """
     if not 0 <= max_freq <= np.iinfo(np.int64).max:
         raise DomainError(f"need 0 <= max_freq <= {np.iinfo(np.int64).max}, got {max_freq}")
     if modes < 1:
         raise DomainError("need modes >= 1")
     count = len(seeds)
-    draws = np.empty((count, modes, p.d), dtype=np.int64)
-    uniforms = np.empty((2, count, modes))   # (modulus, phase) rows, each contiguous
-    for i, gen in enumerate(rng_streams(seeds)):
-        draws[i] = gen.integers(-max_freq, max_freq + 1, size=(modes, p.d))
-        uniforms[:, i] = gen.random((2, modes))   # complex_gaussians(gen, modes)'s draws
-    amps = box_muller(*uniforms)
+    draws, uniforms = _stream_draws(seeds, max_freq, modes * p.d, 2 * modes)
+    # complex_gaussians(gen, modes) draws the (modulus, phase) rows of each series
+    amps = box_muller(*uniforms.reshape(count, 2, modes).transpose(1, 0, 2))
     draws, series = draws.reshape(-1, p.d), np.repeat(np.arange(count), modes)
     order = np.lexsort([*draws.T[::-1], series])
     draws, series = draws[order], series[order]

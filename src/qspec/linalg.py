@@ -4,9 +4,11 @@ Hermitian eigensolves, generator exponentials, Haar-random unitaries,
 and commutators. All randomness in the package flows through
 counter-based Philox generators addressed by an explicit 64-bit seed
 plus an integer stream path, so every stochastic result is reproducible
-from its arguments alone. rng_streams walks many seeds' streams with one
-generator: a Philox stream is fixed by its 128-bit key, and the keys of
-all seeds come from one vectorized pass of numpy's SeedSequence hash.
+from its arguments alone. A Philox stream is fixed by its 128-bit key,
+and each of its 64-bit words by that key and a counter, so the streams
+of many seeds are computed together as arrays: _philox_keys hashes all
+their keys in one pass of numpy's SeedSequence hash, and _philox_words
+runs the Philox4x64-10 rounds on all their counters at once.
 """
 
 from typing import NamedTuple
@@ -21,6 +23,11 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _XSHIFT = 16
+
+# Philox4x64-10 round multipliers and key bumps (Random123, as numpy uses them)
+_PHILOX_M0, _PHILOX_M1 = np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157)
+_PHILOX_W0, _PHILOX_W1 = np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B)
+_U32, _U32_BITS = np.uint64(_MASK32), np.uint64(32)
 
 # Hermiticity check: max |M_ij - conj(M_ji)| <= tol * (1 + ||M||_F)
 HERMITIAN_TOL = 1e-12
@@ -93,17 +100,36 @@ def _philox_keys(seeds) -> np.ndarray:
     return np.stack([out[0] | out[1] << np.uint64(32), out[2] | out[3] << np.uint64(32)], axis=1)
 
 
-def rng_streams(seeds):
-    """Yield, for each s in seeds, a Generator that draws what rng_stream(s)
-    draws. It is one Generator, reseated at counter 0 of the next seed's key
-    before each yield, so finish with one stream before taking the next."""
-    bitgen = np.random.Philox(0)
-    gen = np.random.Generator(bitgen)
-    fresh = np.zeros(4, np.uint64)   # counter 0 and an empty buffer, as a new Philox has
-    for key in _philox_keys(seeds):
-        bitgen.state = {"bit_generator": "Philox", "state": {"counter": fresh, "key": key},
-                        "buffer": fresh, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-        yield gen
+def _mulhilo(a, b):
+    """(low, high) 64-bit halves of the 128-bit products a * b of uint64
+    arrays, the high half carried through products of 32-bit halves."""
+    a_lo, a_hi = a & _U32, a >> _U32_BITS
+    b_lo, b_hi = b & _U32, b >> _U32_BITS
+    t = a_hi * b_lo + (a_lo * b_lo >> _U32_BITS)   # each sum here stays below 2^64
+    u = a_lo * b_hi + (t & _U32)
+    return a * b, a_hi * b_hi + (t >> _U32_BITS) + (u >> _U32_BITS)
+
+
+def _philox_words(keys, blocks: int, first=0) -> np.ndarray:
+    """uint64 (n, 4 * blocks) words: row i holds counter blocks first[i] ..
+    first[i] + blocks - 1 of the Philox4x64-10 stream keyed by keys[i], so
+    with first = 0 it equals Philox(key=keys[i]).random_raw(4 * blocks).
+    Block b is the 10-round map of counter b + 1 (a new Philox bumps its
+    counter from 0 before the first block); first is an int or an (n,) array.
+    """
+    keys = np.asarray(keys, dtype=np.uint64).reshape(-1, 2)
+    first = np.asarray(first, dtype=np.uint64).reshape(-1, 1)
+    c0 = first + np.arange(1, blocks + 1, dtype=np.uint64)
+    c0 = np.broadcast_to(c0, (len(keys), blocks))
+    c1 = c2 = c3 = np.zeros_like(c0)
+    k0, k1 = keys[:, :1], keys[:, 1:]
+    for rnd in range(10):
+        if rnd:   # the key is bumped before every round but the first
+            k0, k1 = k0 + _PHILOX_W0, k1 + _PHILOX_W1
+        lo0, hi0 = _mulhilo(_PHILOX_M0, c0)
+        lo1, hi1 = _mulhilo(_PHILOX_M1, c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    return np.stack([c0, c1, c2, c3], axis=-1).reshape(len(keys), 4 * blocks)
 
 
 def derive_seed(seed: int, *stream: int) -> int:

@@ -246,7 +246,7 @@ def encode_inputs(spec: CircuitSpec, xs) -> np.ndarray:
     amps = np.ones((1, xs.shape[0]))
     for _ in range(spec.n):
         # append the next qubit as the least significant index bit
-        amps = (amps[:, None, :] * qubit[None, :, :]).reshape(-1, xs.shape[0])
+        amps = (amps[:, None, :] * qubit[None, :, :]).reshape(2 * len(amps), len(xs))
     return amps[spec._unperm].T.astype(complex, order="C")
 
 

@@ -374,6 +374,76 @@ def test_lower_curve_rejects_underflow_exactly_when_a_witness_error_is_zero():
     assert outcomes == {False, True}   # both verdicts occur
 
 
+def per_seed_draws(seeds, max_freq, modes, d):
+    """The integers and uniforms that _draw_unit_ball takes from each seed's
+    stream, drawn one seed at a time by numpy's Generator, as the
+    (count, modes x d) and (count, 2 modes) arrays _stream_draws returns."""
+    ints, uniforms = [], []
+    for seed in seeds:
+        gen = rng_stream(seed)
+        ints.append(gen.integers(-max_freq, max_freq + 1, size=(modes, d)).ravel())
+        uniforms.append(gen.random((2, modes)).ravel())
+    return np.array(ints), np.array(uniforms)
+
+
+DRAW_RANGES = [0, 1, 8, 10 ** 9, 2 ** 31 - 1, 2 ** 31, 2 ** 62, 2 ** 63 - 1]
+DRAW_SEEDS = [*range(-3, 30), *range(2 ** 64 - 3, 2 ** 64 + 3)]   # negative, and across 2^64
+
+
+@pytest.mark.parametrize("max_freq", DRAW_RANGES)
+@pytest.mark.parametrize("d, modes", [(1, 1), (1, 25), (2, 12), (3, 7)])
+def test_stream_draws_match_per_seed_generator_calls(max_freq, d, modes):
+    ints, uniforms = bounds._stream_draws(DRAW_SEEDS, max_freq, modes * d, 2 * modes)
+    want_ints, want_uniforms = per_seed_draws(DRAW_SEEDS, max_freq, modes, d)
+    assert ints.dtype == np.int64 and uniforms.dtype == float
+    assert np.array_equal(ints, want_ints) and np.array_equal(uniforms, want_uniforms)
+
+
+@pytest.mark.parametrize("max_freq, share", [(10 ** 9, 0.07), (2 ** 30, 0.5), (2 ** 62, 0.5)])
+def test_stream_draws_reject_as_often_as_lemire_predicts(max_freq, share):
+    """These spans reject a large share of draws, 2^w mod span over 2^w, and
+    each rejected draw moves the stream on as numpy's Generator moves it."""
+    span, w = 2 * max_freq + 1, 32 if max_freq < 2 ** 31 else 64
+    assert abs(2 ** w % span / 2 ** w - share) < 0.01
+    seeds = range(5, 25)
+    ints, uniforms = bounds._stream_draws(seeds, max_freq, 300, 4)
+    want_ints, want_uniforms = per_seed_draws(seeds, max_freq, 2, 150)
+    assert np.array_equal(ints, want_ints) and np.array_equal(uniforms, want_uniforms)
+
+
+@pytest.mark.parametrize("span", [3, 17, 2 * 10 ** 9 + 1, 2 ** 32 - 1, 2 ** 32 + 1, 2 ** 63 + 1,
+                                  2 ** 64 - 1])
+def test_bounded_draws_reject_exactly_below_the_threshold(span):
+    """_bounded_draws against numpy's Lemire step in Python integers, on
+    draws whose low product word is just below, at and just above the
+    threshold 2^w mod span (found through the inverse of span mod 2^w),
+    and on random ones."""
+    w = 32 if span <= 2 ** 32 else 64
+    threshold = 2 ** w % span
+    draws = [t * pow(span, -1, 2 ** w) % 2 ** w for t in (threshold - 1, threshold, threshold + 1)]
+    draws += rng_stream(span % 1000).integers(0, 2 ** w, 13, dtype=np.uint64, endpoint=False).tolist()
+    if w == 32:   # two draws per word, the low half first
+        words = [lo | hi << 32 for lo, hi in zip(draws[::2], draws[1::2])]
+    else:
+        words = draws
+    ok, value = bounds._bounded_draws(np.array([words], dtype=np.uint64), span)
+    assert ok.ravel().tolist() == [x * span % 2 ** w >= threshold for x in draws]
+    assert value.ravel().tolist() == [x * span >> w for x in draws]
+    assert ok.ravel().tolist()[:3] == [False, True, True]
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 5])
+@pytest.mark.parametrize("max_freq, count, modes, d", [
+    (8, 50, 12, 2), (10 ** 9, 30, 40, 1), (2 ** 62, 9, 7, 3), (0, 7, 3, 2), (10 ** 9, 1, 301, 1),
+])
+def test_stream_draws_in_chunks_equal_one_pass(monkeypatch, chunk, max_freq, count, modes, d):
+    seeds = range(40, 40 + count)
+    whole = bounds._stream_draws(seeds, max_freq, modes * d, 2 * modes)
+    monkeypatch.setattr(bounds, "DRAW_CHUNK_BLOCKS", chunk)
+    chunked = bounds._stream_draws(seeds, max_freq, modes * d, 2 * modes)
+    assert all(np.array_equal(a, b) for a, b in zip(chunked, whole))
+
+
 def reference_unit_ball_series(p, max_freq, modes, seed):
     """The draw one series at a time: np.unique merges the repeats and two
     FourierSeries builds prune. Returns the series and its term counts as
@@ -412,8 +482,9 @@ def test_box_muller_on_stacked_uniforms_matches_per_series_draws():
 
 @pytest.mark.parametrize("d, max_freq, modes, tiny", [
     (2, 5, 9, False), (2, 1, 200, False), (3, 1, 40, False), (1, 2, 50, False), (2, 50, 40, True),
+    (1, 10 ** 9, 31, False),
 ], ids=["d2-modes9", "d2-modes200-repeats", "d3-modes40-repeats", "d1-modes50-repeats",
-        "d2-modes40-pruned"])
+        "d2-modes40-pruned", "d1-modes31-rejecting"])
 def test_unit_ball_sweep_matches_per_series_calls(monkeypatch, d, max_freq, modes, tiny):
     if tiny:
         monkeypatch.setattr(bounds, "box_muller", tiny_box_muller)
@@ -465,7 +536,7 @@ def test_unit_ball_sweep_rejects_a_degenerate_draw(monkeypatch):
 def test_unit_ball_sweep_caps_reject_before_drawing(monkeypatch, count, ks, modes, d):
     def never(*args):
         raise AssertionError("a series was drawn")
-    monkeypatch.setattr(bounds, "rng_streams", never)
+    monkeypatch.setattr(bounds, "_stream_draws", never)
     with pytest.raises(DomainError):
         unit_ball_sweep(SobolevParams(d, 2.0), ks, count, 8, modes, seed=0)
 
@@ -476,7 +547,7 @@ def test_unit_ball_sweep_caps_admit_their_limits(monkeypatch):
 
     def drawn(*args):
         raise Drawn
-    monkeypatch.setattr(bounds, "rng_streams", drawn)
+    monkeypatch.setattr(bounds, "_stream_draws", drawn)
     for count, ks, modes, d in ((MAX_SWEEP_SERIES, [1.0], 1, 1),
                                 (1, [1.0], MAX_SWEEP_DRAWS // 2, 2),
                                 (1, [1.0] * 1000, MAX_SWEEP_TERMS // 1000, 1)):

@@ -429,7 +429,7 @@ def test_bounds_upper_max_freq_beyond_int64_exits_one_before_work(capsys, monkey
 
     def never(*args):
         raise AssertionError("a series was drawn")
-    monkeypatch.setattr(bounds, "rng_streams", never)
+    monkeypatch.setattr(bounds, "_stream_draws", never)
     rc = dispatch(["bounds", "upper", "--max-freq", max_freq])
     captured = capsys.readouterr()
     assert rc == 1 and captured.out == ""

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from qspec.linalg import (DimMismatch, NotHermitian, _philox_keys, commutator,
-                          complex_gaussians, derive_seed, eig_hermitian,
-                          haar_unitary, is_hermitian, rng_stream, rng_streams,
-                          unitary_from_generator)
+from qspec.linalg import (DimMismatch, NotHermitian, _mulhilo, _philox_keys, _philox_words,
+                          commutator, complex_gaussians, derive_seed, eig_hermitian,
+                          haar_unitary, is_hermitian, rng_stream, unitary_from_generator)
 
 PAULI_Y = np.array([[0, -1j], [1j, 0]])
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -136,39 +135,35 @@ def test_philox_keys_match_seed_sequence(seeds):
 
 def test_philox_keys_of_no_seeds():
     assert _philox_keys([]).shape == (0, 2)
-    assert list(rng_streams([])) == []
+    assert _philox_words(_philox_keys([]), 3).shape == (0, 12)
 
 
-def assert_stream_of(gen, seed):
-    """gen stands where a new rng_stream(seed) stands, and draws what it
-    draws. The states are compared too: a zero word left pending or in the
-    buffer would hide from integers(-8, 9), whose rejection step drops a
-    32-bit zero."""
-    fresh = rng_stream(seed)
-    assert plain(gen.bit_generator.state) == plain(fresh.bit_generator.state), seed
-    got, want = ((g.integers(-8, 9, (12, 2)), g.random((2, 12))) for g in (gen, fresh))
-    assert all(np.array_equal(a, b) for a, b in zip(got, want)), seed
+def test_mulhilo_matches_python_integers():
+    edges = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63, 2 ** 64 - 1]
+    a = np.array(edges + rng_stream(4).integers(0, 2 ** 64, 500, dtype=np.uint64,
+                                               endpoint=False).tolist(), dtype=np.uint64)
+    for b in (a[::-1], np.uint64(2 ** 64 - 1), np.uint64(0xD2E7470EE14C6C93)):
+        low, high = _mulhilo(a, b)
+        for x, y, lo, hi in zip(a.tolist(), np.broadcast_to(b, a.shape).tolist(),
+                                low.tolist(), high.tolist()):
+            assert (lo, hi) == (x * y % 2 ** 64, x * y >> 64)
 
 
-def plain(state):
-    return {k: plain(v) if isinstance(v, dict) else np.asarray(v).tolist()
-            for k, v in state.items()}
+def test_philox_words_match_numpy_philox():
+    edge = np.array([[0, 0], [2 ** 64 - 1, 2 ** 64 - 1], [2 ** 64 - 1, 0]], dtype=np.uint64)
+    keys = np.concatenate([edge, _philox_keys(range(-50, 250))])
+    words = _philox_words(keys, 5)
+    assert words.dtype == np.uint64 and words.shape == (len(keys), 20)
+    for key, row in zip(keys, words):
+        assert np.array_equal(row, np.random.Philox(key=key).random_raw(20)), key
 
 
-def test_rng_streams_draw_what_rng_stream_draws():
-    seeds = [0, 1, 7, 2 ** 32, 2 ** 64 - 1, -3, 10 ** 30]
-    for seed, gen in zip(seeds, rng_streams(seeds)):
-        assert_stream_of(gen, seed)
-
-
-def test_rng_streams_reseat_drops_a_pending_uint32():
-    streams = rng_streams([5, 6, 7])
-    gen = next(streams)
-    gen.integers(-8, 9, 3)   # three 32-bit draws: half of a 64-bit word is left
-    for seed, gen in zip([6, 7], streams):
-        assert_stream_of(gen, seed)
-        gen.integers(0, 5, 1)   # a pending uint32 again before the next seed
-        assert gen.bit_generator.state["has_uint32"] == 1
+def test_philox_words_start_at_each_rows_first_block():
+    keys = _philox_keys(range(40))
+    first = np.arange(40) % 7
+    words = _philox_words(keys, 3, first)
+    for key, start, row in zip(keys, first, words):
+        assert np.array_equal(row, np.random.Philox(key=key).random_raw(4 * (start + 3))[-12:])
 
 
 def test_derive_seed_is_stable_and_64bit():

@@ -179,6 +179,14 @@ def test_encode_inputs_matches_dense_kron(n):
         np.testing.assert_array_equal(got, dense_encoded(n, entangler, xs))
 
 
+@pytest.mark.parametrize("n", [1, 3])
+def test_encode_inputs_of_no_inputs_is_empty(n):
+    spec = CircuitSpec(n, [np.zeros((1 << n, 1 << n))])
+    got = encode_inputs(spec, [])
+    assert got.shape == (0, 1 << n) and got.dtype == complex
+    assert circuit_forward_batch(spec, np.zeros(1), []).size == 0
+
+
 @pytest.mark.parametrize("depth", [1, 2, 5])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_forward_encoded_matches_dense_layer_product(n, depth):
