@@ -24,9 +24,9 @@ import numpy as np
 
 from .dla import eta
 from .linalg import QspecError, derive_seed, rng_stream
-from .qsim import (FD_STEP, MAX_EIGEN_BOUND, MAX_QUBITS, CircuitSpec, _block_rows, _fd_batch_grad,
-                   _forward, _phases, _row_blocks, _shift_gains, _stack_specs,
-                   circuit_forward_encoded, encode_inputs, grad_analytic_1p_batch,
+from .qsim import (FD_STEP, MAX_EIGEN_BOUND, MAX_QUBITS, CircuitSpec, _block_rows, _contract,
+                   _encode_rows, _fd_batch_grad, _phases, _row_blocks, _shift_gains,
+                   _stack_specs, _unitaries, circuit_forward_encoded, grad_analytic_1p_batch,
                    make_generator, pauli_matrix)
 from .spectrum import _sorted_runs
 
@@ -45,7 +45,7 @@ MAX_VARIANCE_DRAWS = 10 ** 7
 # about 1e-15 / a^2 to cancellation; its series through a^14 loses 1e-18
 ORACLE_SERIES_BELOW = 0.5
 # Most complex amplitudes a training study holds at once (bounds memory);
-# TrainConfig() holds 293,600
+# TrainConfig() holds 145,960
 MAX_TRAIN_AMPLITUDES = 1 << 21
 # Most estimated multiply-adds of a training study (bounds time); TrainConfig()
 # needs about 7.9e9 and TrainConfig(n=4) about 5.5e10
@@ -153,15 +153,17 @@ def _positive(*values) -> bool:
 
 def _train_work(cfg: TrainConfig) -> tuple[int, int, int]:
     """(complex amplitudes held at once, multiply-adds, optimizer steps) of
-    the lockstep study of cfg, in exact integers; nothing is allocated.
+    the lockstep study of cfg, in exact integers; nothing is allocated. A
+    real number counts as half an amplitude.
 
-    Each seed's encoded dataset is held once, shared by its models' runs.
-    Each of the R = seeds x models runs holds, per step of
+    Each seed's encoded dataset, real rows, is held once, shared by its
+    models' runs. Each of the R = seeds x models runs holds, per step of
     qsim._fd_batch_grad, at most 7 L N^2 amplitudes in (L, N, N) arrays
     (the prefix and suffix buffers, the real gains and the step's
-    temporaries) and three (B, N) arrays of batch rows. The final RMSE
-    holds one block of qsim._forward at a time: R x rows x N gathered
-    amplitudes and as many output amplitudes, for rows = min(M,
+    temporaries), two real (B, N) arrays of batch rows and the (B, 2N)
+    real and imaginary parts of their amplitudes. The final RMSE holds one
+    block of rows at a time: R x rows x N gathered real amplitudes and
+    twice as many real and imaginary parts, for rows = min(M,
     qsim._block_rows(R, 1, N) + 1) of the M samples (qsim._row_blocks).
     A step costs each run about (5L - 1) N^3 + 2 B N^2 multiply-adds:
     2L - 1 products of the two sweeps and W, L for the M_l, 2L for the
@@ -171,9 +173,9 @@ def _train_work(cfg: TrainConfig) -> tuple[int, int, int]:
     runs = len(cfg.seeds) * len(cfg.b_models)
     batch = min(cfg.batch_size, cfg.dataset_size)
     steps = cfg.epochs * -(-cfg.dataset_size // batch)
-    final = 2 * runs * min(cfg.dataset_size, _block_rows(runs, 1, dim) + 1)
-    held = (len(cfg.seeds) * cfg.dataset_size + runs * (7 * cfg.depth * dim + 3 * batch)
-            + final) * dim
+    final = 3 * runs * min(cfg.dataset_size, _block_rows(runs, 1, dim) + 1)
+    held = ((len(cfg.seeds) * cfg.dataset_size + final) // 2
+            + runs * (7 * cfg.depth * dim + 2 * batch)) * dim
     muladds = runs * steps * ((5 * cfg.depth - 1) * dim ** 3 + 2 * batch * dim ** 2)
     return held, muladds, steps
 
@@ -260,7 +262,7 @@ def gen_dataset(target: CircuitSpec, count: int, seed: int) -> tuple[np.ndarray,
         raise ValueError("count must be positive")
     xs = rng_stream(seed).uniform(-1.0, 1.0, int(count))
     ys = np.asarray(
-        circuit_forward_encoded(target, np.ones((1, target.depth)), encode_inputs(target, xs))[0])
+        circuit_forward_encoded(target, np.ones((1, target.depth)), _encode_rows(target, xs))[0])
     return xs, ys
 
 
@@ -282,7 +284,7 @@ def _train_runs(models, xs: np.ndarray, ys: np.ndarray, data_of, cfg: TrainConfi
     """
     stack = _stack_specs(models)
     n_sets, n_samples = xs.shape
-    encoded = encode_inputs(models[0], xs.ravel()).reshape(n_sets, n_samples, -1)
+    encoded = _encode_rows(models[0], xs.ravel()).reshape(n_sets, n_samples, -1)
     data_of = np.asarray(data_of)
     rows = data_of[:, None]
     shufflers = [rng_stream(seed, 1) for seed in shuffle_seeds]
@@ -311,10 +313,10 @@ def _train_runs(models, xs: np.ndarray, ys: np.ndarray, data_of, cfg: TrainConfi
             theta = theta - cfg.lr * mhat / (np.sqrt(vhat) + eps)
 
     # gathered one block of rows at a time, not every run's dataset at once
-    phases = _phases(stack, theta[:, None])
+    operand = _unitaries(stack, _phases(stack, theta[:, None]), real=True)
     pred = np.empty((len(data_of), n_samples))
     for block in _row_blocks(n_samples, _block_rows(len(data_of), 1, encoded.shape[2])):
-        pred[:, block] = _forward(stack, phases, encoded[data_of, block])[:, 0]
+        pred[:, block] = _contract(stack, operand, encoded[data_of, block], 1)[:, 0]
     return theta, np.sqrt(np.mean((pred - ys[data_of]) ** 2, axis=1))
 
 

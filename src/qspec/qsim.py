@@ -18,23 +18,30 @@ folded into the last basis, so every expectation value is one
 contraction: the squared real and imaginary parts of the output
 amplitudes weighed by o. A diagonal observable keeps U = I.
 
-There are two kernels, each with a leading run axis over R circuits of
-one shape and observable (a _Stack). _forward gives expectation values:
-each run's V parameter vectors go through one (R, V*N, N) @ (R, N, N)
-matmul per layer, and the B encoded rows meet the V unitaries in blocks
-of at most FORWARD_BLOCK_ELEMENTS amplitudes across R * rows * V * N, one
-(R, rows, N) @ (R, N, V*N) contraction each, so its temporaries do not
-grow with B. circuit_forward_encoded calls it with R = 1, and grad_fd
-with the 2L vectors theta +- step e_l of one run; circuit_forward_batch
-encodes and evaluates its inputs block by block too. _fd_batch_grad serves
-a training step of every run of a lockstep study at once. A layer's
-angle enters an expectation as a trig polynomial whose modes are its
-generator's gaps w_ij, so the central difference of each (i, j) term is
-that term times i sin(step w_ij) / step, exactly; one prefix sweep, one
-suffix sweep and one Gram of the batch's residual-weighed rows give the
-centre values and the batch gradient without evaluating shifted
-circuits. Each run's slice of a call is computed the same way whatever
-R is, so a run's values do not depend on the other runs.
+The encoded rows are real: RY encoding and the CNOT permutation make no
+imaginary part. _encode_rows builds them as floats, and encode_inputs
+gives the same rows as complex. There are two kernels, each with a
+leading run axis over R circuits of one shape and observable (a _Stack).
+_forward gives expectation values: each run's V parameter vectors go
+through one (R, V*N, N) @ (R, N, N) matmul per layer, and the B encoded
+rows meet the V unitaries in blocks of at most FORWARD_BLOCK_ELEMENTS
+amplitudes across R * rows * V * N, one (R, rows, N) matmul each, so its
+temporaries do not grow with B. Real rows are multiplied by the float view
+of W^T, whose columns interleave the real and imaginary parts of W, so
+one real product gives the (Re, Im) pairs that the expectations square,
+at half the arithmetic of a complex product; complex rows take W^T
+itself. circuit_forward_encoded calls it with R = 1, and grad_fd with the
+2L vectors theta +- step e_l of one run; circuit_forward_batch builds W
+once and encodes and evaluates its inputs block by block.
+_fd_batch_grad serves a training step of every run of a lockstep study
+at once, on real rows. A layer's angle enters an expectation as a trig
+polynomial whose modes are its generator's gaps w_ij, so the central
+difference of each (i, j) term is that term times i sin(step w_ij) /
+step, exactly; one prefix sweep, one suffix sweep and one real Gram of
+the batch's residual-weighed rows give the centre values and the batch
+gradient without evaluating shifted circuits. Each run's slice of a call
+is computed the same way whatever R is, so a run's values do not depend
+on the other runs.
 
 trig_poly_coeffs and grad_analytic_1p_batch take the modes (the gaps of H)
 and coefficients of f(t) = <s| e^{itH} O e^{-itH} |s> from one routine,
@@ -53,11 +60,17 @@ FD_STEP = 1e-4
 
 MAX_QUBITS = 12
 
-# Most elements of one (gaps, block of thetas) temporary of grad_analytic_1p_batch
-GRAD_BLOCK_ELEMENTS = 1 << 20
+# Most elements of one (gaps, block of thetas) temporary of grad_analytic_1p_batch.
+# From 2^17 elements (1 MiB) up, a 10^5-sample variance sweep run after the
+# forward passes' smaller blocks page-faulted about 2,400 times and took 3-4 ms
+# longer: glibc maps such blocks afresh each time unless larger frees have
+# raised its mmap threshold
+GRAD_BLOCK_ELEMENTS = 1 << 14
 
-# Most complex amplitudes of one block of rows in a forward pass (_block_rows)
-FORWARD_BLOCK_ELEMENTS = 1 << 16
+# Most complex amplitudes of one block of rows in a forward pass (_block_rows),
+# from a per-operation sweep over 2^12 ... 2^16: 2^14 and 2^15 were fastest,
+# and 2^16, whose 1 MiB products glibc maps afresh, page-faulted on every block
+FORWARD_BLOCK_ELEMENTS = 1 << 14
 
 # Largest b_max of make_generator: its eigenvalues' span 2 b_max and the
 # entries of H + H^dag, at most 2 b_max up to rounding, stay finite with a
@@ -234,12 +247,14 @@ def _inputs(xs) -> np.ndarray:
     return xs
 
 
-def encode_inputs(spec: CircuitSpec, xs) -> np.ndarray:
-    """Post-encoding states for a batch of scalar inputs, shape (B, 2^n).
+def _encode_rows(spec: CircuitSpec, xs) -> np.ndarray:
+    """Post-encoding states for a batch of scalar inputs as real rows, a
+    C-contiguous float (B, 2^n) array.
 
     RY(x) = exp(-i (x/2) Y) turns each qubit of |0...0> into
-    (cos(x/2), sin(x/2)); the entangler permutation is applied afterwards.
-    Precompute this once per dataset: it does not depend on theta.
+    (cos(x/2), sin(x/2)) and the entangler permutes the basis, so every
+    amplitude is real. The states are built as (2^n, B) columns, one qubit
+    at a time, and copied once into rows.
     """
     xs = _inputs(xs)
     qubit = np.stack([np.cos(xs / 2.0), np.sin(xs / 2.0)])     # (2, B)
@@ -247,7 +262,14 @@ def encode_inputs(spec: CircuitSpec, xs) -> np.ndarray:
     for _ in range(spec.n):
         # append the next qubit as the least significant index bit
         amps = (amps[:, None, :] * qubit[None, :, :]).reshape(2 * len(amps), len(xs))
-    return amps[spec._unperm].T.astype(complex, order="C")
+    return np.ascontiguousarray(amps[spec._unperm].T)
+
+
+def encode_inputs(spec: CircuitSpec, xs) -> np.ndarray:
+    """Post-encoding states for a batch of scalar inputs, complex (B, 2^n):
+    _encode_rows' real rows. Precompute this once per dataset: it does not
+    depend on theta."""
+    return _encode_rows(spec, xs).astype(complex)
 
 
 def _block_rows(runs: int, nvec: int, dim: int) -> int:
@@ -272,16 +294,15 @@ def _row_blocks(count: int, step: int) -> list:
     return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [count])]
 
 
-def _forward(stack: _Stack, phases: np.ndarray, encoded: np.ndarray) -> np.ndarray:
-    """Expectation values, real (R, V, B), of R runs with V parameter vectors each.
+def _unitaries(stack: _Stack, phases: np.ndarray, real: bool) -> np.ndarray:
+    """The whole-circuit unitaries W of R runs with V parameter vectors each,
+    as the right operand of the rows they act on.
 
     phases (R, V, L, N) holds exp(-i theta_l lam_l) per run, vector and
-    layer; encoded (R, B, N) holds each run's rows. The unitaries W of all
-    R*V vectors are built from the left as one (R, V*N, N) array, with row
+    layer. W is built from the left as one (R, V*N, N) array, with row
     (v, i) the output amplitude i of vector v, so each layer is one batched
-    matmul. The rows then meet them block by block (_block_rows,
-    _row_blocks), one (R, rows, N) @ (R, N, V*N) matmul each, written into
-    the output in place.
+    matmul. Complex rows take its transpose, (R, N, V*N); real rows take
+    _interleaved(W), (R, N, 2*V*N).
     """
     runs, nvec, depth, dim = phases.shape
     flat = (runs, nvec * dim, dim)
@@ -291,20 +312,50 @@ def _forward(stack: _Stack, phases: np.ndarray, encoded: np.ndarray) -> np.ndarr
         np.matmul(w.reshape(flat), stack.hops[:, layer], out=tmp.reshape(flat))
         np.multiply(tmp, phases[:, :, layer, None, :], out=w)
     np.matmul(w.reshape(flat), stack.first_h, out=tmp.reshape(flat))
-    unitaries = tmp.reshape(flat).transpose(0, 2, 1)                   # (R, N, V*N)
+    return _interleaved(tmp.reshape(flat)) if real else tmp.reshape(flat).transpose(0, 2, 1)
+
+
+def _interleaved(w: np.ndarray) -> np.ndarray:
+    """The float view, (R, N, 2M), of a C-contiguous copy of the transpose of
+    the complex (R, M, N) w: column 2m holds Re w_m and column 2m + 1 Im w_m,
+    so real rows times it give the (Re, Im) pairs of their amplitudes,
+    interleaved as a complex product's float view holds them."""
+    return np.ascontiguousarray(w.transpose(0, 2, 1)).view(float)
+
+
+def _contract(stack: _Stack, operand: np.ndarray, rows: np.ndarray, nvec: int) -> np.ndarray:
+    """Expectation values, real (R, V, B), of rows (R, B, N) against the
+    operand of _unitaries for the rows' dtype: one matmul, its product
+    read as (Re, Im) pairs whatever the dtype."""
+    runs, count, dim = rows.shape
+    parts = (rows @ operand).view(float).reshape(runs, -1, 2 * dim)    # rows (b, v)
+    return _expectations(stack, parts).reshape(runs, count, nvec).transpose(0, 2, 1)
+
+
+def _forward(stack: _Stack, phases: np.ndarray, encoded: np.ndarray) -> np.ndarray:
+    """Expectation values, real (R, V, B), of R runs with V parameter vectors each.
+
+    phases (R, V, L, N) holds exp(-i theta_l lam_l) per run, vector and
+    layer; encoded (R, B, N) holds each run's rows, real (_encode_rows) or
+    complex. The unitaries are built once (_unitaries), and the rows meet
+    them block by block (_block_rows, _row_blocks), one (R, rows, N)
+    matmul each (_contract), written into the output in place. Real rows
+    have given the complex rows' values bit for bit from 2 rows up on
+    OpenBLAS; a one-row product goes down BLAS's matrix-vector path, which
+    can round differently.
+    """
+    runs, nvec, _, dim = phases.shape
+    operand = _unitaries(stack, phases, not np.iscomplexobj(encoded))
     out = np.empty((runs, nvec, encoded.shape[1]))
     for block in _row_blocks(encoded.shape[1], _block_rows(runs, nvec, dim)):
-        states = encoded[:, block] @ unitaries                         # (R, rows, V*N)
-        vals = _expectations(stack, states.reshape(runs, -1, dim))     # rows (b, v)
-        out[:, :, block] = vals.reshape(runs, -1, nvec).transpose(0, 2, 1)
+        out[:, :, block] = _contract(stack, operand, encoded[:, block], nvec)
     return out
 
 
-def _expectations(stack: _Stack, states: np.ndarray) -> np.ndarray:
-    """<psi|O|psi>, real (R, rows), of the output amplitudes states, a
-    C-contiguous (R, rows, N): the squared real and imaginary parts, squared
+def _expectations(stack: _Stack, parts: np.ndarray) -> np.ndarray:
+    """<psi|O|psi>, real (R, rows), of output amplitudes given as their
+    (Re, Im) pairs, a C-contiguous float (R, rows, 2N): the parts squared
     in place, weighed by o."""
-    parts = states.view(float)
     return np.square(parts, out=parts) @ stack.weights
 
 
@@ -321,18 +372,20 @@ def _fd_batch_grad(stack: _Stack, gains: np.ndarray, theta: np.ndarray, encoded:
                    suffix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Centre values, shape (R, B), and batch gradients, shape (R, L), of R runs.
 
-    theta is (R, L), encoded (R, B, N), labels (R, B) and gains from
-    _shift_gains. Gradient l is mean_b 2 r_b d_lb, with r_b = f_b - labels_b
-    and d_lb the central difference of f_b in theta_l, computed exactly
-    without shifted circuits:
+    theta is (R, L), encoded (R, B, N) real rows (_encode_rows), labels
+    (R, B) and gains from _shift_gains. Gradient l is mean_b 2 r_b d_lb,
+    with r_b = f_b - labels_b and d_lb the central difference of f_b in
+    theta_l, computed exactly without shifted circuits:
 
     * prefix[:, l] takes Q_l = P_l C_l ... P_1 V_1^dag and suffix[:, l]
       takes T_l = U^dag V_L P_L C_L ... P_{l+1} C_{l+1}, so W = T_l Q_l;
+    * the values f_b take the rows through _interleaved(W), as _forward does;
     * with a_b = Q_l x_b and M_l = T_l^dag diag(o) T_l,
       d_lb = sum_ij conj(a_bi) (M_l)_ij a_bj i gains_ij;
-    * the batch meets the layers once, as the residual Gram
-      X = sum_b r_b conj(x_b) x_b^T: with A_l = conj(Q_l) X Q_l^T, gradient
-      l = (2 / B) Re sum_ij i gains_ij (M_l)_ij (A_l)_ij.
+    * the batch meets the layers once, as the real residual Gram
+      X = sum_b r_b x_b x_b^T, one (R, N, N) product: with
+      A_l = conj(Q_l) X Q_l^T, gradient l = (2 / B) Re sum_ij i gains_ij
+      (M_l)_ij (A_l)_ij.
 
     A training loop passes the same prefix and suffix, (R, L, N, N), every
     step: arrays this large allocated and freed every step can let glibc
@@ -347,9 +400,9 @@ def _fd_batch_grad(stack: _Stack, gains: np.ndarray, theta: np.ndarray, encoded:
     for layer in range(1, depth):
         np.matmul(transfer[:, layer - 1], prefix[:, layer - 1], out=prefix[:, layer])
         np.matmul(suffix[:, -layer], transfer[:, -layer], out=suffix[:, -layer - 1])
-    vals = _expectations(stack, encoded @ (stack.last @ prefix[:, -1]).transpose(0, 2, 1))
+    vals = _expectations(stack, encoded @ _interleaved(stack.last @ prefix[:, -1]))
     resid = vals - labels
-    gram = (encoded.conj() * resid[..., None]).transpose(0, 2, 1) @ encoded        # (R, N, N)
+    gram = (encoded * resid[..., None]).transpose(0, 2, 1) @ encoded               # (R, N, N)
     terms = (suffix.conj().transpose(0, 1, 3, 2) * stack.weights[::2]) @ suffix      # M_l
     terms *= prefix.conj() @ gram[:, None] @ prefix.transpose(0, 1, 3, 2)         # A_l
     terms = (gains * terms.imag).reshape(runs, depth, -1)              # Re(i z) = -Im z
@@ -365,10 +418,11 @@ def circuit_forward_encoded(spec: CircuitSpec, thetas, encoded) -> np.ndarray:
     """Expectation values for V parameter vectors x B encoded states.
 
     thetas has shape (V, depth); encoded is the output of encode_inputs,
-    shape (B, 2^n). Returns a real (V, B) array. Each parameter vector's
-    circuit unitary W = V_L P_L C_L ... C_2 P_1 V_1^dag (P_l the layer's
-    eigenphases, C_l the stacked basis changes) is built first, so the
-    rows are multiplied once, whatever the depth.
+    shape (B, 2^n), or real rows of that shape. Returns a real (V, B)
+    array. Each parameter vector's circuit unitary W = V_L P_L C_L ... C_2
+    P_1 V_1^dag (P_l the layer's eigenphases, C_l the stacked basis
+    changes) is built first, so the rows are multiplied once, whatever the
+    depth.
     """
     thetas = np.asarray(thetas, dtype=float)
     if thetas.ndim != 2 or thetas.shape[1] != spec.depth:
@@ -382,17 +436,19 @@ def circuit_forward_encoded(spec: CircuitSpec, thetas, encoded) -> np.ndarray:
 def circuit_forward_batch(spec: CircuitSpec, theta, xs) -> np.ndarray:
     """Expectation <psi(theta, x)| O |psi(theta, x)> over a batch of x.
 
-    The inputs are encoded and evaluated one block of _block_rows(1, 1, N)
-    rows at a time, so beyond the output the call holds one block's rows.
+    The circuit unitary is built once; the inputs are encoded as real rows
+    and evaluated one block of _block_rows(1, 1, N) rows at a time, so
+    beyond the output the call holds one block's rows.
     """
     theta = np.asarray(theta, dtype=float).ravel()
     if theta.shape[0] != spec.depth:
         raise DimMismatch(f"theta has length {theta.shape[0]}, expected {spec.depth}")
     xs = _inputs(xs)
+    stack = spec._stack
+    operand = _unitaries(stack, _phases(stack, theta[None, None]), real=True)
     out = np.empty(xs.shape[0])
     for block in _row_blocks(xs.shape[0], _block_rows(1, 1, spec.dim)):
-        out[block] = circuit_forward_encoded(spec, theta[None, :],
-                                             encode_inputs(spec, xs[block]))[0]
+        out[block] = _contract(stack, operand, _encode_rows(spec, xs[block])[None], 1)[0, 0]
     return out
 
 
@@ -409,7 +465,7 @@ def grad_fd(spec: CircuitSpec, theta, x: float, step: float = FD_STEP) -> np.nda
     shifts = step * np.eye(spec.depth)
     thetas = theta + np.concatenate([shifts, -shifts])                # (2L, L)
     vals = _forward(spec._stack, _phases(spec._stack, thetas[None]),
-                    encode_inputs(spec, [float(x)])[None])[0, :, 0]
+                    _encode_rows(spec, [float(x)])[None])[0, :, 0]
     return (vals[:spec.depth] - vals[spec.depth:]) / (2.0 * step)
 
 

@@ -114,7 +114,7 @@ def test_adam_step_bound_covers_growing_gradients():
 def test_train_work_caps():
     # the default study uses at most a quarter of each cap
     caps = (MAX_TRAIN_AMPLITUDES, MAX_TRAIN_MULADDS, MAX_TRAIN_STEPS)
-    assert _train_work(TrainConfig()) == (293_600, 7_864_320_000, 16_000)
+    assert _train_work(TrainConfig()) == (145_960, 7_864_320_000, 16_000)
     assert all(4 * used <= cap for used, cap in zip(_train_work(TrainConfig()), caps))
     # each cap on its own; the configs are rejected without being run
     for bad, cap in ((dict(dataset_size=10 ** 13, seeds=(0,)), "amplitudes"),
@@ -131,11 +131,11 @@ def test_train_work_caps():
 
 def test_train_work_admits_full_scale_up_to_four_qubits():
     # full scale at n = 4 needs about 5.5e10 multiply-adds, under the cap;
-    # at n = 5 about 4.1e11 multiply-adds, over it, and 1.6e6 amplitudes, under
-    assert _train_work(TrainConfig(n=4)) == (598_720, 55_050_240_000, 16_000)
+    # at n = 5 about 4.1e11 multiply-adds, over it, and 1.3e6 amplitudes, under
+    assert _train_work(TrainConfig(n=4)) == (403_280, 55_050_240_000, 16_000)
     five = SimpleNamespace(**{**vars(TrainConfig()), "n": 5})
     held, muladds, _ = _train_work(five)
-    assert (held, muladds) == (1_612_160, 408_944_640_000)
+    assert (held, muladds) == (1_321_120, 408_944_640_000)
     assert held <= MAX_TRAIN_AMPLITUDES and muladds > MAX_TRAIN_MULADDS
     with pytest.raises(ValueError, match="multiply-adds"):
         TrainConfig(n=5)

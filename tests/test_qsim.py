@@ -8,8 +8,8 @@ from qspec import qsim
 from qspec.linalg import (DimMismatch, NoConvergence, complex_gaussians, eig_hermitian,
                           haar_unitary, rng_stream, unitary_from_generator)
 from qspec.qsim import (FD_STEP, FORWARD_BLOCK_ELEMENTS, GRAD_BLOCK_ELEMENTS, MAX_EIGEN_BOUND,
-                        CircuitSpec, _block_rows, _eigen_gram, _fd_batch_grad, _forward, _phases,
-                        _row_blocks, _shift_gains, _stack_specs,
+                        CircuitSpec, _block_rows, _eigen_gram, _encode_rows, _fd_batch_grad,
+                        _forward, _phases, _row_blocks, _shift_gains, _stack_specs,
                         circuit_forward_batch, circuit_forward_encoded,
                         default_entangler, encode_inputs,
                         grad_analytic_1p_batch, grad_fd, make_generator,
@@ -177,6 +177,9 @@ def test_encode_inputs_matches_dense_kron(n):
         assert got.shape == (9, 1 << n) and got.dtype == complex
         assert got.flags["C_CONTIGUOUS"]
         np.testing.assert_array_equal(got, dense_encoded(n, entangler, xs))
+        rows = _encode_rows(spec, xs)
+        assert rows.dtype == float and rows.flags["C_CONTIGUOUS"]
+        np.testing.assert_array_equal(rows, got.real)
 
 
 @pytest.mark.parametrize("n", [1, 3])
@@ -184,6 +187,7 @@ def test_encode_inputs_of_no_inputs_is_empty(n):
     spec = CircuitSpec(n, [np.zeros((1 << n, 1 << n))])
     got = encode_inputs(spec, [])
     assert got.shape == (0, 1 << n) and got.dtype == complex
+    assert _encode_rows(spec, []).shape == (0, 1 << n)
     assert circuit_forward_batch(spec, np.zeros(1), []).size == 0
 
 
@@ -563,7 +567,7 @@ def test_grad_fd_multilayer_shape():
 
 def dense_fd_forward(spec, theta, encoded, step):
     """Oracle: each variant theta, theta + step e_l and theta - step e_l as
-    a dense product of expm_herm layers on the encode_inputs rows."""
+    a dense product of expm_herm layers on the encoded rows."""
     def values(angles):
         psi = encoded.T
         for h, t in zip(spec.generators, angles):
@@ -617,11 +621,12 @@ def test_fd_forward_matches_stacked_variants(n, depth):
             spec = CircuitSpec(n, gens, entangler=entangler, observable=obs)
             for batch in (1, 7, 32):
                 theta = gen.uniform(-np.pi, np.pi, depth)
-                enc = encode_inputs(spec, gen.uniform(-np.pi, np.pi, batch))
+                enc = _encode_rows(spec, gen.uniform(-np.pi, np.pi, batch))
                 labels = gen.uniform(-1.0, 1.0, batch)
                 want_vals, want_grad = dense_batch_grad(spec, theta, enc, labels, FD_STEP)
                 vals, grad = fd_batch_grad([spec], theta[None], enc[None], labels[None])
                 assert vals.shape == (1, batch) and grad.shape == (1, depth)
+                assert vals.dtype == float and grad.dtype == float
                 np.testing.assert_allclose(vals[0], want_vals, rtol=0, atol=1e-12)
                 np.testing.assert_allclose(grad[0], want_grad, rtol=0, atol=1e-9)
 
@@ -645,7 +650,7 @@ def test_forward_runs_match_dense_layer_product(n, depth):
             # the last shape spans several blocks, its last one partial
             for v, b in ((1, 1), (3, 7), (2 * depth + 1, 32), (20, 500)):
                 thetas = gen.uniform(-np.pi, np.pi, (4, v, depth))
-                enc = np.stack([encode_inputs(specs[0], gen.uniform(-np.pi, np.pi, b))
+                enc = np.stack([_encode_rows(specs[0], gen.uniform(-np.pi, np.pi, b))
                                 for _ in specs])
                 got = _forward(stack, _phases(stack, thetas), enc)
                 assert got.shape == (4, v, b)
@@ -667,7 +672,7 @@ def test_forward_matches_dense_layer_product_for_degenerate_observables(terms):
     specs = [CircuitSpec(2, [random_hermitian(4, seed=9700 + 10 * r + l) for l in range(3)],
                          observable=obs) for r in range(3)]
     thetas = gen.uniform(-np.pi, np.pi, (3, 7, 3))
-    enc = np.stack([encode_inputs(specs[0], gen.uniform(-np.pi, np.pi, 5)) for _ in specs])
+    enc = np.stack([_encode_rows(specs[0], gen.uniform(-np.pi, np.pi, 5)) for _ in specs])
     stack = _stack_specs(specs)
     stacked = _forward(stack, _phases(stack, thetas), enc)
     labels = gen.uniform(-1.0, 1.0, (3, 5))
@@ -685,6 +690,37 @@ def test_forward_matches_dense_layer_product_for_degenerate_observables(terms):
         want_vals, want_grad = dense_batch_grad(spec, thetas[r, 0], enc[r], labels[r], FD_STEP)
         np.testing.assert_allclose(fd_vals[r], want_vals, rtol=0, atol=1e-12)
         np.testing.assert_allclose(fd_grad[r], want_grad, rtol=0, atol=1e-9)
+
+
+# ---- real rows ---------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_real_rows_give_the_complex_contraction(n):
+    # oracle: the same rows as complex, which meet the complex operand W^T;
+    # equal bit for bit when every block has 2 rows or more, while a one-row
+    # product goes down BLAS's matrix-vector path and may round differently.
+    # V = 256 takes blocks of 4 rows at n = 4, of 2 at n = 3 with R = 3 and
+    # of 1 at n = 4 with R = 3
+    dim = 1 << n
+    gen = rng_stream(1200 + n)
+    for obs in (None, random_hermitian(dim, seed=1210 + n)):
+        for runs in (1, 3):
+            specs = [CircuitSpec(n, [random_hermitian(dim, seed=12000 + 100 * r + l)
+                                     for l in range(3)], observable=obs)
+                     for r in range(runs)]
+            stack = _stack_specs(specs)
+            for nvec in (1, 2, 10, 256):
+                phases = _phases(stack, gen.uniform(-np.pi, np.pi, (runs, nvec, 3)))
+                for rows in (1, 2, 7, 33):
+                    real = np.stack([_encode_rows(specs[0], gen.uniform(-np.pi, np.pi, rows))
+                                     for _ in specs])
+                    got = _forward(stack, phases, real)
+                    want = _forward(stack, phases, real.astype(complex))
+                    assert got.dtype == float and got.shape == (runs, nvec, rows)
+                    if min(rows, _block_rows(runs, nvec, dim)) == 1:
+                        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+                    else:
+                        assert np.array_equal(got, want), (runs, nvec, rows)
 
 
 # ---- rows in blocks --------------------------------------------------------
@@ -714,7 +750,7 @@ def test_forward_blocks_equal_calls_on_their_slices(monkeypatch, runs, nvec, row
              for r in range(runs)]
     stack = _stack_specs(specs)
     phases = _phases(stack, gen.uniform(-np.pi, np.pi, (runs, nvec, 3)))
-    enc = np.stack([encode_inputs(specs[0], gen.uniform(-np.pi, np.pi, rows)) for _ in specs])
+    enc = np.stack([_encode_rows(specs[0], gen.uniform(-np.pi, np.pi, rows)) for _ in specs])
     blocks = _row_blocks(rows, _block_rows(runs, nvec, dim))
     assert len(blocks) > 1
     got = _forward(stack, phases, enc)
@@ -735,7 +771,8 @@ def test_forward_blocks_equal_calls_on_their_slices(monkeypatch, runs, nvec, row
 
 def test_forward_batch_memory_stays_within_one_block():
     # 10^6 inputs hold their 8 MB of values and one block of rows, not
-    # several (10^6, 8) arrays
+    # several (10^6, 8) arrays: 0.45 MiB over the values in blocks of 2^14
+    # amplitudes, 2.1 MiB in complex blocks of 2^16
     spec = CircuitSpec(3, [make_generator(8, 1.0, 870 + l) for l in range(5)])
     theta = np.linspace(-1.0, 1.0, 5)
     xs = rng_stream(871).uniform(0.0, 2.0 * np.pi, 10 ** 6)
@@ -747,7 +784,7 @@ def test_forward_batch_memory_stays_within_one_block():
     finally:
         tracemalloc.stop()
     assert got.shape == (10 ** 6,)
-    assert peak <= got.nbytes + (4 << 20), peak
+    assert peak <= got.nbytes + (1 << 20), peak
     sample = slice(0, None, 99_991)
     np.testing.assert_allclose(got[sample], circuit_forward_batch(spec, theta, xs[sample]),
                                rtol=0, atol=1e-14)
@@ -783,7 +820,7 @@ def test_forward_runs_do_not_depend_on_their_neighbours():
              for r in range(5)]
     gen = rng_stream(951)
     theta = gen.uniform(-np.pi, np.pi, (5, 4))
-    enc = np.stack([encode_inputs(specs[0], gen.uniform(-1, 1, 32)) for _ in specs])
+    enc = np.stack([_encode_rows(specs[0], gen.uniform(-1, 1, 32)) for _ in specs])
     labels = gen.uniform(-1, 1, (5, 32))
     vals, grad = fd_batch_grad(specs, theta, enc, labels)
     for r in (0, 3, 4):
