@@ -24,9 +24,9 @@ import numpy as np
 
 from .dla import eta
 from .linalg import QspecError, derive_seed, rng_stream
-from .qsim import (FD_STEP, MAX_EIGEN_BOUND, MAX_QUBITS, CircuitSpec, _block_rows, _contract,
-                   _encode_rows, _fd_batch_grad, _phases, _row_blocks, _shift_gains,
-                   _stack_specs, _unitaries, circuit_forward_encoded, grad_analytic_1p_batch,
+from .qsim import (FD_STEP, MAX_EIGEN_BOUND, MAX_QUBITS, CircuitSpec, _block_rows,
+                   _fd_batch_grad, _forward, _phases, _shift_gains, _stack_specs,
+                   circuit_forward_encoded, encode_inputs, grad_analytic_1p_batch,
                    make_generator, pauli_matrix)
 from .spectrum import _sorted_runs
 
@@ -261,8 +261,7 @@ def gen_dataset(target: CircuitSpec, count: int, seed: int) -> tuple[np.ndarray,
     if count < 1:
         raise ValueError("count must be positive")
     xs = rng_stream(seed).uniform(-1.0, 1.0, int(count))
-    ys = np.asarray(
-        circuit_forward_encoded(target, np.ones((1, target.depth)), _encode_rows(target, xs))[0])
+    ys = circuit_forward_encoded(target, np.ones((1, target.depth)), encode_inputs(target, xs))[0]
     return xs, ys
 
 
@@ -284,7 +283,7 @@ def _train_runs(models, xs: np.ndarray, ys: np.ndarray, data_of, cfg: TrainConfi
     """
     stack = _stack_specs(models)
     n_sets, n_samples = xs.shape
-    encoded = _encode_rows(models[0], xs.ravel()).reshape(n_sets, n_samples, -1)
+    encoded = encode_inputs(models[0], xs.ravel()).reshape(n_sets, n_samples, -1)
     data_of = np.asarray(data_of)
     rows = data_of[:, None]
     shufflers = [rng_stream(seed, 1) for seed in shuffle_seeds]
@@ -313,10 +312,8 @@ def _train_runs(models, xs: np.ndarray, ys: np.ndarray, data_of, cfg: TrainConfi
             theta = theta - cfg.lr * mhat / (np.sqrt(vhat) + eps)
 
     # gathered one block of rows at a time, not every run's dataset at once
-    operand = _unitaries(stack, _phases(stack, theta[:, None]), real=True)
-    pred = np.empty((len(data_of), n_samples))
-    for block in _row_blocks(n_samples, _block_rows(len(data_of), 1, encoded.shape[2])):
-        pred[:, block] = _contract(stack, operand, encoded[data_of, block], 1)[:, 0]
+    pred = _forward(stack, _phases(stack, theta[:, None]), n_samples,
+                    lambda block: encoded[data_of, block])[:, 0]
     return theta, np.sqrt(np.mean((pred - ys[data_of]) ** 2, axis=1))
 
 

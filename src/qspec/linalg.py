@@ -208,11 +208,16 @@ def eig_hermitian(h) -> HermitianEigen:
     h = require_square(h)
     if not is_hermitian(h):
         raise NotHermitian("matrix is not Hermitian within tolerance")
+    return HermitianEigen(*_eigh(h))
+
+
+def _eigh(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.linalg.eigh of an already checked Hermitian matrix or stack of
+    them; NoConvergence if it gives up."""
     try:
-        values, vectors = np.linalg.eigh(h)
+        return np.linalg.eigh(matrices)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
-    return HermitianEigen(values=values, vectors=vectors)
 
 
 def unitary_from_generator(h, theta: float) -> np.ndarray:

@@ -19,20 +19,20 @@ contraction: the squared real and imaginary parts of the output
 amplitudes weighed by o. A diagonal observable keeps U = I.
 
 The encoded rows are real: RY encoding and the CNOT permutation make no
-imaginary part. _encode_rows builds them as floats, and encode_inputs
-gives the same rows as complex. There are two kernels, each with a
-leading run axis over R circuits of one shape and observable (a _Stack).
-_forward gives expectation values: each run's V parameter vectors go
-through one (R, V*N, N) @ (R, N, N) matmul per layer, and the B encoded
-rows meet the V unitaries in blocks of at most FORWARD_BLOCK_ELEMENTS
-amplitudes across R * rows * V * N, one (R, rows, N) matmul each, so its
-temporaries do not grow with B. Real rows are multiplied by the float view
-of W^T, whose columns interleave the real and imaginary parts of W, so
-one real product gives the (Re, Im) pairs that the expectations square,
-at half the arithmetic of a complex product; complex rows take W^T
-itself. circuit_forward_encoded calls it with R = 1, and grad_fd with the
-2L vectors theta +- step e_l of one run; circuit_forward_batch builds W
-once and encodes and evaluates its inputs block by block.
+imaginary part, and encode_inputs builds them as floats. There are two
+kernels, each with a leading run axis over R circuits of one shape and
+observable (a _Stack). _forward gives expectation values: each run's V
+parameter vectors go through one (R, V*N, N) @ (R, N, N) matmul per
+layer, and the rows meet the V unitaries in blocks of at most
+FORWARD_BLOCK_ELEMENTS amplitudes across R * rows * V * N, one
+(R, rows, N) matmul each, so its temporaries do not grow with the row
+count. The rows are multiplied by the float view of W^T, whose columns
+interleave the real and imaginary parts of W, so one real product gives
+the (Re, Im) pairs that the expectations square, at half the arithmetic
+of a complex product. It is the one block loop: circuit_forward_encoded
+calls it with R = 1 on given rows, grad_fd with the 2L vectors
+theta +- step e_l of one run, and circuit_forward_batch with rows it
+encodes one block at a time.
 _fd_batch_grad serves a training step of every run of a lockstep study
 at once, on real rows. A layer's angle enters an expectation as a trig
 polynomial whose modes are its generator's gaps w_ij, so the central
@@ -52,7 +52,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import (DimMismatch, NoConvergence, eig_hermitian, haar_unitary, is_hermitian,
+from .linalg import (DimMismatch, _eigh, eig_hermitian, haar_unitary, is_hermitian,
                      require_hermitian_set, require_square)
 from .spectrum import DEDUP_TOL, _sorted_runs
 
@@ -200,15 +200,6 @@ class CircuitSpec:
         return len(self.generators)
 
 
-def _eigh(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """np.linalg.eigh of already checked Hermitian matrices; NoConvergence
-    if it gives up."""
-    try:
-        return np.linalg.eigh(matrices)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(str(exc)) from exc
-
-
 def _observable(obs, dim: int) -> np.ndarray:
     """obs as a complex dim x dim Hermitian array; DimMismatch otherwise."""
     obs = require_square(obs)
@@ -247,9 +238,10 @@ def _inputs(xs) -> np.ndarray:
     return xs
 
 
-def _encode_rows(spec: CircuitSpec, xs) -> np.ndarray:
+def encode_inputs(spec: CircuitSpec, xs) -> np.ndarray:
     """Post-encoding states for a batch of scalar inputs as real rows, a
-    C-contiguous float (B, 2^n) array.
+    C-contiguous float (B, 2^n) array. Precompute this once per dataset:
+    it does not depend on theta.
 
     RY(x) = exp(-i (x/2) Y) turns each qubit of |0...0> into
     (cos(x/2), sin(x/2)) and the entangler permutes the basis, so every
@@ -263,13 +255,6 @@ def _encode_rows(spec: CircuitSpec, xs) -> np.ndarray:
         # append the next qubit as the least significant index bit
         amps = (amps[:, None, :] * qubit[None, :, :]).reshape(2 * len(amps), len(xs))
     return np.ascontiguousarray(amps[spec._unperm].T)
-
-
-def encode_inputs(spec: CircuitSpec, xs) -> np.ndarray:
-    """Post-encoding states for a batch of scalar inputs, complex (B, 2^n):
-    _encode_rows' real rows. Precompute this once per dataset: it does not
-    depend on theta."""
-    return _encode_rows(spec, xs).astype(complex)
 
 
 def _block_rows(runs: int, nvec: int, dim: int) -> int:
@@ -294,15 +279,14 @@ def _row_blocks(count: int, step: int) -> list:
     return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [count])]
 
 
-def _unitaries(stack: _Stack, phases: np.ndarray, real: bool) -> np.ndarray:
+def _unitaries(stack: _Stack, phases: np.ndarray) -> np.ndarray:
     """The whole-circuit unitaries W of R runs with V parameter vectors each,
-    as the right operand of the rows they act on.
+    as the float operand, (R, N, 2*V*N), that real rows are multiplied by.
 
     phases (R, V, L, N) holds exp(-i theta_l lam_l) per run, vector and
     layer. W is built from the left as one (R, V*N, N) array, with row
     (v, i) the output amplitude i of vector v, so each layer is one batched
-    matmul. Complex rows take its transpose, (R, N, V*N); real rows take
-    _interleaved(W), (R, N, 2*V*N).
+    matmul, and returned as _interleaved(W).
     """
     runs, nvec, depth, dim = phases.shape
     flat = (runs, nvec * dim, dim)
@@ -312,7 +296,7 @@ def _unitaries(stack: _Stack, phases: np.ndarray, real: bool) -> np.ndarray:
         np.matmul(w.reshape(flat), stack.hops[:, layer], out=tmp.reshape(flat))
         np.multiply(tmp, phases[:, :, layer, None, :], out=w)
     np.matmul(w.reshape(flat), stack.first_h, out=tmp.reshape(flat))
-    return _interleaved(tmp.reshape(flat)) if real else tmp.reshape(flat).transpose(0, 2, 1)
+    return _interleaved(tmp.reshape(flat))
 
 
 def _interleaved(w: np.ndarray) -> np.ndarray:
@@ -323,32 +307,27 @@ def _interleaved(w: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(w.transpose(0, 2, 1)).view(float)
 
 
-def _contract(stack: _Stack, operand: np.ndarray, rows: np.ndarray, nvec: int) -> np.ndarray:
-    """Expectation values, real (R, V, B), of rows (R, B, N) against the
-    operand of _unitaries for the rows' dtype: one matmul, its product
-    read as (Re, Im) pairs whatever the dtype."""
-    runs, count, dim = rows.shape
-    parts = (rows @ operand).view(float).reshape(runs, -1, 2 * dim)    # rows (b, v)
-    return _expectations(stack, parts).reshape(runs, count, nvec).transpose(0, 2, 1)
-
-
-def _forward(stack: _Stack, phases: np.ndarray, encoded: np.ndarray) -> np.ndarray:
-    """Expectation values, real (R, V, B), of R runs with V parameter vectors each.
+def _forward(stack: _Stack, phases: np.ndarray, count: int, rows) -> np.ndarray:
+    """Expectation values, real (R, V, count), of R runs with V parameter
+    vectors each on count encoded rows per run.
 
     phases (R, V, L, N) holds exp(-i theta_l lam_l) per run, vector and
-    layer; encoded (R, B, N) holds each run's rows, real (_encode_rows) or
-    complex. The unitaries are built once (_unitaries), and the rows meet
-    them block by block (_block_rows, _row_blocks), one (R, rows, N)
-    matmul each (_contract), written into the output in place. Real rows
-    have given the complex rows' values bit for bit from 2 rows up on
-    OpenBLAS; a one-row product goes down BLAS's matrix-vector path, which
-    can round differently.
+    layer; rows(block) gives the real (R, rows, N) encoded rows of the
+    slice block of range(count). The unitaries are built once
+    (_unitaries), and the rows meet them block by block (_block_rows,
+    _row_blocks), one (R, rows, N) matmul each whose product holds the
+    (Re, Im) pairs that _expectations squares, written into the output in
+    place. Beyond the operand and the output, a call holds one block. The
+    products have equalled the complex product of the same rows with W^T
+    bit for bit from 2 rows up on OpenBLAS; a one-row product goes down
+    BLAS's matrix-vector path, which can round differently.
     """
     runs, nvec, _, dim = phases.shape
-    operand = _unitaries(stack, phases, not np.iscomplexobj(encoded))
-    out = np.empty((runs, nvec, encoded.shape[1]))
-    for block in _row_blocks(encoded.shape[1], _block_rows(runs, nvec, dim)):
-        out[:, :, block] = _contract(stack, operand, encoded[:, block], nvec)
+    operand = _unitaries(stack, phases)
+    out = np.empty((runs, nvec, count))
+    for block in _row_blocks(count, _block_rows(runs, nvec, dim)):
+        parts = (rows(block) @ operand).reshape(runs, -1, 2 * dim)     # rows (b, v)
+        out[:, :, block] = _expectations(stack, parts).reshape(runs, -1, nvec).transpose(0, 2, 1)
     return out
 
 
@@ -372,7 +351,7 @@ def _fd_batch_grad(stack: _Stack, gains: np.ndarray, theta: np.ndarray, encoded:
                    suffix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Centre values, shape (R, B), and batch gradients, shape (R, L), of R runs.
 
-    theta is (R, L), encoded (R, B, N) real rows (_encode_rows), labels
+    theta is (R, L), encoded (R, B, N) real rows (encode_inputs), labels
     (R, B) and gains from _shift_gains. Gradient l is mean_b 2 r_b d_lb,
     with r_b = f_b - labels_b and d_lb the central difference of f_b in
     theta_l, computed exactly without shifted circuits:
@@ -417,39 +396,42 @@ def _phases(stack: _Stack, thetas: np.ndarray) -> np.ndarray:
 def circuit_forward_encoded(spec: CircuitSpec, thetas, encoded) -> np.ndarray:
     """Expectation values for V parameter vectors x B encoded states.
 
-    thetas has shape (V, depth); encoded is the output of encode_inputs,
-    shape (B, 2^n), or real rows of that shape. Returns a real (V, B)
-    array. Each parameter vector's circuit unitary W = V_L P_L C_L ... C_2
-    P_1 V_1^dag (P_l the layer's eigenphases, C_l the stacked basis
-    changes) is built first, so the rows are multiplied once, whatever the
-    depth.
+    thetas has shape (V, depth); encoded holds real rows of shape
+    (B, 2^n), as encode_inputs gives them, and DimMismatch is raised for
+    any other shape or for rows that are not real numbers (complex ones
+    included). Returns a real (V, B) array. Each parameter vector's
+    circuit unitary W = V_L P_L C_L ... C_2 P_1 V_1^dag (P_l the layer's
+    eigenphases, C_l the stacked basis changes) is built first, so the
+    rows are multiplied once, whatever the depth (_forward).
     """
     thetas = np.asarray(thetas, dtype=float)
     if thetas.ndim != 2 or thetas.shape[1] != spec.depth:
         raise DimMismatch(f"thetas shape {thetas.shape} != (V, {spec.depth})")
     encoded = np.asarray(encoded)
+    if encoded.dtype.kind not in "biuf":
+        raise DimMismatch(f"encoded rows must be real numbers, got dtype {encoded.dtype}")
     if encoded.ndim != 2 or encoded.shape[1] != spec.dim:
         raise DimMismatch(f"encoded shape {encoded.shape} != (B, {spec.dim})")
-    return _forward(spec._stack, _phases(spec._stack, thetas[None]), encoded[None])[0]
+    encoded = encoded.astype(float, copy=False)
+    stack = spec._stack
+    return _forward(stack, _phases(stack, thetas[None]), encoded.shape[0],
+                    lambda block: encoded[None, block])[0]
 
 
 def circuit_forward_batch(spec: CircuitSpec, theta, xs) -> np.ndarray:
     """Expectation <psi(theta, x)| O |psi(theta, x)> over a batch of x.
 
-    The circuit unitary is built once; the inputs are encoded as real rows
-    and evaluated one block of _block_rows(1, 1, N) rows at a time, so
-    beyond the output the call holds one block's rows.
+    The circuit unitary is built once, and the inputs are encoded as
+    _forward takes them, one block of _block_rows(1, 1, N) rows at a time,
+    so beyond the output the call holds one block's rows.
     """
     theta = np.asarray(theta, dtype=float).ravel()
     if theta.shape[0] != spec.depth:
         raise DimMismatch(f"theta has length {theta.shape[0]}, expected {spec.depth}")
     xs = _inputs(xs)
     stack = spec._stack
-    operand = _unitaries(stack, _phases(stack, theta[None, None]), real=True)
-    out = np.empty(xs.shape[0])
-    for block in _row_blocks(xs.shape[0], _block_rows(1, 1, spec.dim)):
-        out[block] = _contract(stack, operand, _encode_rows(spec, xs[block])[None], 1)[0, 0]
-    return out
+    return _forward(stack, _phases(stack, theta[None, None]), xs.shape[0],
+                    lambda block: encode_inputs(spec, xs[block])[None])[0, 0]
 
 
 def grad_fd(spec: CircuitSpec, theta, x: float, step: float = FD_STEP) -> np.ndarray:
@@ -464,8 +446,9 @@ def grad_fd(spec: CircuitSpec, theta, x: float, step: float = FD_STEP) -> np.nda
         raise ValueError("step must be positive")
     shifts = step * np.eye(spec.depth)
     thetas = theta + np.concatenate([shifts, -shifts])                # (2L, L)
-    vals = _forward(spec._stack, _phases(spec._stack, thetas[None]),
-                    _encode_rows(spec, [float(x)])[None])[0, :, 0]
+    encoded = encode_inputs(spec, [float(x)])[None]
+    vals = _forward(spec._stack, _phases(spec._stack, thetas[None]), 1,
+                    lambda block: encoded)[0, :, 0]
     return (vals[:spec.depth] - vals[spec.depth:]) / (2.0 * step)
 
 

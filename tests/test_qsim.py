@@ -8,8 +8,8 @@ from qspec import qsim
 from qspec.linalg import (DimMismatch, NoConvergence, complex_gaussians, eig_hermitian,
                           haar_unitary, rng_stream, unitary_from_generator)
 from qspec.qsim import (FD_STEP, FORWARD_BLOCK_ELEMENTS, GRAD_BLOCK_ELEMENTS, MAX_EIGEN_BOUND,
-                        CircuitSpec, _block_rows, _eigen_gram, _encode_rows, _fd_batch_grad,
-                        _forward, _phases, _row_blocks, _shift_gains, _stack_specs,
+                        CircuitSpec, _block_rows, _eigen_gram, _fd_batch_grad, _forward,
+                        _phases, _row_blocks, _shift_gains, _stack_specs, _unitaries,
                         circuit_forward_batch, circuit_forward_encoded,
                         default_entangler, encode_inputs,
                         grad_analytic_1p_batch, grad_fd, make_generator,
@@ -174,20 +174,16 @@ def test_encode_inputs_matches_dense_kron(n):
     for entangler in (default_entangler(n), reversed_chain(n)):
         spec = CircuitSpec(n, [np.zeros((1 << n, 1 << n))], entangler=entangler)
         got = encode_inputs(spec, xs)
-        assert got.shape == (9, 1 << n) and got.dtype == complex
+        assert got.shape == (9, 1 << n) and got.dtype == float
         assert got.flags["C_CONTIGUOUS"]
         np.testing.assert_array_equal(got, dense_encoded(n, entangler, xs))
-        rows = _encode_rows(spec, xs)
-        assert rows.dtype == float and rows.flags["C_CONTIGUOUS"]
-        np.testing.assert_array_equal(rows, got.real)
 
 
 @pytest.mark.parametrize("n", [1, 3])
 def test_encode_inputs_of_no_inputs_is_empty(n):
     spec = CircuitSpec(n, [np.zeros((1 << n, 1 << n))])
     got = encode_inputs(spec, [])
-    assert got.shape == (0, 1 << n) and got.dtype == complex
-    assert _encode_rows(spec, []).shape == (0, 1 << n)
+    assert got.shape == (0, 1 << n) and got.dtype == float
     assert circuit_forward_batch(spec, np.zeros(1), []).size == 0
 
 
@@ -223,6 +219,21 @@ def test_forward_encoded_rejects_bad_encoded_shape():
     for bad in (enc[0], enc[:, :3], np.ones((2, 8)), enc[None]):
         with pytest.raises(DimMismatch, match="encoded shape"):
             circuit_forward_encoded(spec, [[0.5]], bad)
+
+
+def test_forward_encoded_rejects_rows_that_are_not_real():
+    spec = CircuitSpec(2, [random_hermitian(4, seed=98)])
+    enc = encode_inputs(spec, [0.1, 0.2, 0.3])
+    # complex rows, with or without an imaginary part, strings and objects
+    for bad in (enc.astype(complex), np.ones((3, 4)) * 1j, np.full((3, 4), "0.5"),
+                enc.astype(object)):
+        with pytest.raises(DimMismatch, match="real numbers"):
+            circuit_forward_encoded(spec, [[0.5]], bad)
+    # integer, boolean and float32 rows are taken as floats
+    basis = np.eye(4)[[0, 3]]
+    want = circuit_forward_encoded(spec, [[0.5]], basis)
+    for rows in (basis.astype(int), basis.astype(bool), basis.astype(np.float32)):
+        assert np.array_equal(circuit_forward_encoded(spec, [[0.5]], rows), want)
 
 
 def test_circuit_spec_validation():
@@ -585,6 +596,11 @@ def dense_batch_grad(spec, theta, encoded, labels, step):
     return vals, np.mean(2.0 * (vals - labels) * diffs, axis=1)
 
 
+def forward(stack, phases, encoded):
+    """_forward on each run's real rows encoded, (R, B, N)."""
+    return _forward(stack, phases, encoded.shape[1], lambda block: encoded[:, block])
+
+
 def fd_batch_grad(specs, theta, encoded, labels, step=FD_STEP):
     """_fd_batch_grad on the runs specs, with buffers that start as nan."""
     stack = _stack_specs(specs)
@@ -621,7 +637,7 @@ def test_fd_forward_matches_stacked_variants(n, depth):
             spec = CircuitSpec(n, gens, entangler=entangler, observable=obs)
             for batch in (1, 7, 32):
                 theta = gen.uniform(-np.pi, np.pi, depth)
-                enc = _encode_rows(spec, gen.uniform(-np.pi, np.pi, batch))
+                enc = encode_inputs(spec, gen.uniform(-np.pi, np.pi, batch))
                 labels = gen.uniform(-1.0, 1.0, batch)
                 want_vals, want_grad = dense_batch_grad(spec, theta, enc, labels, FD_STEP)
                 vals, grad = fd_batch_grad([spec], theta[None], enc[None], labels[None])
@@ -650,9 +666,9 @@ def test_forward_runs_match_dense_layer_product(n, depth):
             # the last shape spans several blocks, its last one partial
             for v, b in ((1, 1), (3, 7), (2 * depth + 1, 32), (20, 500)):
                 thetas = gen.uniform(-np.pi, np.pi, (4, v, depth))
-                enc = np.stack([_encode_rows(specs[0], gen.uniform(-np.pi, np.pi, b))
+                enc = np.stack([encode_inputs(specs[0], gen.uniform(-np.pi, np.pi, b))
                                 for _ in specs])
-                got = _forward(stack, _phases(stack, thetas), enc)
+                got = forward(stack, _phases(stack, thetas), enc)
                 assert got.shape == (4, v, b)
                 for r, spec in enumerate(specs):
                     for i, theta in enumerate(thetas[r]):
@@ -672,9 +688,9 @@ def test_forward_matches_dense_layer_product_for_degenerate_observables(terms):
     specs = [CircuitSpec(2, [random_hermitian(4, seed=9700 + 10 * r + l) for l in range(3)],
                          observable=obs) for r in range(3)]
     thetas = gen.uniform(-np.pi, np.pi, (3, 7, 3))
-    enc = np.stack([_encode_rows(specs[0], gen.uniform(-np.pi, np.pi, 5)) for _ in specs])
+    enc = np.stack([encode_inputs(specs[0], gen.uniform(-np.pi, np.pi, 5)) for _ in specs])
     stack = _stack_specs(specs)
-    stacked = _forward(stack, _phases(stack, thetas), enc)
+    stacked = forward(stack, _phases(stack, thetas), enc)
     labels = gen.uniform(-1.0, 1.0, (3, 5))
     fd_vals, fd_grad = fd_batch_grad(specs, thetas[:, 0], enc, labels)
     for r, spec in enumerate(specs):
@@ -694,6 +710,21 @@ def test_forward_matches_dense_layer_product_for_degenerate_observables(terms):
 
 # ---- real rows ---------------------------------------------------------------
 
+def complex_forward(stack, phases, encoded):
+    """Oracle: the real rows encoded, (R, B, N), as complex rows times the
+    complex W^T, in _forward's blocks; the float operand of _unitaries, viewed
+    as complex, is exactly W^T."""
+    runs, nvec, _, dim = phases.shape
+    w_t = _unitaries(stack, phases).view(complex)                    # (R, N, V*N)
+    out = np.empty((runs, nvec, encoded.shape[1]))
+    for block in _row_blocks(encoded.shape[1], _block_rows(runs, nvec, dim)):
+        amps = encoded[:, block].astype(complex) @ w_t
+        parts = amps.view(float).reshape(runs, -1, 2 * dim)
+        vals = np.square(parts) @ stack.weights
+        out[:, :, block] = vals.reshape(runs, -1, nvec).transpose(0, 2, 1)
+    return out
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_real_rows_give_the_complex_contraction(n):
     # oracle: the same rows as complex, which meet the complex operand W^T;
@@ -712,10 +743,10 @@ def test_real_rows_give_the_complex_contraction(n):
             for nvec in (1, 2, 10, 256):
                 phases = _phases(stack, gen.uniform(-np.pi, np.pi, (runs, nvec, 3)))
                 for rows in (1, 2, 7, 33):
-                    real = np.stack([_encode_rows(specs[0], gen.uniform(-np.pi, np.pi, rows))
+                    real = np.stack([encode_inputs(specs[0], gen.uniform(-np.pi, np.pi, rows))
                                      for _ in specs])
-                    got = _forward(stack, phases, real)
-                    want = _forward(stack, phases, real.astype(complex))
+                    got = forward(stack, phases, real)
+                    want = complex_forward(stack, phases, real)
                     assert got.dtype == float and got.shape == (runs, nvec, rows)
                     if min(rows, _block_rows(runs, nvec, dim)) == 1:
                         np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
@@ -750,14 +781,14 @@ def test_forward_blocks_equal_calls_on_their_slices(monkeypatch, runs, nvec, row
              for r in range(runs)]
     stack = _stack_specs(specs)
     phases = _phases(stack, gen.uniform(-np.pi, np.pi, (runs, nvec, 3)))
-    enc = np.stack([_encode_rows(specs[0], gen.uniform(-np.pi, np.pi, rows)) for _ in specs])
+    enc = np.stack([encode_inputs(specs[0], gen.uniform(-np.pi, np.pi, rows)) for _ in specs])
     blocks = _row_blocks(rows, _block_rows(runs, nvec, dim))
     assert len(blocks) > 1
-    got = _forward(stack, phases, enc)
-    want = np.concatenate([_forward(stack, phases, enc[:, block]) for block in blocks], axis=2)
+    got = forward(stack, phases, enc)
+    want = np.concatenate([forward(stack, phases, enc[:, block]) for block in blocks], axis=2)
     assert np.array_equal(got, want)
     # the same values when every row is its own call, up to BLAS's rounding
-    one_by_one = np.concatenate([_forward(stack, phases, enc[:, i:i + 1]) for i in range(rows)],
+    one_by_one = np.concatenate([forward(stack, phases, enc[:, i:i + 1]) for i in range(rows)],
                                 axis=2)
     np.testing.assert_allclose(got, one_by_one, rtol=0, atol=1e-14)
     if runs == 1 and nvec == 1:
@@ -767,6 +798,12 @@ def test_forward_blocks_equal_calls_on_their_slices(monkeypatch, runs, nvec, row
         want = np.concatenate([circuit_forward_batch(specs[0], theta, xs[block])
                                for block in blocks])
         assert np.array_equal(got, want)
+        # a grid of several blocks whose lone last row joins the block before it
+        step = _block_rows(1, 1, dim)
+        xs = gen.uniform(-np.pi, np.pi, 3 * step + 1)
+        assert _row_blocks(xs.shape[0], step)[-1] == slice(2 * step, 3 * step + 1)
+        want = circuit_forward_encoded(specs[0], theta[None], encode_inputs(specs[0], xs))[0]
+        assert np.array_equal(circuit_forward_batch(specs[0], theta, xs), want)
 
 
 def test_forward_batch_memory_stays_within_one_block():
@@ -820,7 +857,7 @@ def test_forward_runs_do_not_depend_on_their_neighbours():
              for r in range(5)]
     gen = rng_stream(951)
     theta = gen.uniform(-np.pi, np.pi, (5, 4))
-    enc = np.stack([_encode_rows(specs[0], gen.uniform(-1, 1, 32)) for _ in specs])
+    enc = np.stack([encode_inputs(specs[0], gen.uniform(-1, 1, 32)) for _ in specs])
     labels = gen.uniform(-1, 1, (5, 32))
     vals, grad = fd_batch_grad(specs, theta, enc, labels)
     for r in (0, 3, 4):
