@@ -30,24 +30,32 @@ count. The rows are multiplied by the float view of W^T, whose columns
 interleave the real and imaginary parts of W, so one real product gives
 the (Re, Im) pairs that the expectations square, at half the arithmetic
 of a complex product. It is the one block loop: circuit_forward_encoded
-calls it with R = 1 on given rows, grad_fd with the 2L vectors
-theta +- step e_l of one run, and circuit_forward_batch with rows it
+calls it with R = 1 on given rows and circuit_forward_batch with rows it
 encodes one block at a time.
 _fd_batch_grad serves a training step of every run of a lockstep study
 at once, on real rows. A layer's angle enters an expectation as a trig
 polynomial whose modes are its generator's gaps w_ij, so the central
 difference of each (i, j) term is that term times i sin(step w_ij) /
-step, exactly; one prefix sweep, one suffix sweep and one real Gram of
-the batch's residual-weighed rows give the centre values and the batch
-gradient without evaluating shifted circuits. Each run's slice of a call
-is computed the same way whatever R is, so a run's values do not depend
-on the other runs.
+step, exactly; one prefix sweep, one suffix sweep (_sweep) and one real
+Gram of the batch's residual-weighed rows give the centre values and the
+batch gradient without evaluating shifted circuits. Each run's slice of
+a call is computed the same way whatever R is, so a run's values do not
+depend on the other runs.
+
+grad_fd takes the same differences one input at a time. From the same
+sweeps it builds, once per (theta, step), the real derivative operators
+Im D_l, one (N, N) block per layer side by side in an (N, L*N) array, so
+that the difference in theta_l at encoded row x is -x^T Im(D_l) x: a call
+costs one encoded row and one (1, N) @ (N, L*N) product. Each spec keeps
+the operators of the last (theta, step) it was asked for, L*N^2 floats,
+and builds new ones when either changes.
 
 trig_poly_coeffs and grad_analytic_1p_batch take the modes (the gaps of H)
 and coefficients of f(t) = <s| e^{itH} O e^{-itH} |s> from one routine,
 _gap_coeffs; the gradient is a real sine series over the positive gaps.
 """
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -145,11 +153,13 @@ class CircuitSpec:
     entangler: CNOT (control, target) pairs applied once after encoding;
     observable: Hermitian matrix, default Z on qubit 0. A non-diagonal
     observable is eigensolved once here and its eigenbasis folded into the
-    last layer's basis; a diagonal one is taken as it is.
+    last layer's basis; a diagonal one is taken as it is. The one mutable
+    slot is private: grad_fd keeps there the derivative operators of the
+    last (theta, step) it was called with.
     """
 
     __slots__ = ("n", "dim", "generators", "entangler", "observable",
-                 "_stack", "_unperm")
+                 "_stack", "_unperm", "_fd_operators")
 
     def __init__(self, n: int, generators, entangler=None, observable=None):
         self.n = int(n)
@@ -194,6 +204,8 @@ class CircuitSpec:
                              hops=(vecs_h[1:] @ vecs[:-1])[None],
                              first_h=vecs_h[0][None].copy(),
                              weights=np.repeat(obs_vals, 2))
+        # grad_fd's last ((theta bytes, step), _derivative_operators)
+        self._fd_operators = None
 
     @property
     def depth(self) -> int:
@@ -245,13 +257,15 @@ def encode_inputs(spec: CircuitSpec, xs) -> np.ndarray:
 
     RY(x) = exp(-i (x/2) Y) turns each qubit of |0...0> into
     (cos(x/2), sin(x/2)) and the entangler permutes the basis, so every
-    amplitude is real. The states are built as (2^n, B) columns, one qubit
-    at a time, and copied once into rows.
+    amplitude is real. The states are built as (2^n, B) columns from the
+    first qubit's, one qubit at a time, then gathered and copied into rows
+    (one copy into the rows straight from the columns, by np.take, was
+    slower from a few hundred rows up).
     """
     xs = _inputs(xs)
-    qubit = np.stack([np.cos(xs / 2.0), np.sin(xs / 2.0)])     # (2, B)
-    amps = np.ones((1, xs.shape[0]))
-    for _ in range(spec.n):
+    half = xs / 2.0
+    amps = qubit = np.stack([np.cos(half), np.sin(half)])      # (2, B)
+    for _ in range(spec.n - 1):
         # append the next qubit as the least significant index bit
         amps = (amps[:, None, :] * qubit[None, :, :]).reshape(2 * len(amps), len(xs))
     return np.ascontiguousarray(amps[spec._unperm].T)
@@ -346,6 +360,27 @@ def _shift_gains(stack: _Stack, step: float) -> np.ndarray:
     return np.sin(step * (stack.lam[..., :, None] - stack.lam[..., None, :])) / step
 
 
+def _sweep(stack: _Stack, theta: np.ndarray, prefix: np.ndarray, suffix: np.ndarray) -> None:
+    """Write Q_l = P_l C_l ... P_1 V_1^dag into prefix[:, l] and
+    T_l = U^dag V_L P_L C_L ... P_{l+1} C_{l+1} into suffix[:, l], both
+    complex (R, L, N, N), for the angles theta (R, L): W = T_l Q_l for
+    every layer l, from one sweep from each end."""
+    depth = theta.shape[1]
+    phases = _phases(stack, theta[:, None])[:, 0]                     # (R, L, N)
+    transfer = phases[:, 1:, :, None] * stack.hops                     # P_l C_l, l = 2 .. L
+    np.multiply(phases[:, 0, :, None], stack.first_h, out=prefix[:, 0])
+    suffix[:, -1] = stack.last
+    for layer in range(1, depth):
+        np.matmul(transfer[:, layer - 1], prefix[:, layer - 1], out=prefix[:, layer])
+        np.matmul(suffix[:, -layer], transfer[:, -layer], out=suffix[:, -layer - 1])
+
+
+def _observable_terms(stack: _Stack, suffix: np.ndarray) -> np.ndarray:
+    """M_l = T_l^dag diag(o) T_l, complex (R, L, N, N), of the suffixes T_l
+    that _sweep writes: the observable seen just after layer l."""
+    return (suffix.conj().transpose(0, 1, 3, 2) * stack.weights[::2]) @ suffix
+
+
 def _fd_batch_grad(stack: _Stack, gains: np.ndarray, theta: np.ndarray, encoded: np.ndarray,
                    labels: np.ndarray, prefix: np.ndarray,
                    suffix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -356,10 +391,10 @@ def _fd_batch_grad(stack: _Stack, gains: np.ndarray, theta: np.ndarray, encoded:
     with r_b = f_b - labels_b and d_lb the central difference of f_b in
     theta_l, computed exactly without shifted circuits:
 
-    * prefix[:, l] takes Q_l = P_l C_l ... P_1 V_1^dag and suffix[:, l]
-      takes T_l = U^dag V_L P_L C_L ... P_{l+1} C_{l+1}, so W = T_l Q_l;
+    * _sweep writes Q_l into prefix[:, l] and T_l into suffix[:, l], so
+      W = T_l Q_l;
     * the values f_b take the rows through _interleaved(W), as _forward does;
-    * with a_b = Q_l x_b and M_l = T_l^dag diag(o) T_l,
+    * with a_b = Q_l x_b and M_l = T_l^dag diag(o) T_l (_observable_terms),
       d_lb = sum_ij conj(a_bi) (M_l)_ij a_bj i gains_ij;
     * the batch meets the layers once, as the real residual Gram
       X = sum_b r_b x_b x_b^T, one (R, N, N) product: with
@@ -372,17 +407,11 @@ def _fd_batch_grad(stack: _Stack, gains: np.ndarray, theta: np.ndarray, encoded:
     `train --fast` about a third slower in some heap layouts.
     """
     runs, depth = theta.shape
-    phases = _phases(stack, theta[:, None])[:, 0]                     # (R, L, N)
-    transfer = phases[:, 1:, :, None] * stack.hops                     # P_l C_l, l = 2 .. L
-    np.multiply(phases[:, 0, :, None], stack.first_h, out=prefix[:, 0])
-    suffix[:, -1] = stack.last
-    for layer in range(1, depth):
-        np.matmul(transfer[:, layer - 1], prefix[:, layer - 1], out=prefix[:, layer])
-        np.matmul(suffix[:, -layer], transfer[:, -layer], out=suffix[:, -layer - 1])
+    _sweep(stack, theta, prefix, suffix)
     vals = _expectations(stack, encoded @ _interleaved(stack.last @ prefix[:, -1]))
     resid = vals - labels
     gram = (encoded * resid[..., None]).transpose(0, 2, 1) @ encoded               # (R, N, N)
-    terms = (suffix.conj().transpose(0, 1, 3, 2) * stack.weights[::2]) @ suffix      # M_l
+    terms = _observable_terms(stack, suffix)                                         # M_l
     terms *= prefix.conj() @ gram[:, None] @ prefix.transpose(0, 1, 3, 2)         # A_l
     terms = (gains * terms.imag).reshape(runs, depth, -1)              # Re(i z) = -Im z
     return vals, terms.sum(axis=2) * (-2.0 / encoded.shape[1])
@@ -434,22 +463,67 @@ def circuit_forward_batch(spec: CircuitSpec, theta, xs) -> np.ndarray:
                     lambda block: encode_inputs(spec, xs[block])[None])[0, 0]
 
 
-def grad_fd(spec: CircuitSpec, theta, x: float, step: float = FD_STEP) -> np.ndarray:
-    """Central-difference gradient of the expectation in theta.
+def _derivative_operators(stack: _Stack, theta: np.ndarray, step: float) -> np.ndarray:
+    """Im D_l side by side, real (N, L*N), with D_l = Q_l^dag (gains_l * M_l) Q_l
+    from _sweep and _observable_terms for the angles theta (L,) and gains
+    _shift_gains(stack, step): the central difference of the expectation
+    in theta_l at real encoded row x is d_l = x^T (i D_l) x = -x^T Im(D_l) x,
+    the one-row case of _fd_batch_grad's d_lb."""
+    gains = _shift_gains(stack, step)                                   # (1, L, N, N)
+    prefix, suffix = np.empty_like(gains, dtype=complex), np.empty_like(gains, dtype=complex)
+    _sweep(stack, theta[None], prefix, suffix)
+    terms = _observable_terms(stack, suffix)
+    terms *= gains
+    del suffix, gains                   # freed before the two products, which set the peak
+    ops = (prefix.conj().transpose(0, 1, 3, 2) @ terms @ prefix)[0].imag   # (L, N, N)
+    depth, dim = ops.shape[:2]
+    return np.ascontiguousarray(ops.transpose(1, 0, 2)).reshape(dim, depth * dim)
 
-    O(step^2) accurate: halving the step shrinks the error about 4x.
+
+def _finite_scalar(value, name: str) -> float:
+    """value as a float; DimMismatch unless it is a real scalar, ValueError
+    unless it is finite."""
+    value = np.asarray(value)
+    if value.ndim != 0 or value.dtype.kind not in "biuf":
+        raise DimMismatch(f"{name} must be a real scalar, got shape {value.shape} "
+                          f"and dtype {value.dtype}")
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite")
+    return value
+
+
+def grad_fd(spec: CircuitSpec, theta, x: float, step: float = FD_STEP) -> np.ndarray:
+    """Central differences [f(theta + step e_l) - f(theta - step e_l)] / (2 step)
+    of the expectation at one input x, one per layer l.
+
+    They are exact, from the derivative operators of (theta, step)
+    (_derivative_operators), which the spec keeps until a call brings
+    another theta or step, and O(step^2) from the true derivative: halving
+    the step shrinks that error about 4x. DimMismatch unless theta holds
+    depth real numbers and x and step are real scalars, ValueError unless
+    all are finite and step is positive, both before any work.
     """
-    theta = np.asarray(theta, dtype=float).ravel()
-    if theta.shape[0] != spec.depth:
-        raise DimMismatch(f"theta has length {theta.shape[0]}, expected {spec.depth}")
-    if not np.isfinite(step) or step <= 0:
+    theta = np.asarray(theta)
+    if theta.dtype.kind not in "biuf" or theta.size != spec.depth:
+        raise DimMismatch(f"theta must hold {spec.depth} real numbers, got shape "
+                          f"{theta.shape} and dtype {theta.dtype}")
+    theta = theta.astype(float).ravel()
+    x = _finite_scalar(x, "x")
+    step = _finite_scalar(step, "step")
+    if step <= 0.0:
         raise ValueError("step must be positive")
-    shifts = step * np.eye(spec.depth)
-    thetas = theta + np.concatenate([shifts, -shifts])                # (2L, L)
-    encoded = encode_inputs(spec, [float(x)])[None]
-    vals = _forward(spec._stack, _phases(spec._stack, thetas[None]), 1,
-                    lambda block: encoded)[0, :, 0]
-    return (vals[:spec.depth] - vals[spec.depth:]) / (2.0 * step)
+    key = (theta.tobytes(), step)
+    # read once, so a call on another thread that replaces the slot cannot
+    # pair this key with its operators
+    kept = spec._fd_operators
+    if kept is None or kept[0] != key:
+        # a theta equal to the kept one was found finite when it was kept
+        if not np.all(np.isfinite(theta)):
+            raise ValueError("theta must be finite")
+        kept = spec._fd_operators = (key, _derivative_operators(spec._stack, theta, step))
+    row = encode_inputs(spec, x)                                        # (1, N)
+    return -((row @ kept[1]).reshape(spec.depth, spec.dim) @ row[0])
 
 
 def _eigen_gram(h, state, obs) -> tuple[np.ndarray, np.ndarray]:

@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -645,6 +647,146 @@ def test_fd_forward_matches_stacked_variants(n, depth):
                 assert vals.dtype == float and grad.dtype == float
                 np.testing.assert_allclose(vals[0], want_vals, rtol=0, atol=1e-12)
                 np.testing.assert_allclose(grad[0], want_grad, rtol=0, atol=1e-9)
+
+
+# ---- grad_fd on the kernel's derivative operators ---------------------------
+
+def grad_fd_specs(n, depth):
+    """Circuits of n qubits and the given depth with the default and a
+    non-diagonal observable; layer 0 spans b = 10 and layer 1, when there is
+    one, has repeated eigenvalues and a trace part."""
+    dim = 1 << n
+    gens = [make_generator(dim, 10.0, 1300 + 10 * n), shifted_degenerate_generator(dim, 1301 + n)]
+    gens = (gens + [random_hermitian(dim, seed=1310 + 10 * n + l) for l in range(2, depth)])
+    return [CircuitSpec(n, gens[:depth], observable=obs)
+            for obs in (None, random_hermitian(dim, seed=1390 + n))]
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_grad_fd_equals_central_difference_of_forward(n, depth):
+    # oracle: [f(theta + s e_l) - f(theta - s e_l)] / 2s from two forward calls
+    gen = rng_stream(1400 + 10 * n + depth)
+    for spec in grad_fd_specs(n, depth):
+        for _ in range(3):
+            theta = gen.uniform(-np.pi, np.pi, depth)
+            x = gen.uniform(-np.pi, np.pi)
+            enc = encode_inputs(spec, [x])
+            shifts = FD_STEP * np.eye(depth)
+            want = (circuit_forward_encoded(spec, theta + shifts, enc)[:, 0]
+                    - circuit_forward_encoded(spec, theta - shifts, enc)[:, 0]) / (2.0 * FD_STEP)
+            got = grad_fd(spec, theta, x)
+            assert got.shape == (depth,) and got.dtype == float
+            assert np.all(np.abs(got - want) <= 1e-9 * np.maximum(1.0, np.abs(want)))
+
+
+@pytest.mark.parametrize("n, depth", [(1, 1), (2, 3), (3, 5)])
+def test_grad_fd_is_the_training_kernels_one_row_difference(n, depth):
+    # with labels = values - 1/2 one row's batch gradient 2 (1/2) d_l is d_l
+    gen = rng_stream(1500 + 10 * n + depth)
+    for spec in grad_fd_specs(n, depth):
+        theta = gen.uniform(-np.pi, np.pi, depth)
+        x = gen.uniform(-np.pi, np.pi)
+        enc = encode_inputs(spec, [x])[None]
+        vals, _ = fd_batch_grad([spec], theta[None], enc, np.zeros((1, 1)))
+        _, grad = fd_batch_grad([spec], theta[None], enc, vals - 0.5)
+        got = grad_fd(spec, theta, x)
+        assert np.all(np.abs(got - grad[0]) <= 1e-12 * np.maximum(1.0, np.abs(got)))
+
+
+def test_grad_fd_keeps_one_theta_and_step():
+    # every call equals a fresh spec's, whatever the slot held before
+    def make():
+        return grad_fd_specs(3, 4)[1]
+
+    spec = make()
+    gen = rng_stream(1600)
+    theta1, theta2 = gen.uniform(-np.pi, np.pi, (2, 4))
+    mutated = theta1.copy()
+    calls = [(theta1, 0.3, FD_STEP), (theta2, 0.3, FD_STEP), (theta1, -1.2, FD_STEP),
+             (theta1, -1.2, 2e-3), (mutated, 0.4, FD_STEP), (mutated, 0.4, FD_STEP)]
+    for i, (theta, x, step) in enumerate(calls):
+        if i == 5:
+            mutated[2] += 0.25          # in place, between two calls on one array
+        got = grad_fd(spec, theta, x, step=step)
+        assert got.tobytes() == grad_fd(make(), theta, x, step=step).tobytes()
+        ops = spec._fd_operators[1]
+        assert ops.dtype == float and ops.shape == (spec.dim, spec.depth * spec.dim)
+
+
+def test_grad_fd_threads_sharing_one_spec_get_their_own_theta():
+    # threads that keep replacing the slot must never pair one theta's key
+    # with another's operators
+    spec = grad_fd_specs(2, 3)[1]
+    thetas = rng_stream(1650).uniform(-np.pi, np.pi, (4, 3))
+    want = [grad_fd(grad_fd_specs(2, 3)[1], theta, 0.3).tobytes() for theta in thetas]
+    wrong = []
+
+    def work(start):
+        for i in range(300):
+            k = (start + i) % len(thetas)
+            if grad_fd(spec, thetas[k], 0.3).tobytes() != want[k]:
+                wrong.append(k)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=work, args=(s,)) for s in range(4)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert wrong == []
+
+
+def test_grad_fd_operator_build_stays_within_the_shifted_circuits_peak():
+    # at n = 8 the 2L shifted unitaries, their workspace and the float operand
+    # peaked at 6 L N^2 complex numbers; the build keeps to 5
+    n, depth = 8, 2
+    dim = 1 << n
+    spec = CircuitSpec(n, [make_generator(dim, 1.0, 1700 + l) for l in range(depth)])
+    grad_fd(spec, [0.1, 0.2], 0.3)
+    tracemalloc.start()
+    try:
+        grad_fd(spec, [0.3, -0.4], 0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * depth * dim * dim * 16, peak
+    assert spec._fd_operators[1].nbytes == depth * dim * dim * 8
+
+
+@pytest.mark.parametrize("theta, x, step, error", [
+    ([0.1, 0.2], 0.5, FD_STEP, DimMismatch),                      # theta too short
+    ([0.1, 0.2, 0.3, 0.4], 0.5, FD_STEP, DimMismatch),            # theta too long
+    ([0.1, 0.2j, 0.3], 0.5, FD_STEP, DimMismatch),                # complex theta
+    (["a", "b", "c"], 0.5, FD_STEP, DimMismatch),                 # strings
+    ([0.1, np.nan, 0.3], 0.5, FD_STEP, ValueError),
+    ([0.1, np.inf, 0.3], 0.5, FD_STEP, ValueError),
+    ([0.1, 0.2, 0.3], [0.1, 0.2], FD_STEP, DimMismatch),          # x not a scalar
+    ([0.1, 0.2, 0.3], 0.5 + 1j, FD_STEP, DimMismatch),
+    ([0.1, 0.2, 0.3], "0.5", FD_STEP, DimMismatch),
+    ([0.1, 0.2, 0.3], np.inf, FD_STEP, ValueError),
+    ([0.1, 0.2, 0.3], np.nan, FD_STEP, ValueError),
+    ([0.1, 0.2, 0.3], 0.5, [1e-4, 2e-4], DimMismatch),            # step not a scalar
+    ([0.1, 0.2, 0.3], 0.5, 1e-4j, DimMismatch),
+    ([0.1, 0.2, 0.3], 0.5, np.inf, ValueError),
+    ([0.1, 0.2, 0.3], 0.5, np.nan, ValueError),
+    ([0.1, 0.2, 0.3], 0.5, 0.0, ValueError),
+    ([0.1, 0.2, 0.3], 0.5, -1e-4, ValueError),
+])
+def test_grad_fd_rejects_bad_inputs_before_any_work(theta, x, step, error):
+    spec = CircuitSpec(2, [random_hermitian(4, seed=1800 + l) for l in range(3)])
+    grad_fd(spec, [0.7, 0.8, 0.9], 0.5)
+    kept = spec._fd_operators
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            grad_fd(spec, theta, x, step=step)
+    assert spec._fd_operators is kept
 
 
 # ---- runs stacked on one kernel call --------------------------------------
